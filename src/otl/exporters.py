@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from typing import Any, Optional
 
 from . import model as m
@@ -209,10 +209,9 @@ class _Loader:
         if kind == "number":
             if not isinstance(raw, str):
                 raise JsonSchemaError(f"{path}/value", "number value must be a decimal literal string")
-            try:
-                return Decimal(raw)
-            except InvalidOperation:
-                raise JsonSchemaError(f"{path}/value", f"invalid decimal literal {raw!r}") from None
+            if not m.NUMBER_LITERAL.fullmatch(raw):
+                raise JsonSchemaError(f"{path}/value", f"invalid decimal literal {raw!r}")
+            return Decimal(raw)
         raise JsonSchemaError(f"{path}/kind", f"unknown value kind {kind!r}")
 
     def expr(self, node: Any, path: str) -> ClassExpression:

@@ -17,6 +17,7 @@ from multiple threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
@@ -30,6 +31,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 # Plain ints are accepted anywhere a number is (convenient for hand-built
 # expressions); parsing and deserialization always produce Decimal.
 Value = Union[str, bool, Decimal, int]
+
+# The one literal form of a number, shared by the DSL lexer and otl-json/1:
+# an optional minus, ASCII digits and an optional fraction.  No exponent,
+# plus sign, blank, underscore, NaN or Infinity, so every number that parse or
+# from_json loads prints as DSL that parses again.
+NUMBER_LITERAL = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
 
 
 class ValueKind(str, Enum):

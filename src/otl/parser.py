@@ -32,16 +32,25 @@ free-standing difference during validation.
 Parsing is total: it never raises on bad input, always returning a
 ParseResult whose model is present iff no error diagnostics were produced.
 Cross-references are left symbolic; resolution happens in otl.reasoner.
+
+Cost.  The lexer is one scan of a compiled master regex with a named group
+per token class (the "Writing a Tokenizer" recipe of the ``re`` docs); each
+token's line and column come from the offset of the last newline, so lexing
+is O(input length).  The parser is recursive descent with one token of
+lookahead over the token list, O(tokens); class-expression nesting is
+bounded by MAX_EXPR_DEPTH and chains of ``not`` are counted iteratively.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .classes import And, AttrEquals, ClassExpression, HasAttr, InConcept, Not, Or
 from .model import (
+    NUMBER_LITERAL,
     AssociativeLink,
     Axis,
     AttributeDecl,
@@ -113,8 +122,7 @@ _STATUS_WORDS = tuple(s.value for s in TermStatus)
 MAX_EXPR_DEPTH = 200
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, KEYWORD, STRING, NUMBER, punctuation kinds, SEP, EOF
     text: str
     line: int
@@ -158,6 +166,23 @@ _PUNCT = {
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
+# Each match is the blanks and comment before one token, then the token: one
+# alternative per token class, tried in order.  OTHER takes any character but
+# a newline, so the scan never stalls, and END ends it.  Identifiers and
+# numbers are ASCII-only.  A string runs to its closing quote, a newline or
+# the end of input; a backslash escapes the next character, newline included.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:#[^\n]*)?"
+    r"(?:(?P<WORD>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<PUNCT>:=|->|[:,{}()=+|;])"
+    r"|(?P<NEWLINE>\n)"
+    rf"|(?P<NUMBER>{NUMBER_LITERAL.pattern})"
+    r'|(?P<STRING>"(?P<body>[^"\\\n]*(?:\\[\s\S]?[^"\\\n]*)*)(?P<close>"?))'
+    r"|(?P<OTHER>.)"
+    r"|(?P<END>\Z))"
+)
+_ESCAPE = re.compile(r"\\([\s\S]?)")
+
 
 def _describe(tok: Token) -> str:
     if tok.kind == "EOF":
@@ -167,160 +192,85 @@ def _describe(tok: Token) -> str:
     return repr(tok.text)
 
 
-# identifiers and numbers are ASCII-only; str.isdigit()/isalpha() accept
-# unicode characters Decimal and the grammar do not
-def _is_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"
+def _lex(source: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
+    """Split source into tokens with one pass of the master regex.
 
+    Lines and columns are 1-based and count code points; a token's column is
+    its offset from the last newline before it.  Newlines inside brackets do
+    not end statements, so they produce no SEP token.
+    """
+    tokens: list[Token] = []
+    diagnostics: list[Diagnostic] = []
+    emit = tokens.append
 
-def _is_ident_start(ch: str) -> bool:
-    return "a" <= ch <= "z" or "A" <= ch <= "Z"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return _is_ident_start(ch) or _is_digit(ch) or ch == "_"
-
-
-class _Lexer:
-    def __init__(self, source: str, file: str):
-        self.source = source
-        self.file = file
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self.depth = 0  # bracket depth; newlines inside brackets do not end statements
-        self.tokens: list[Token] = []
-        self.diagnostics: list[Diagnostic] = []
-
-    def error(self, message: str, line: int, column: int, length: int = 1) -> None:
-        self.diagnostics.append(
-            Diagnostic(
-                Severity.ERROR,
-                "E_LEX",
-                message,
-                SourceSpan(self.file, line, column, length),
-            )
+    def error(message: str, line: int, column: int, length: int) -> None:
+        diagnostics.append(
+            Diagnostic(Severity.ERROR, "E_LEX", message, SourceSpan(file, line, column, length))
         )
 
-    def emit(self, kind: str, text: str, line: int, column: int, value: Optional[Value] = None) -> None:
-        self.tokens.append(Token(kind, text, line, column, max(1, len(text)), value))
-
-    def advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos >= len(self.source):
-                return
-            if self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
+    line, line_start, depth = 1, 0, 0
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        text = match.group(kind)
+        start = match.end() - len(text)
+        column = start - line_start + 1
+        if kind == "WORD":
+            emit(Token("KEYWORD" if text in KEYWORDS else "IDENT", text, line, column, len(text)))
+        elif kind == "PUNCT":
+            if text == ";":
+                emit(Token("SEP", text, line, column, 1))
+                continue
+            if text in "({":
+                depth += 1
+            elif text in ")}":
+                depth = max(0, depth - 1)
+            emit(Token(_PUNCT[text], text, line, column, len(text)))
+        elif kind == "NEWLINE":
+            if depth == 0:
+                emit(Token("SEP", text, line, column, 1))
+            line += 1
+            line_start = start + 1
+        elif kind == "NUMBER":
+            emit(Token("NUMBER", text, line, column, len(text), Decimal(text)))
+        elif kind == "STRING":
+            body = match.group("body")
+            raw_length = len(text)
+            value = body
+            if "\\" in body:
+                chars: list[str] = []
+                last = 0
+                for esc in _ESCAPE.finditer(body):
+                    chars.append(body[last : esc.start()])
+                    last = esc.end()
+                    decoded = _ESCAPES.get(esc.group(1))
+                    if decoded is not None:
+                        chars.append(decoded)
+                        continue
+                    at = start + 1 + esc.start()
+                    error(
+                        f"unknown escape '\\{esc.group(1)}'",
+                        line + source.count("\n", start, at),
+                        at - source.rfind("\n", 0, at),
+                        2,
+                    )
+                    if not esc.group(1):
+                        raw_length += 1  # a final backslash still counts two
+                chars.append(body[last:])
+                value = "".join(chars)
+            if match.group("close"):
+                emit(Token("STRING", text, line, column, raw_length, value))
             else:
-                self.column += 1
-            self.pos += 1
-
-    def peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else ""
-
-    def run(self) -> tuple[list[Token], list[Diagnostic]]:
-        src = self.source
-        while self.pos < len(src):
-            ch = src[self.pos]
-            line, col = self.line, self.column
-            if ch == "#":
-                while self.pos < len(src) and src[self.pos] != "\n":
-                    self.advance()
-                continue
-            if ch == "\n":
-                if self.depth == 0:
-                    self.emit("SEP", "\n", line, col)
-                self.advance()
-                continue
-            if ch in " \t\r":
-                self.advance()
-                continue
-            if ch == ";":
-                self.emit("SEP", ";", line, col)
-                self.advance()
-                continue
-            if ch == '"':
-                self._string(line, col)
-                continue
-            if _is_digit(ch) or (ch == "-" and _is_digit(self.peek(1))):
-                self._number(line, col)
-                continue
-            if _is_ident_start(ch):
-                self._ident(line, col)
-                continue
-            two = src[self.pos : self.pos + 2]
-            if two in _PUNCT:
-                self.emit(_PUNCT[two], two, line, col)
-                self.advance(2)
-                continue
-            if ch in _PUNCT:
-                if ch in "({":
-                    self.depth += 1
-                elif ch in ")}":
-                    self.depth = max(0, self.depth - 1)
-                self.emit(_PUNCT[ch], ch, line, col)
-                self.advance()
-                continue
-            self.error(f"unexpected character {ch!r}", line, col)
-            self.advance()
-        self.tokens.append(Token("EOF", "", self.line, self.column, 0))
-        return self.tokens, self.diagnostics
-
-    def _string(self, line: int, col: int) -> None:
-        self.advance()  # opening quote
-        chars: list[str] = []
-        raw_len = 1
-        while True:
-            ch = self.peek()
-            if ch == "" or ch == "\n":
-                self.error("unterminated string literal", line, col, raw_len)
-                break
-            raw_len += 1
-            if ch == '"':
-                self.advance()
-                self.emit("STRING", self.source_slice(raw_len), line, col, "".join(chars))
-                return
-            if ch == "\\":
-                esc = self.peek(1)
-                if esc in _ESCAPES:
-                    chars.append(_ESCAPES[esc])
-                    self.advance(2)
-                    raw_len += 1
-                else:
-                    self.error(f"unknown escape '\\{esc}'", self.line, self.column, 2)
-                    self.advance(2)
-                    raw_len += 1
-                continue
-            chars.append(ch)
-            self.advance()
-        # unterminated: still emit what we saw so the parser can continue
-        self.emit("STRING", "".join(chars), line, col, "".join(chars))
-
-    def source_slice(self, length: int) -> str:
-        return self.source[self.pos - length : self.pos]
-
-    def _number(self, line: int, col: int) -> None:
-        start = self.pos
-        if self.peek() == "-":
-            self.advance()
-        while _is_digit(self.peek()):
-            self.advance()
-        if self.peek() == "." and _is_digit(self.peek(1)):
-            self.advance()
-            while _is_digit(self.peek()):
-                self.advance()
-        text = self.source[start : self.pos]
-        self.emit("NUMBER", text, line, col, Decimal(text))
-
-    def _ident(self, line: int, col: int) -> None:
-        start = self.pos
-        while _is_ident_char(self.peek()):
-            self.advance()
-        text = self.source[start : self.pos]
-        kind = "KEYWORD" if text in KEYWORDS else "IDENT"
-        self.emit(kind, text, line, col)
+                error("unterminated string literal", line, column, raw_length)
+                # still emit what was seen so the parser can continue
+                emit(Token("STRING", value, line, column, max(1, len(value)), value))
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rfind("\n") + 1
+        elif kind == "OTHER":
+            error(f"unexpected character {text!r}", line, column, 1)
+    tokens.append(Token("EOF", "", line, len(source) - line_start + 1, 0))
+    return tokens, diagnostics
 
 
 class _Parser:
@@ -338,18 +288,18 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+    # the token list ends with EOF and `next` never moves past it
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "EOF":
             self.pos += 1
         return tok
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def error(self, message: str, tok: Token, code: str = "E_SYN") -> None:
@@ -358,7 +308,7 @@ class _Parser:
         )
 
     def expect(self, kind: str, expected: str, text: Optional[str] = None) -> Optional[Token]:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == kind and (text is None or tok.text == text):
             return self.next()
         self.error(f"expected {expected}, found {_describe(tok)}", tok)
@@ -816,7 +766,7 @@ def parse(source: str, file_name: str = "<input>") -> ParseResult:
     Never raises; lexical and syntactic problems are reported as diagnostics
     and the parser resynchronizes at the next statement boundary.
     """
-    tokens, lex_diags = _Lexer(source, file_name).run()
+    tokens, lex_diags = _lex(source, file_name)
     parser = _Parser(tokens, file_name)
     result = parser.run()
     diagnostics = sorted(
@@ -832,7 +782,7 @@ def parse(source: str, file_name: str = "<input>") -> ParseResult:
 
 def parse_class_expr(source: str, file_name: str = "<expr>") -> ClassExpression:
     """Parse a standalone class expression, raising ParseError on bad input."""
-    tokens, lex_diags = _Lexer(source, file_name).run()
+    tokens, lex_diags = _lex(source, file_name)
     if lex_diags:
         raise ParseError(lex_diags[0])
     parser = _Parser(tokens, file_name)

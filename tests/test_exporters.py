@@ -131,6 +131,33 @@ def test_json_schema_errors_carry_paths(mouse, mutate, path_fragment):
     assert path_fragment in str(exc.value)
 
 
+WEIGHED = "concept A := x\nattribute weight : number on A\nobject o : A { weight = 3 }\n"
+
+
+def _with_weight(raw):
+    doc = json.loads(to_json(build(WEIGHED)))
+    doc["objects"][0]["values"]["weight"]["value"] = raw
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    ["sNaN", "NaN", "Infinity", "-Infinity", "1e5", " 7 ", "+3", "1_000", "3.", ".5", "-", "", "٣"],
+)
+def test_json_number_strings_outside_the_dsl_grammar_are_schema_errors(raw):
+    with pytest.raises(JsonSchemaError) as exc:
+        from_json(_with_weight(raw))
+    assert exc.value.path == "/objects/0/values/weight/value"
+
+
+@pytest.mark.parametrize("raw", ["-3.5", "0", "12", "0.25"])
+def test_json_number_strings_in_the_dsl_grammar_load_and_round_trip(raw):
+    model = from_json(_with_weight(raw))
+    assert str(model.objects["o"].values["weight"]) == raw
+    assert parse(print_dsl(model)).diagnostics == []
+    assert json.loads(to_json(model))["objects"][0]["values"]["weight"]["value"] == raw
+
+
 def test_json_not_json_at_all():
     with pytest.raises(JsonSchemaError):
         from_json("{not json")

@@ -161,6 +161,112 @@ def test_relation_aliases_normalize():
     assert result.model.relations[0].relation_type is RelationKind.CAUSAL
 
 
+LEXER_EDGE_CASES = {
+    "crlf_line_ends": (
+        "concept A\r\nconcept B := A + x\r\n$\r\n",
+        [("ERROR E_LEX t.otl:3:1 unexpected character '$'", 1)],
+    ),
+    "tabs_and_comment_before_newline": (
+        "concept\tA\n\tconcept B := A + x # note\n\t$# tight\n",
+        [("ERROR E_LEX t.otl:3:2 unexpected character '$'", 1)],
+    ),
+    "newline_inside_braces_is_no_separator": (
+        "concept A\nattribute size : number on A\n"
+        "object o : A {\n size = 1,\n\n size = 2\n}\n",
+        [("ERROR E_DUP_DECL t.otl:6:2 duplicate value for attribute 'size'", 4)],
+    ),
+    "newline_inside_parens_is_no_separator": (
+        'concept A\nterm "t" (\nen,\n preferred\n) for A $\n',
+        [("ERROR E_LEX t.otl:5:9 unexpected character '$'", 1)],
+    ),
+    "minus_without_digit": (
+        "concept A\nattribute size : number on A\nobject o : A { size = - 3 }\n",
+        [("ERROR E_LEX t.otl:3:23 unexpected character '-'", 1)],
+    ),
+    "number_with_trailing_dot": (
+        "concept A\nattribute size : number on A\nobject o : A { size = 3. }\n",
+        [("ERROR E_LEX t.otl:3:24 unexpected character '.'", 1)],
+    ),
+    "number_with_two_dots": (
+        "concept A\nattribute size : number on A\nobject o : A { size = 1.2.3 }\n",
+        [
+            ("ERROR E_LEX t.otl:3:26 unexpected character '.'", 1),
+            ("ERROR E_SYN t.otl:3:27 expected '}', found '3'", 1),
+        ],
+    ),
+    "non_ascii_letters": (
+        "concept Äpfel\nconcept B := x, é\n",
+        [
+            ("ERROR E_LEX t.otl:1:9 unexpected character 'Ä'", 1),
+            ("ERROR E_LEX t.otl:2:17 unexpected character 'é'", 1),
+            ("ERROR E_SYN t.otl:2:18 expected difference identifier, found end of line", 1),
+        ],
+    ),
+    "unknown_escape": (
+        'concept A\nterm "a\\qb" (en, preferred) for A\n',
+        [("ERROR E_LEX t.otl:2:8 unknown escape '\\q'", 2)],
+    ),
+    # the escaped newline does not end the string, which goes on to line 3
+    "backslash_newline": (
+        'concept A\nterm "ab\\\ncd" (en, preferred) for A\n',
+        [("ERROR E_LEX t.otl:2:9 unknown escape '\\\n'", 2)],
+    ),
+    "backslash_at_end_of_input": (
+        'term "ab\\',
+        [
+            ("ERROR E_LEX t.otl:1:6 unterminated string literal", 5),
+            ("ERROR E_LEX t.otl:1:9 unknown escape '\\'", 2),
+            ("ERROR E_SYN t.otl:1:10 expected '(', found end of input", 0),
+        ],
+    ),
+    "unterminated_string": (
+        'concept A\nterm "open (en, preferred) for A\nconcept B\n',
+        [
+            ("ERROR E_LEX t.otl:2:6 unterminated string literal", 27),
+            ("ERROR E_SYN t.otl:2:33 expected '(', found end of line", 1),
+        ],
+    ),
+    # an unterminated string's token carries its decoded text
+    "unterminated_string_with_escape": (
+        'concept "a\\tb',
+        [
+            ("ERROR E_LEX t.otl:1:9 unterminated string literal", 5),
+            ("ERROR E_SYN t.otl:1:9 expected concept identifier, found 'a\\tb'", 3),
+        ],
+    ),
+    "unterminated_string_before_crlf": (
+        'term "ab\r\n',
+        [
+            ("ERROR E_LEX t.otl:1:6 unterminated string literal", 4),
+            ("ERROR E_SYN t.otl:1:10 expected '(', found end of line", 1),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEXER_EDGE_CASES))
+def test_lexer_edge_cases_render_exact_diagnostics_and_spans(name):
+    source, expected = LEXER_EDGE_CASES[name]
+    result = parse(source, "t.otl")
+    assert result.model is None
+    assert [(d.render(), d.location.length) for d in result.diagnostics] == expected
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "concept A\r\nconcept B := A + x\r\n",
+        "concept\tA\t# first\n\tconcept B := A + x# tight\n",
+        "concept A\nattribute size : number on A\nobject o : A {\n  size = -1.5\n}\n",
+        'concept A\nterm "t" (\n en,\n preferred\n) for A\n',
+    ],
+)
+def test_lexer_whitespace_forms_parse_cleanly(source):
+    result = parse(source, "t.otl")
+    assert result.diagnostics == []
+    assert "A" in result.model.concepts
+
+
 def test_string_escapes_round_trip_through_lexer():
     result = parse('concept A\nterm "say \\"hi\\"\\n" (en, preferred) for A\n')
     assert result.diagnostics == []

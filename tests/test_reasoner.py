@@ -175,6 +175,29 @@ def test_part_self_loop():
     assert "E_PART_CYCLE" in codes(diagnostics)
 
 
+def test_part_cycles_render_each_component_at_its_first_edge():
+    # e loops on itself; f and a feed the cycle b -> c -> d -> b from
+    # outside without being part of it
+    source = (
+        "concept a := xa; concept b := xb; concept c := xc\n"
+        "concept d := xd; concept e := xe; concept f := xf\n"
+        "part f has a\n"
+        "part a has b\n"
+        "part a has c\n"
+        "part e has e\n"
+        "part c has d\n"
+        "part d has b\n"
+        "part b has c\n"
+        "part e has a\n"
+    )
+    result = parse(source, "p")
+    assert result.model is not None
+    assert [d.render() for d in validate(result.model)] == [
+        "ERROR E_PART_CYCLE p:6:1 part links form a cycle through: e",
+        "ERROR E_PART_CYCLE p:7:1 part links form a cycle through: b, c, d",
+    ]
+
+
 def test_part_chain_without_cycle_is_fine():
     model = parse_ok(
         "concept A := x\nconcept B := y\nconcept C := z\n"
@@ -401,6 +424,21 @@ def test_covering_edges_add_a_differentia(seed):
     for specific, supers in hierarchy.direct_super.items():
         for generic in supers:
             assert model.intensions[specific] - model.intensions[generic]
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_covering_edges_equal_oracle(seed):
+    model = valid_random_model(seed)
+    hierarchy = compute_hierarchy(model)
+    covering = oracle_direct_super(model)
+    assert {c: set(s) for c, s in hierarchy.direct_super.items()} == covering
+    inverse = {c: set() for c in model.concepts}
+    for specific, supers in covering.items():
+        for generic in supers:
+            inverse[generic].add(specific)
+    assert {c: set(s) for c, s in hierarchy.direct_sub.items()} == inverse
+    assert hierarchy.roots == {c for c in model.concepts if not model.superiors[c]}
+    assert hierarchy.roots == {c for c, s in covering.items() if not s}
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -8,9 +8,9 @@ only the command payload so output can be piped.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__
 from . import model as m
@@ -25,17 +25,6 @@ from .definitions import (
 from .exporters import ExportOptions, print_dsl, to_dot, to_json
 from .parser import ParseError, parse, parse_class_expr
 from .reasoner import validate
-
-COMMANDS = ("check", "tree", "query", "define", "describe", "lexicon", "export")
-
-
-@dataclass
-class CliConfig:
-    command: str
-    input: str
-    output: Optional[str] = None
-    flags: dict = field(default_factory=dict)
-
 
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -100,6 +89,74 @@ def _emit(payload: str, output: Optional[str], stdout, stderr) -> int:
     return 0
 
 
+def _wrong_kind(model: m.Model, name: str, wanted: str) -> m.OtlError:
+    """The error for a name that is not a `wanted`, saying what it is."""
+
+    def an(word: str) -> str:
+        return "an" if word[0] in "aeiou" else "a"
+
+    try:
+        found = m.resolve(model, name)
+    except m.OtlError:
+        return m.UnknownIdentifierError(f"unknown {wanted} '{name}'")
+    return m.UnknownIdentifierError(
+        f"'{name}' is {an(found.kind)} {found.kind}, not {an(wanted)} {wanted}"
+    )
+
+
+# Each command maps the loaded model and the parsed arguments to its payload;
+# None means the command has nothing to write.
+
+
+def _check(model: m.Model, args: argparse.Namespace) -> Optional[str]:
+    return None
+
+
+def _tree(model: m.Model, args: argparse.Namespace) -> Optional[str]:
+    opts = ExportOptions(include_objects=args.objects, include_derived_edges=args.derived)
+    return to_dot(model, opts)
+
+
+def _query(model: m.Model, args: argparse.Namespace) -> Optional[str]:
+    members = evaluate_class(model, parse_class_expr(args.class_expr))
+    return "".join(oid + "\n" for oid in sorted(members))
+
+
+def _define(model: m.Model, args: argparse.Namespace) -> Optional[str]:
+    if args.concept not in model.concepts:
+        raise _wrong_kind(model, args.concept, "concept")
+    if args.extensional:
+        definition = extensional_definition(model, args.concept)
+    else:
+        definition = intensional_definition(model, args.concept)
+    return definition.render() + "\n"
+
+
+def _describe(model: m.Model, args: argparse.Namespace) -> Optional[str]:
+    if args.object not in model.objects:
+        raise _wrong_kind(model, args.object, "object")
+    return describe_object(model, args.object) + "\n"
+
+
+def _lexicon(model: m.Model, args: argparse.Namespace) -> Optional[str]:
+    return lexicon(model, args.lang)
+
+
+def _export(model: m.Model, args: argparse.Namespace) -> Optional[str]:
+    return to_json(model) if args.format == "json" else print_dsl(model)
+
+
+COMMANDS: dict[str, Callable[[m.Model, argparse.Namespace], Optional[str]]] = {
+    "check": _check,
+    "tree": _tree,
+    "query": _query,
+    "define": _define,
+    "describe": _describe,
+    "lexicon": _lexicon,
+    "export": _export,
+}
+
+
 def run(argv: list[str], stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
@@ -110,76 +167,25 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return code
 
-    config = CliConfig(
-        command=args.command,
-        input=args.input,
-        output=args.output,
-        flags={
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("command", "input", "output")
-        },
-    )
-
-    model = _load(config.input, stderr)
+    model = _load(args.input, stderr)
     if model is None:
         return 1
-
     try:
-        if config.command == "check":
-            return 0
-        if config.command == "tree":
-            opts = ExportOptions(
-                include_objects=config.flags["objects"],
-                include_derived_edges=config.flags["derived"],
-            )
-            return _emit(to_dot(model, opts), config.output, stdout, stderr)
-        if config.command == "query":
-            expr = parse_class_expr(config.flags["class_expr"])
-            members = evaluate_class(model, expr)
-            payload = "".join(oid + "\n" for oid in sorted(members))
-            return _emit(payload, config.output, stdout, stderr)
-        if config.command == "define":
-            name = config.flags["concept"]
-            if name not in model.concepts:
-                _explain_wrong_kind(model, name, "concept", stderr)
-                return 1
-            if config.flags["extensional"]:
-                definition = extensional_definition(model, name)
-            else:
-                definition = intensional_definition(model, name)
-            return _emit(definition.render() + "\n", config.output, stdout, stderr)
-        if config.command == "describe":
-            name = config.flags["object"]
-            if name not in model.objects:
-                _explain_wrong_kind(model, name, "object", stderr)
-                return 1
-            return _emit(describe_object(model, name) + "\n", config.output, stdout, stderr)
-        if config.command == "lexicon":
-            return _emit(lexicon(model, config.flags["lang"]), config.output, stdout, stderr)
-        # export
-        payload = to_json(model) if config.flags["format"] == "json" else print_dsl(model)
-        return _emit(payload, config.output, stdout, stderr)
+        payload = COMMANDS[args.command](model, args)
     except (ParseError, DefinitionError, m.OtlError) as exc:
         print(f"error: {exc}", file=stderr)
         return 1
-
-
-def _explain_wrong_kind(model: m.Model, name: str, wanted: str, stderr) -> None:
-    def an(word: str) -> str:
-        return "an" if word[0] in "aeiou" else "a"
-
-    try:
-        found = m.resolve(model, name)
-        print(
-            f"error: '{name}' is {an(found.kind)} {found.kind}, not {an(wanted)} {wanted}",
-            file=stderr,
-        )
-    except m.OtlError:
-        print(f"error: unknown {wanted} '{name}'", file=stderr)
+    if payload is None:
+        return 0
+    return _emit(payload, args.output, stdout, stderr)
 
 
 def main() -> None:
+    # The process runs one command and exits, and loading a model allocates
+    # ~100k long-lived objects without reference cycles, so the cyclic
+    # collector would only rescan a growing heap.  run() and the library
+    # leave the collector as their caller set it.
+    gc.disable()
     sys.exit(run(sys.argv[1:]))
 
 

@@ -18,6 +18,7 @@ from multiple threads.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
@@ -33,10 +34,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 Value = Union[str, bool, Decimal, int]
 
 # The one literal form of a number, shared by the DSL lexer and otl-json/1:
-# an optional minus, ASCII digits and an optional fraction.  No exponent,
-# plus sign, blank, underscore, NaN or Infinity, so every number that parse or
-# from_json loads prints as DSL that parses again.
-NUMBER_LITERAL = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
+# an optional minus, ASCII digits without a leading zero and an optional
+# fraction.  No exponent, plus sign, blank, underscore, NaN or Infinity, so
+# every number that parse or from_json loads prints back as the literal it
+# was read from.
+NUMBER_LITERAL = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?")
 
 
 class ValueKind(str, Enum):
@@ -187,6 +189,34 @@ class SourceSpan:
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
+
+
+_NEWLINE = re.compile("\n")
+
+
+class SourceText:
+    """A DSL source and its file name; turns offsets into it into spans.
+
+    Lines and columns are 1-based and count code points.  The sorted offsets
+    of every newline are collected on the first lookup and each lookup is
+    then one bisect, so a source that no diagnostic points into never pays
+    for the table.
+    """
+
+    __slots__ = ("file", "text", "_newlines")
+
+    def __init__(self, file: str, text: str):
+        self.file = file
+        self.text = text
+        self._newlines: Optional[list[int]] = None
+
+    def span(self, offset: int, length: int) -> SourceSpan:
+        newlines = self._newlines
+        if newlines is None:
+            newlines = self._newlines = [nl.start() for nl in _NEWLINE.finditer(self.text)]
+        line = bisect_left(newlines, offset)  # newlines before the offset
+        line_start = newlines[line - 1] + 1 if line else 0
+        return SourceSpan(self.file, line + 1, offset - line_start + 1, length)
 
 
 @dataclass(frozen=True)
@@ -376,7 +406,7 @@ class Model:
     order (except parts/relations/terms, which are plain ordered lists).
     The derived fields (``intensions``, ``superiors``, ``hierarchy``) are
     filled by ``otl.reasoner.validate`` and excluded from equality, as are
-    the source spans kept for diagnostics.
+    the source positions kept for diagnostics.
     """
 
     differences: dict[str, Difference] = field(default_factory=dict)
@@ -389,10 +419,13 @@ class Model:
     terms: list[Term] = field(default_factory=list)
     classes: dict[str, ClassDef] = field(default_factory=dict)
 
-    # (entity kind, identifier) -> declaration span, for diagnostics.
-    spans: dict[tuple[str, str], SourceSpan] = field(
+    # (entity kind, identifier) -> (offset, length) of the declaring token in
+    # ``source``, for models built by the parser.  Only ``span_for`` turns one
+    # into a SourceSpan, when a diagnostic points at the entity.
+    spans: dict[tuple[str, str], tuple[int, int]] = field(
         default_factory=dict, compare=False, repr=False
     )
+    source: Optional[SourceText] = field(default=None, compare=False, repr=False)
 
     validated: bool = field(default=False, compare=False)
     # concept id -> full set of differences (genus intension + differentiae)
@@ -410,8 +443,12 @@ class Model:
             raise NotValidatedError(operation)
 
     def span_for(self, kind: str, entity_id: str) -> Union[SourceSpan, str]:
-        """Best available diagnostic location for an entity."""
-        return self.spans.get((kind, entity_id), entity_id)
+        """Best available diagnostic location for an entity: the span of its
+        declaration in the parsed source, else its identifier."""
+        at = self.spans.get((kind, entity_id))
+        if at is None or self.source is None:
+            return entity_id
+        return self.source.span(*at)
 
 
 class Resolved(NamedTuple):

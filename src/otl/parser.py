@@ -34,11 +34,15 @@ ParseResult whose model is present iff no error diagnostics were produced.
 Cross-references are left symbolic; resolution happens in otl.reasoner.
 
 Cost.  The lexer is one scan of a compiled master regex with a named group
-per token class (the "Writing a Tokenizer" recipe of the ``re`` docs); each
-token's line and column come from the offset of the last newline, so lexing
-is O(input length).  The parser is recursive descent with one token of
-lookahead over the token list, O(tokens); class-expression nesting is
-bounded by MAX_EXPR_DEPTH and chains of ``not`` are counted iteratively.
+per token class (the "Writing a Tokenizer" recipe of the ``re`` docs), so
+lexing is O(input length).  A token is a plain tuple holding its offset and
+length, not its line and column, and the parser records each declaration as
+an offset too.  Positions are resolved only when a diagnostic needs one:
+SourceText collects the newline offsets on first use and maps an offset to
+its line and column with one bisect.  The parser is recursive descent with
+one token of lookahead that pulls tokens from the lexer as it goes, O(tokens)
+with no token list held.  Class-expression nesting is bounded by
+MAX_EXPR_DEPTH and chains of ``not`` are counted iteratively.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .classes import And, AttrEquals, ClassExpression, HasAttr, InConcept, Not, Or
 from .model import (
@@ -63,6 +67,7 @@ from .model import (
     PartLink,
     Severity,
     SourceSpan,
+    SourceText,
     Term,
     TermStatus,
     Value,
@@ -122,16 +127,13 @@ _STATUS_WORDS = tuple(s.value for s in TermStatus)
 MAX_EXPR_DEPTH = 200
 
 
-class Token(NamedTuple):
-    kind: str  # IDENT, KEYWORD, STRING, NUMBER, punctuation kinds, SEP, EOF
-    text: str
-    line: int
-    column: int
-    length: int
-    value: Optional[Value] = None  # decoded payload for STRING / NUMBER
-
-    def span(self, file: str) -> SourceSpan:
-        return SourceSpan(file, self.line, self.column, self.length)
+# A token is a plain tuple (kind, text, offset, length, value), read through
+# the index names below.  kind is IDENT, KEYWORD, STRING, NUMBER, a
+# punctuation kind, SEP or EOF; offset and length place it in the source,
+# and SourceText.span turns them into a line and column only when a
+# diagnostic needs one; value is the decoded payload of a STRING or NUMBER.
+Token = tuple[str, str, int, int, Optional[Value]]
+KIND, TEXT, OFFSET, LENGTH, VALUE = range(5)
 
 
 @dataclass
@@ -169,14 +171,16 @@ _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 # Each match is the blanks and comment before one token, then the token: one
 # alternative per token class, tried in order.  OTHER takes any character but
 # a newline, so the scan never stalls, and END ends it.  Identifiers and
-# numbers are ASCII-only.  A string runs to its closing quote, a newline or
-# the end of input; a backslash escapes the next character, newline included.
+# numbers are ASCII-only; NUMBER takes a whole digit run, leading zeros
+# included, and NUMBER_LITERAL then decides whether it is a number.  A
+# string runs to its closing quote, a newline or the end of input; a
+# backslash escapes the next character, newline included.
 _TOKEN = re.compile(
     r"[ \t\r]*(?:#[^\n]*)?"
     r"(?:(?P<WORD>[A-Za-z][A-Za-z0-9_]*)"
     r"|(?P<PUNCT>:=|->|[:,{}()=+|;])"
     r"|(?P<NEWLINE>\n)"
-    rf"|(?P<NUMBER>{NUMBER_LITERAL.pattern})"
+    r"|(?P<NUMBER>-?[0-9]+(?:\.[0-9]+)?)"
     r'|(?P<STRING>"(?P<body>[^"\\\n]*(?:\\[\s\S]?[^"\\\n]*)*)(?P<close>"?))'
     r"|(?P<OTHER>.)"
     r"|(?P<END>\Z))"
@@ -185,56 +189,53 @@ _ESCAPE = re.compile(r"\\([\s\S]?)")
 
 
 def _describe(tok: Token) -> str:
-    if tok.kind == "EOF":
+    if tok[KIND] == "EOF":
         return "end of input"
-    if tok.kind == "SEP":
-        return "';'" if tok.text == ";" else "end of line"
-    return repr(tok.text)
+    if tok[KIND] == "SEP":
+        return "';'" if tok[TEXT] == ";" else "end of line"
+    return repr(tok[TEXT])
 
 
-def _lex(source: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
-    """Split source into tokens with one pass of the master regex.
+def _lex(source: SourceText, diagnostics: list[Diagnostic]) -> Iterator[Token]:
+    """Yield the tokens of source, from one pass of the master regex, and
+    append lexical errors to `diagnostics` on the way.
 
-    Lines and columns are 1-based and count code points; a token's column is
-    its offset from the last newline before it.  Newlines inside brackets do
-    not end statements, so they produce no SEP token.
+    Tokens carry offsets only.  Newlines inside brackets do not end
+    statements, so they produce no SEP token.  The last token is EOF.
     """
-    tokens: list[Token] = []
-    diagnostics: list[Diagnostic] = []
-    emit = tokens.append
+    text = source.text
 
-    def error(message: str, line: int, column: int, length: int) -> None:
+    def error(message: str, offset: int, length: int) -> None:
         diagnostics.append(
-            Diagnostic(Severity.ERROR, "E_LEX", message, SourceSpan(file, line, column, length))
+            Diagnostic(Severity.ERROR, "E_LEX", message, source.span(offset, length))
         )
 
-    line, line_start, depth = 1, 0, 0
-    for match in _TOKEN.finditer(source):
+    depth = 0
+    for match in _TOKEN.finditer(text):
         kind = match.lastgroup
-        text = match.group(kind)
-        start = match.end() - len(text)
-        column = start - line_start + 1
+        lexeme = match.group(kind)
+        start = match.end() - len(lexeme)
         if kind == "WORD":
-            emit(Token("KEYWORD" if text in KEYWORDS else "IDENT", text, line, column, len(text)))
+            yield ("KEYWORD" if lexeme in KEYWORDS else "IDENT", lexeme, start, len(lexeme), None)
         elif kind == "PUNCT":
-            if text == ";":
-                emit(Token("SEP", text, line, column, 1))
+            if lexeme == ";":
+                yield ("SEP", lexeme, start, 1, None)
                 continue
-            if text in "({":
+            if lexeme in "({":
                 depth += 1
-            elif text in ")}":
+            elif lexeme in ")}":
                 depth = max(0, depth - 1)
-            emit(Token(_PUNCT[text], text, line, column, len(text)))
+            yield (_PUNCT[lexeme], lexeme, start, len(lexeme), None)
         elif kind == "NEWLINE":
             if depth == 0:
-                emit(Token("SEP", text, line, column, 1))
-            line += 1
-            line_start = start + 1
+                yield ("SEP", lexeme, start, 1, None)
         elif kind == "NUMBER":
-            emit(Token("NUMBER", text, line, column, len(text), Decimal(text)))
+            if NUMBER_LITERAL.fullmatch(lexeme) is None:
+                error(f"number {lexeme!r} has a leading zero", start, len(lexeme))
+            yield ("NUMBER", lexeme, start, len(lexeme), Decimal(lexeme))
         elif kind == "STRING":
             body = match.group("body")
-            raw_length = len(text)
+            raw_length = len(lexeme)
             value = body
             if "\\" in body:
                 chars: list[str] = []
@@ -246,70 +247,59 @@ def _lex(source: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
                     if decoded is not None:
                         chars.append(decoded)
                         continue
-                    at = start + 1 + esc.start()
-                    error(
-                        f"unknown escape '\\{esc.group(1)}'",
-                        line + source.count("\n", start, at),
-                        at - source.rfind("\n", 0, at),
-                        2,
-                    )
+                    error(f"unknown escape '\\{esc.group(1)}'", start + 1 + esc.start(), 2)
                     if not esc.group(1):
                         raw_length += 1  # a final backslash still counts two
                 chars.append(body[last:])
                 value = "".join(chars)
             if match.group("close"):
-                emit(Token("STRING", text, line, column, raw_length, value))
+                yield ("STRING", lexeme, start, raw_length, value)
             else:
-                error("unterminated string literal", line, column, raw_length)
+                error("unterminated string literal", start, raw_length)
                 # still emit what was seen so the parser can continue
-                emit(Token("STRING", value, line, column, max(1, len(value)), value))
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = start + text.rfind("\n") + 1
+                yield ("STRING", value, start, max(1, len(value)), value)
         elif kind == "OTHER":
-            error(f"unexpected character {text!r}", line, column, 1)
-    tokens.append(Token("EOF", "", line, len(source) - line_start + 1, 0))
-    return tokens, diagnostics
+            error(f"unexpected character {lexeme!r}", start, 1)
+    yield ("EOF", "", len(text), 0, None)
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file: str):
+    def __init__(self, tokens: Iterator[Token], source: SourceText):
+        self.source = source
         self.tokens = tokens
-        self.file = file
-        self.pos = 0
+        self.tok = next(tokens)  # the one token of lookahead
         self.diagnostics: list[Diagnostic] = []
-        self.model = Model()
-        # duplicate tracking: (kind, id) -> first declaration span
-        self.declared: dict[tuple[str, str], SourceSpan] = {}
+        # model.spans also tracks duplicates: (kind, id) -> first declaration
+        self.model = Model(source=source)
         # difference id -> owning axis id (a difference belongs to one axis)
         self.diff_owner: dict[str, str] = {}
         self.term_triples: set[tuple[str, str, str]] = set()
 
     # -- token plumbing ----------------------------------------------------
 
-    # the token list ends with EOF and `next` never moves past it
+    # the tokens end with EOF and `next` never moves past it
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        return self.tok
 
     def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
+        tok = self.tok
+        if tok[KIND] != "EOF":
+            self.tok = next(self.tokens)
         return tok
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == kind and (text is None or tok.text == text)
+        tok = self.tok
+        return tok[KIND] == kind and (text is None or tok[TEXT] == text)
+
+    def span(self, tok: Token) -> SourceSpan:
+        return self.source.span(tok[OFFSET], tok[LENGTH])
 
     def error(self, message: str, tok: Token, code: str = "E_SYN") -> None:
-        self.diagnostics.append(
-            Diagnostic(Severity.ERROR, code, message, tok.span(self.file))
-        )
+        self.diagnostics.append(Diagnostic(Severity.ERROR, code, message, self.span(tok)))
 
     def expect(self, kind: str, expected: str, text: Optional[str] = None) -> Optional[Token]:
-        tok = self.tokens[self.pos]
-        if tok.kind == kind and (text is None or tok.text == text):
+        tok = self.tok
+        if tok[KIND] == kind and (text is None or tok[TEXT] == text):
             return self.next()
         self.error(f"expected {expected}, found {_describe(tok)}", tok)
         return None
@@ -319,34 +309,33 @@ class _Parser:
 
     def recover(self) -> None:
         """Skip to the next statement boundary after a syntax error."""
-        if self.peek().kind not in ("SEP", "EOF"):
+        if self.peek()[KIND] not in ("SEP", "EOF"):
             self.next()
-        while self.peek().kind not in ("SEP", "EOF"):
+        while self.peek()[KIND] not in ("SEP", "EOF"):
             self.next()
 
     def end_statement(self) -> None:
         tok = self.peek()
-        if tok.kind in ("SEP", "EOF"):
+        if tok[KIND] in ("SEP", "EOF"):
             return
         self.error(f"expected end of statement, found {_describe(tok)}", tok)
         self.recover()
 
     def declare(self, kind: str, name: str, tok: Token) -> bool:
         """Record a declaration; returns False (and diagnoses) on duplicates."""
-        key = (kind, name)
-        prior = self.declared.get(key)
-        if prior is not None:
+        if (kind, name) in self.model.spans:
+            prior = self.model.span_for(kind, name)
             self.error(
                 f"{kind} '{name}' already declared at {prior.line}:{prior.column}",
                 tok,
                 code="E_DUP_DECL",
             )
             return False
-        self.declared[key] = tok.span(self.file)
+        self.note_span(kind, name, tok)
         return True
 
     def note_span(self, kind: str, entity_id: str, tok: Token) -> None:
-        self.model.spans[(kind, entity_id)] = tok.span(self.file)
+        self.model.spans[(kind, entity_id)] = (tok[OFFSET], tok[LENGTH])
 
     # -- statements --------------------------------------------------------
 
@@ -357,8 +346,8 @@ class _Parser:
             if self.at("EOF"):
                 break
             tok = self.peek()
-            if tok.kind == "KEYWORD" and tok.text in STATEMENT_KEYWORDS:
-                handler = getattr(self, f"_stmt_{tok.text}")
+            if tok[KIND] == "KEYWORD" and tok[TEXT] in STATEMENT_KEYWORDS:
+                handler = getattr(self, f"_stmt_{tok[TEXT]}")
                 handler()
                 self.end_statement()
             else:
@@ -395,7 +384,7 @@ class _Parser:
                 return self.recover()
             if self.at("PLUS"):
                 self.next()
-                genus = first.text
+                genus = first[TEXT]
                 diffs = self._ident_list("difference identifier")
                 if diffs is None:
                     return self.recover()
@@ -408,18 +397,17 @@ class _Parser:
                         return self.recover()
                     diffs.append(nxt)
             for tok in diffs:
-                if tok.text in differentiae:
+                if tok[TEXT] in differentiae:
                     self.error(
-                        f"duplicate differentia '{tok.text}'", tok, code="E_DUP_DECL"
+                        f"duplicate differentia '{tok[TEXT]}'", tok, code="E_DUP_DECL"
                     )
                 else:
-                    differentiae.append(tok.text)
-        if not self.declare("concept", name.text, name):
+                    differentiae.append(tok[TEXT])
+        if not self.declare("concept", name[TEXT], name):
             return
-        self.model.concepts[name.text] = Concept(
-            name.text, name.text, genus, tuple(differentiae)
+        self.model.concepts[name[TEXT]] = Concept(
+            name[TEXT], name[TEXT], genus, tuple(differentiae)
         )
-        self.note_span("concept", name.text, name)
 
     def _stmt_axis(self) -> None:
         self.next()  # 'axis'
@@ -442,27 +430,26 @@ class _Parser:
             return self.recover()
         if self.expect("RBRACE", "'}'") is None:
             return self.recover()
-        if not self.declare("axis", name.text, name):
+        if not self.declare("axis", name[TEXT], name):
             return
         member_ids: list[str] = []
         for tok in members:
-            if tok.text in member_ids:
-                self.error(f"duplicate member '{tok.text}'", tok, code="E_DUP_DECL")
+            if tok[TEXT] in member_ids:
+                self.error(f"duplicate member '{tok[TEXT]}'", tok, code="E_DUP_DECL")
                 continue
-            owner = self.diff_owner.get(tok.text)
+            owner = self.diff_owner.get(tok[TEXT])
             if owner is not None:
                 self.error(
-                    f"difference '{tok.text}' already belongs to axis '{owner}'",
+                    f"difference '{tok[TEXT]}' already belongs to axis '{owner}'",
                     tok,
                     code="E_DUP_DECL",
                 )
                 continue
-            self.diff_owner[tok.text] = name.text
-            member_ids.append(tok.text)
-        self.model.axes[name.text] = Axis(
-            name.text, name.text, scope.text, tuple(member_ids), exclusive
+            self.diff_owner[tok[TEXT]] = name[TEXT]
+            member_ids.append(tok[TEXT])
+        self.model.axes[name[TEXT]] = Axis(
+            name[TEXT], name[TEXT], scope[TEXT], tuple(member_ids), exclusive
         )
-        self.note_span("axis", name.text, name)
 
     def _stmt_attribute(self) -> None:
         self.next()  # 'attribute'
@@ -472,11 +459,11 @@ class _Parser:
         if self.expect("COLON", "':'") is None:
             return self.recover()
         kind_tok = self.peek()
-        if kind_tok.kind == "IDENT" and kind_tok.text in ("text", "number", "boolean"):
+        if kind_tok[KIND] == "IDENT" and kind_tok[TEXT] in ("text", "number", "boolean"):
             self.next()
         else:
             self.error(
-                f"expected one of text, number, boolean, found {kind_tok.text!r}",
+                f"expected one of text, number, boolean, found {kind_tok[TEXT]!r}",
                 kind_tok,
             )
             return self.recover()
@@ -485,22 +472,21 @@ class _Parser:
         domain = self.expect_ident("concept identifier")
         if domain is None:
             return self.recover()
-        if not self.declare("attribute", name.text, name):
+        if not self.declare("attribute", name[TEXT], name):
             return
-        self.model.attributes[name.text] = AttributeDecl(
-            name.text, name.text, domain.text, ValueKind(kind_tok.text)
+        self.model.attributes[name[TEXT]] = AttributeDecl(
+            name[TEXT], name[TEXT], domain[TEXT], ValueKind(kind_tok[TEXT])
         )
-        self.note_span("attribute", name.text, name)
 
     def _value(self) -> Optional[tuple[Value, Token]]:
         tok = self.peek()
-        if tok.kind in ("STRING", "NUMBER"):
+        if tok[KIND] in ("STRING", "NUMBER"):
             self.next()
-            assert tok.value is not None
-            return tok.value, tok
-        if tok.kind == "KEYWORD" and tok.text in ("true", "false"):
+            assert tok[VALUE] is not None
+            return tok[VALUE], tok
+        if tok[KIND] == "KEYWORD" and tok[TEXT] in ("true", "false"):
             self.next()
-            return tok.text == "true", tok
+            return tok[TEXT] == "true", tok
         self.error(
             f"expected string, number, true or false, found {_describe(tok)}", tok
         )
@@ -529,29 +515,28 @@ class _Parser:
                 val = self._value()
                 if val is None:
                     return self.recover()
-                if attr.text in values:
+                if attr[TEXT] in values:
                     self.error(
-                        f"duplicate value for attribute '{attr.text}'",
+                        f"duplicate value for attribute '{attr[TEXT]}'",
                         attr,
                         code="E_DUP_DECL",
                     )
                 else:
-                    values[attr.text] = val[0]
-                    value_spans.append((attr.text, attr))
+                    values[attr[TEXT]] = val[0]
+                    value_spans.append((attr[TEXT], attr))
                 if self.at("COMMA"):
                     self.next()
                     continue
                 break
             if self.expect("RBRACE", "'}'") is None:
                 return self.recover()
-        if not self.declare("object", name.text, name):
+        if not self.declare("object", name[TEXT], name):
             return
-        self.model.objects[name.text] = ObjectInstance(
-            name.text, name.text, concept.text, values
+        self.model.objects[name[TEXT]] = ObjectInstance(
+            name[TEXT], name[TEXT], concept[TEXT], values
         )
-        self.note_span("object", name.text, name)
         for attr_id, tok in value_spans:
-            self.note_span("value", f"{name.text}.{attr_id}", tok)
+            self.note_span("value", f"{name[TEXT]}.{attr_id}", tok)
 
     def _stmt_part(self) -> None:
         kw = self.next()  # 'part'
@@ -564,7 +549,7 @@ class _Parser:
         if part is None:
             return self.recover()
         index = len(self.model.parts)
-        self.model.parts.append(PartLink(whole.text, part.text))
+        self.model.parts.append(PartLink(whole[TEXT], part[TEXT]))
         self.note_span("part", str(index), kw)
 
     def _stmt_relation(self) -> None:
@@ -576,11 +561,11 @@ class _Parser:
         if self.expect("LPAREN", "'('") is None:
             return self.recover()
         rel = self.peek()
-        if rel.kind == "IDENT" and rel.text in _RELTYPE_WORDS:
+        if rel[KIND] == "IDENT" and rel[TEXT] in _RELTYPE_WORDS:
             self.next()
         else:
             expected = ", ".join(_RELTYPE_WORDS)
-            self.error(f"expected one of {expected}, found {rel.text!r}", rel)
+            self.error(f"expected one of {expected}, found {rel[TEXT]!r}", rel)
             return self.recover()
         if self.expect("RPAREN", "')'") is None:
             return self.recover()
@@ -594,7 +579,7 @@ class _Parser:
             return self.recover()
         index = len(self.model.relations)
         self.model.relations.append(
-            AssociativeLink(parse_relation_kind(rel.text), source.text, target.text)
+            AssociativeLink(parse_relation_kind(rel[TEXT]), source[TEXT], target[TEXT])
         )
         self.note_span("relation", str(index), kw)
 
@@ -611,11 +596,11 @@ class _Parser:
         if self.expect("COMMA", "','") is None:
             return self.recover()
         status_tok = self.peek()
-        if status_tok.kind == "IDENT" and status_tok.text in _STATUS_WORDS:
+        if status_tok[KIND] == "IDENT" and status_tok[TEXT] in _STATUS_WORDS:
             self.next()
         else:
             expected = ", ".join(_STATUS_WORDS)
-            self.error(f"expected one of {expected}, found {status_tok.text!r}", status_tok)
+            self.error(f"expected one of {expected}, found {status_tok[TEXT]!r}", status_tok)
             return self.recover()
         if self.expect("RPAREN", "')'") is None:
             return self.recover()
@@ -630,11 +615,11 @@ class _Parser:
             text = self.expect("STRING", "definition string")
             if text is None:
                 return self.recover()
-            nl_definition = str(text.value)
-        triple = (str(designation.value), lang.text, concept.text)
+            nl_definition = str(text[VALUE])
+        triple = (str(designation[VALUE]), lang[TEXT], concept[TEXT])
         if triple in self.term_triples:
             self.error(
-                f"term {designation.value!r} ({lang.text}) for '{concept.text}' already declared",
+                f"term {triple[0]!r} ({lang[TEXT]}) for '{concept[TEXT]}' already declared",
                 designation,
                 code="E_DUP_DECL",
             )
@@ -643,10 +628,10 @@ class _Parser:
         index = len(self.model.terms)
         self.model.terms.append(
             Term(
-                str(designation.value),
-                lang.text,
-                TermStatus(status_tok.text),
-                concept.text,
+                str(designation[VALUE]),
+                lang[TEXT],
+                TermStatus(status_tok[TEXT]),
+                concept[TEXT],
                 nl_definition,
             )
         )
@@ -670,10 +655,9 @@ class _Parser:
             return self.recover()
         if self.expect("RBRACE", "'}'") is None:
             return self.recover()
-        if not self.declare("class", name.text, name):
+        if not self.declare("class", name[TEXT], name):
             return
-        self.model.classes[name.text] = ClassDef(name.text, expr)
-        self.note_span("class", name.text, name)
+        self.model.classes[name[TEXT]] = ClassDef(name[TEXT], expr)
 
     # -- class expressions ---------------------------------------------------
 
@@ -732,26 +716,26 @@ class _Parser:
 
     def _atom(self) -> Optional[ClassExpression]:
         tok = self.peek()
-        if tok.kind == "KEYWORD" and tok.text == "in":
+        if tok[KIND] == "KEYWORD" and tok[TEXT] == "in":
             self.next()
             concept = self.expect_ident("concept identifier")
             if concept is None:
                 return None
-            return InConcept(concept.text)
-        if tok.kind == "KEYWORD" and tok.text == "has":
+            return InConcept(concept[TEXT])
+        if tok[KIND] == "KEYWORD" and tok[TEXT] == "has":
             self.next()
             attr = self.expect_ident("attribute identifier")
             if attr is None:
                 return None
-            return HasAttr(attr.text)
-        if tok.kind == "IDENT":
+            return HasAttr(attr[TEXT])
+        if tok[KIND] == "IDENT":
             self.next()
             if self.expect("EQUALS", "'='") is None:
                 return None
             val = self._value()
             if val is None:
                 return None
-            return AttrEquals(tok.text, val[0])
+            return AttrEquals(tok[TEXT], val[0])
         self.error(
             f"expected 'in', 'has', attribute comparison, 'not' or '(', "
             f"found {_describe(tok)}",
@@ -766,9 +750,9 @@ def parse(source: str, file_name: str = "<input>") -> ParseResult:
     Never raises; lexical and syntactic problems are reported as diagnostics
     and the parser resynchronizes at the next statement boundary.
     """
-    tokens, lex_diags = _lex(source, file_name)
-    parser = _Parser(tokens, file_name)
-    result = parser.run()
+    text = SourceText(file_name, source)
+    lex_diags: list[Diagnostic] = []
+    result = _Parser(_lex(text, lex_diags), text).run()
     diagnostics = sorted(
         lex_diags + result.diagnostics,
         key=lambda d: (d.location.line, d.location.column, d.code)
@@ -782,10 +766,12 @@ def parse(source: str, file_name: str = "<input>") -> ParseResult:
 
 def parse_class_expr(source: str, file_name: str = "<expr>") -> ClassExpression:
     """Parse a standalone class expression, raising ParseError on bad input."""
-    tokens, lex_diags = _lex(source, file_name)
+    text = SourceText(file_name, source)
+    lex_diags: list[Diagnostic] = []
+    tokens = list(_lex(text, lex_diags))
     if lex_diags:
         raise ParseError(lex_diags[0])
-    parser = _Parser(tokens, file_name)
+    parser = _Parser(iter(tokens), text)
     expr = parser._class_expr(0)
     if expr is None or parser.diagnostics:
         diag = parser.diagnostics[0] if parser.diagnostics else Diagnostic(
@@ -795,13 +781,13 @@ def parse_class_expr(source: str, file_name: str = "<expr>") -> ClassExpression:
     while parser.at("SEP"):
         parser.next()
     trailing = parser.peek()
-    if trailing.kind != "EOF":
+    if trailing[KIND] != "EOF":
         raise ParseError(
             Diagnostic(
                 Severity.ERROR,
                 "E_SYN",
-                f"unexpected trailing input {trailing.text!r}",
-                trailing.span(file_name),
+                f"unexpected trailing input {trailing[TEXT]!r}",
+                parser.span(trailing),
             )
         )
     return expr

@@ -1,10 +1,14 @@
 """End-to-end CLI behavior: commands, exit codes, stream separation."""
 
+import gc
 import io
 import json
+import sys
 
-from otl import __version__
-from otl.cli import run
+import pytest
+
+from otl import __version__, from_json, parse, to_json, validate
+from otl.cli import main, run
 
 from conftest import FIXTURES
 
@@ -191,3 +195,33 @@ def test_determinism():
     first = invoke(["lexicon", RED, "--lang", "en"])
     second = invoke(["lexicon", RED, "--lang", "en"])
     assert first == second
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_library_and_run_leave_the_collector_as_they_found_it(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with open(MOUSE, encoding="utf-8") as handle:
+            model = parse(handle.read(), MOUSE).model
+        assert gc.isenabled() is enabled
+        validate(model)
+        assert gc.isenabled() is enabled
+        from_json(to_json(model))
+        assert gc.isenabled() is enabled
+        assert invoke(["export", MOUSE, "--format", "json"])[0] == 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_main_runs_without_the_cyclic_collector(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["otl", "check", MOUSE])
+    was = gc.isenabled()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 0
+        assert not gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()

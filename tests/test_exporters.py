@@ -142,7 +142,10 @@ def _with_weight(raw):
 
 @pytest.mark.parametrize(
     "raw",
-    ["sNaN", "NaN", "Infinity", "-Infinity", "1e5", " 7 ", "+3", "1_000", "3.", ".5", "-", "", "٣"],
+    [
+        "sNaN", "NaN", "Infinity", "-Infinity", "1e5", " 7 ", "+3", "1_000", "3.", ".5", "-", "", "٣",
+        "007", "-01", "00.5",
+    ],
 )
 def test_json_number_strings_outside_the_dsl_grammar_are_schema_errors(raw):
     with pytest.raises(JsonSchemaError) as exc:
@@ -150,7 +153,7 @@ def test_json_number_strings_outside_the_dsl_grammar_are_schema_errors(raw):
     assert exc.value.path == "/objects/0/values/weight/value"
 
 
-@pytest.mark.parametrize("raw", ["-3.5", "0", "12", "0.25"])
+@pytest.mark.parametrize("raw", ["-3.5", "0", "-0", "10", "12", "0.25"])
 def test_json_number_strings_in_the_dsl_grammar_load_and_round_trip(raw):
     model = from_json(_with_weight(raw))
     assert str(model.objects["o"].values["weight"]) == raw

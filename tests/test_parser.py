@@ -1,5 +1,7 @@
 """Lexer/parser behavior: fixtures, diagnostics, totality, spans, speed."""
 
+import random
+import re
 import time
 from decimal import Decimal
 
@@ -20,9 +22,12 @@ from otl import (
     TermStatus,
     parse,
     parse_class_expr,
+    print_dsl,
 )
+from otl.model import dsl_quote
 
 from conftest import load_fixture
+from gen import valid_random_model
 
 
 def errors(result):
@@ -187,6 +192,16 @@ LEXER_EDGE_CASES = {
         "concept A\nattribute size : number on A\nobject o : A { size = 3. }\n",
         [("ERROR E_LEX t.otl:3:24 unexpected character '.'", 1)],
     ),
+    # a digit run is one NUMBER token; a leading zero makes it no number
+    "number_with_leading_zero": (
+        "concept A\nattribute w : number on A\nobject o : A { w = 007 }\n"
+        "object p : A { w = -01 }\nobject q : A { w = 00.5 }\n",
+        [
+            ("ERROR E_LEX t.otl:3:20 number '007' has a leading zero", 3),
+            ("ERROR E_LEX t.otl:4:20 number '-01' has a leading zero", 3),
+            ("ERROR E_LEX t.otl:5:20 number '00.5' has a leading zero", 4),
+        ],
+    ),
     "number_with_two_dots": (
         "concept A\nattribute size : number on A\nobject o : A { size = 1.2.3 }\n",
         [
@@ -325,6 +340,92 @@ def test_long_not_chain_parses_iteratively():
         assert isinstance(expr, Not)
         expr = expr.child
     assert expr == InConcept("A")
+
+
+# -- declaration spans against the source ------------------------------------
+
+_STRING_LITERAL = re.compile(r'("(?:[^"\\]|\\.)*")')
+
+
+def _respace(rng, source):
+    """Re-lay printed DSL with other blanks, tabs, comments, CRLF line ends and
+    newlines inside braces and parentheses; string literals stay as printed."""
+    lines = []
+    for line in source.splitlines():
+        pieces = _STRING_LITERAL.split(line)
+        for i in range(0, len(pieces), 2):  # even pieces lie outside strings
+            piece = re.sub(" ", lambda _: rng.choice((" ", "\t", " \t ")), pieces[i])
+            pieces[i] = re.sub("(?<=[{(])", lambda _: rng.choice(("", "\n\t", "\r\n")), piece)
+        if rng.random() < 0.3:
+            lines.append(rng.choice(("", "# note", "\t# note\t")))
+        lines.append(rng.choice(("", "\t", "  ")) + "".join(pieces) + rng.choice(("", " # x", "#")))
+    return "".join(line + rng.choice(("\n", "\r\n")) for line in lines)
+
+
+def _text_at(source, span):
+    line = source.split("\n")[span.line - 1]
+    return line[span.column - 1 : span.column - 1 + span.length]
+
+
+def _declared_texts(model):
+    """(kind, id) -> the source text the declaration's span must cover."""
+    texts = {}
+    for kind, entities in (
+        ("concept", model.concepts),
+        ("axis", model.axes),
+        ("attribute", model.attributes),
+        ("object", model.objects),
+        ("class", model.classes),
+    ):
+        texts.update({(kind, entity_id): entity_id for entity_id in entities})
+    for obj in model.objects.values():
+        texts.update({("value", f"{obj.id}.{attr_id}"): attr_id for attr_id in obj.values})
+    texts.update({("part", str(i)): "part" for i in range(len(model.parts))})
+    texts.update({("relation", str(i)): "relation" for i in range(len(model.relations))})
+    for i, term in enumerate(model.terms):
+        texts[("term", str(i))] = dsl_quote(term.designation)
+    return texts
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_declaration_spans_cover_their_identifiers(seed):
+    rng = random.Random(seed)
+    source = _respace(rng, print_dsl(valid_random_model(seed, with_extras=True)))
+    result = parse(source, "g.otl")
+    assert result.diagnostics == []
+    model = result.model
+    for (kind, entity_id), text in _declared_texts(model).items():
+        span = model.span_for(kind, entity_id)
+        assert isinstance(span, SourceSpan) and span.file == "g.otl"
+        assert (_text_at(source, span), span.length) == (text, len(text))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_duplicates_locate_the_first_declaration_after_a_multi_line_string(seed):
+    rng = random.Random(seed)
+    model = valid_random_model(seed, with_extras=True)
+    redeclared = [f"concept {cid}" for cid in model.concepts]
+    redeclared += [f"axis {kid} of C000 {{ x1, x2 }}" for kid in model.axes]
+    redeclared += [f"object {oid} : C000" for oid in model.objects]
+    redeclared += [f"attribute {aid} : text on C000" for aid in model.attributes]
+    redeclared += [f"class {qid} := {{ x | in C000 }}" for qid in model.classes]
+    source = (
+        'term "two\\\nlines" (en, preferred) for C000\n'
+        + _respace(rng, print_dsl(model))
+        + _respace(rng, "\n".join(redeclared))
+    )
+    result = parse(source, "g.otl")
+    lex_error, *duplicates = result.diagnostics
+    assert lex_error.render() == "ERROR E_LEX g.otl:1:10 unknown escape '\\\n'"
+    assert len(duplicates) == len(redeclared)
+    for diag in duplicates:
+        name, line, column = re.fullmatch(
+            r"\w+ '(\w+)' already declared at (\d+):(\d+)", diag.message
+        ).groups()
+        first = SourceSpan("g.otl", int(line), int(column), len(name))
+        assert diag.code == "E_DUP_DECL"
+        assert _text_at(source, diag.location) == _text_at(source, first) == name
+        assert 3 <= first.line < diag.location.line
 
 
 # -- totality and performance -------------------------------------------------

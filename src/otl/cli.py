@@ -59,7 +59,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def _load(path: str, stderr) -> Optional[m.Model]:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             source = handle.read()
     except OSError as exc:
         print(f"error: cannot read {path}: {exc.strerror}", file=stderr)

@@ -5,7 +5,11 @@ Three exchange formats:
 * canonical JSON (``.otl.json``, schema version ``otl-json/1``): object keys
   sorted, arrays in declaration order, UTF-8, LF newlines, two-space indent,
   byte-stable across runs.  Number values are carried as decimal literal
-  strings so nothing is lost to binary floating point.
+  strings so nothing is lost to binary floating point.  The bytes are those
+  of ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)``, but
+  ``to_json`` builds no ``doc``: it fills one ``%`` template per entity kind,
+  whose keys are written in sorted order, with field values escaped by the
+  C escaper ``json.dumps`` uses, and joins each array once.
 * DSL text (``.otl``): ``print_dsl`` is the round-trip partner of the
   parser; declarations are emitted in dependency order.
 * DOT (``.dot``): the concept hierarchy as a directed graph, with declared
@@ -20,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from . import model as m
 from .classes import And, AttrEquals, ClassExpression, HasAttr, InConcept, Not, Or
@@ -53,100 +57,117 @@ class ExportOptions:
 # ---------------------------------------------------------------------------
 
 
-def _value_to_json(value: m.Value) -> dict[str, Any]:
+_quote = json.encoder.encode_basestring  # the C escaper json.dumps(ensure_ascii=False) uses
+
+
+def _pad(depth: int) -> str:
+    return "\n" + "  " * depth
+
+
+def _template(depth: int, *keys: str) -> str:
+    """``%`` template of an object opened at nesting ``depth`` whose values
+    are JSON text already; ``keys`` come in sorted order."""
+    pad = _pad(depth)
+    return "{" + ",".join(pad + '  "' + key + '": %s' for key in keys) + pad + "}"
+
+
+def _array(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """Array opened at nesting ``depth`` of items that are JSON text already;
+    with ``brackets="{}"``, an object of ``"key": value`` items."""
+    if not items:
+        return brackets
+    pad = _pad(depth)
+    return brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + brackets[1]
+
+
+def _strings(items: Iterable[str], depth: int) -> str:
+    return _array(list(map(_quote, items)), depth)
+
+
+def _opt(text: Optional[str]) -> str:
+    return "null" if text is None else _quote(text)
+
+
+def _value(value: m.Value, template: str) -> str:
     kind = m.value_kind_of(value)
+    if kind is m.ValueKind.TEXT:
+        return template % ('"text"', _quote(value))  # type: ignore[arg-type]
     if kind is m.ValueKind.NUMBER:
-        return {"kind": kind.value, "value": str(value)}
-    return {"kind": kind.value, "value": value}
+        return template % ('"number"', _quote(str(value)))
+    return template % ('"boolean"', "true" if value else "false")
 
 
-def _expr_to_json(expr: ClassExpression) -> dict[str, Any]:
+def _expr(expr: ClassExpression, depth: int) -> str:
     if isinstance(expr, InConcept):
-        return {"op": "in", "concept": expr.concept}
+        return _template(depth, "concept", "op") % (_quote(expr.concept), '"in"')
     if isinstance(expr, AttrEquals):
-        return {"op": "eq", "attribute": expr.attribute, "value": _value_to_json(expr.value)}
+        value = _value(expr.value, _template(depth + 1, "kind", "value"))
+        return _template(depth, "attribute", "op", "value") % (_quote(expr.attribute), '"eq"', value)
     if isinstance(expr, HasAttr):
-        return {"op": "has", "attribute": expr.attribute}
-    if isinstance(expr, And):
-        return {"op": "and", "children": [_expr_to_json(c) for c in expr.children]}
-    if isinstance(expr, Or):
-        return {"op": "or", "children": [_expr_to_json(c) for c in expr.children]}
-    return {"op": "not", "child": _expr_to_json(expr.child)}
+        return _template(depth, "attribute", "op") % (_quote(expr.attribute), '"has"')
+    if isinstance(expr, (And, Or)):
+        children = _array([_expr(c, depth + 2) for c in expr.children], depth + 1)
+        return _template(depth, "children", "op") % (children, '"and"' if isinstance(expr, And) else '"or"')
+    return _template(depth, "child", "op") % (_expr(expr.child, depth + 1), '"not"')
+
+
+# Entities sit at depth 2: in an array (depth 1) in the document (depth 0).
+_DOCUMENT = _template(
+    0, "attributes", "axes", "classes", "concepts", "differences",
+    "objects", "parts", "relations", "terms", "version",
+)
+_DIFFERENCE = _template(2, "axis", "id", "label")
+_AXIS = _template(2, "exclusive", "id", "label", "members", "scope")
+_CONCEPT = _template(2, "differentiae", "genus", "id", "intension", "label")
+_ATTRIBUTE = _template(2, "domain", "id", "label", "value_kind")
+_OBJECT = _template(2, "concept", "id", "label", "values")
+_OBJECT_VALUE = _template(4, "kind", "value")
+_PART = _template(2, "note", "part", "whole")
+_RELATION = _template(2, "relation_type", "source", "target")
+_TERM = _template(2, "concept", "designation", "language", "nl_definition", "status")
+_CLASS = _template(2, "expr", "id")
+
+
+def _values(values: dict[str, m.Value]) -> str:
+    return _array([_quote(k) + ": " + _value(values[k], _OBJECT_VALUE) for k in sorted(values)], 3, "{}")
 
 
 def to_json(model: m.Model) -> str:
     """Canonical JSON for a validated model, including derived intensions."""
     model.require_validated("to_json")
-    doc = {
-        "version": JSON_VERSION,
-        "differences": [
-            {"id": d.id, "label": d.label, "axis": d.axis}
-            for d in model.differences.values()
-        ],
-        "axes": [
-            {
-                "id": a.id,
-                "label": a.label,
-                "scope": a.scope,
-                "members": list(a.members),
-                "exclusive": a.exclusive,
-            }
-            for a in model.axes.values()
-        ],
-        "concepts": [
-            {
-                "id": c.id,
-                "label": c.label,
-                "genus": c.genus,
-                "differentiae": list(c.differentiae),
-                "intension": sorted(model.intensions[c.id]),
-            }
-            for c in model.concepts.values()
-        ],
-        "attributes": [
-            {
-                "id": a.id,
-                "label": a.label,
-                "domain": a.domain,
-                "value_kind": a.value_kind.value,
-            }
+    q = _quote
+    return _DOCUMENT % (
+        _array([
+            _ATTRIBUTE % (q(a.domain), q(a.id), q(a.label), q(a.value_kind.value))
             for a in model.attributes.values()
-        ],
-        "objects": [
-            {
-                "id": o.id,
-                "label": o.label,
-                "concept": o.concept,
-                "values": {k: _value_to_json(v) for k, v in o.values.items()},
-            }
+        ], 1),
+        _array([
+            _AXIS % ("true" if a.exclusive else "false", q(a.id), q(a.label), _strings(a.members, 3), q(a.scope))
+            for a in model.axes.values()
+        ], 1),
+        _array([_CLASS % (_expr(c.expr, 3), q(c.id)) for c in model.classes.values()], 1),
+        _array([
+            _CONCEPT % (
+                _strings(c.differentiae, 3), _opt(c.genus), q(c.id),
+                _strings(sorted(model.intensions[c.id]), 3), q(c.label),
+            )
+            for c in model.concepts.values()
+        ], 1),
+        _array([_DIFFERENCE % (_opt(d.axis), q(d.id), q(d.label)) for d in model.differences.values()], 1),
+        _array([
+            _OBJECT % (q(o.concept), q(o.id), q(o.label), _values(o.values))
             for o in model.objects.values()
-        ],
-        "parts": [
-            {"whole": p.whole, "part": p.part, "note": p.note} for p in model.parts
-        ],
-        "relations": [
-            {
-                "relation_type": r.relation_type.value,
-                "source": r.source,
-                "target": r.target,
-            }
-            for r in model.relations
-        ],
-        "terms": [
-            {
-                "designation": t.designation,
-                "language": t.language,
-                "status": t.status.value,
-                "concept": t.concept,
-                "nl_definition": t.nl_definition,
-            }
+        ], 1),
+        _array([_PART % (_opt(p.note), q(p.part), q(p.whole)) for p in model.parts], 1),
+        _array([
+            _RELATION % (q(r.relation_type.value), q(r.source), q(r.target)) for r in model.relations
+        ], 1),
+        _array([
+            _TERM % (q(t.concept), q(t.designation), q(t.language), _opt(t.nl_definition), q(t.status.value))
             for t in model.terms
-        ],
-        "classes": [
-            {"id": c.id, "expr": _expr_to_json(c.expr)} for c in model.classes.values()
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        ], 1),
+        q(JSON_VERSION),
+    ) + "\n"
 
 
 class _Loader:
@@ -256,6 +277,11 @@ _TOP_KEYS = (
 )
 
 
+# json.loads (3.10, 3.11) or the expression walk (3.12 on) runs out of
+# recursion depth first on nesting near the interpreter's recursion limit.
+_TOO_DEEP = "document nested too deeply"
+
+
 def from_json(text: str) -> m.Model:
     """Load a canonical JSON document and defensively re-validate it.
 
@@ -266,6 +292,8 @@ def from_json(text: str) -> m.Model:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise JsonSchemaError("/", f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise JsonSchemaError("/", _TOO_DEEP) from None
     loader = _Loader()
     if not isinstance(doc, dict):
         raise JsonSchemaError("/", "expected top-level object")
@@ -412,9 +440,11 @@ def from_json(text: str) -> m.Model:
         fields = loader.obj(node, path, {"id": str, "expr": object})
         if fields["id"] in model.classes:
             raise JsonSchemaError(f"{path}/id", f"duplicate class '{fields['id']}'")
-        model.classes[fields["id"]] = m.ClassDef(
-            fields["id"], loader.expr(fields["expr"], f"{path}/expr")
-        )
+        try:
+            expr = loader.expr(fields["expr"], f"{path}/expr")
+        except RecursionError:
+            raise JsonSchemaError("/", _TOO_DEEP) from None
+        model.classes[fields["id"]] = m.ClassDef(fields["id"], expr)
 
     diagnostics = validate(model)
     if m.has_errors(diagnostics):

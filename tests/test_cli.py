@@ -177,6 +177,36 @@ def test_missing_file_exit_1():
     assert "cannot read" in err
 
 
+def test_check_accepts_a_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.otl"
+    path.write_bytes(b"\xef\xbb\xbfconcept A\nconcept B := A + x\n")
+    assert invoke(["check", str(path)]) == (0, "", "")
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "concept A\r\nconcept B := A + x\r\n$\r\n",
+        "concept A\r\nconcept B := A + x\r\n",
+    ],
+    ids=["crlf_error", "crlf_clean"],
+)
+def test_check_reads_crlf_files_as_parse_does(tmp_path, source):
+    path = tmp_path / "ends.otl"
+    path.write_bytes(source.encode("utf-8"))
+    expected = "".join(d.render() + "\n" for d in parse(source, str(path)).diagnostics)
+    code, out, err = invoke(["check", str(path)])
+    assert (code, out, err) == ((1 if expected else 0), "", expected)
+
+
+def test_lone_cr_is_no_line_end_in_the_cli(tmp_path):
+    path = tmp_path / "cr.otl"
+    path.write_bytes(b"concept A\rconcept B := A + x\r")
+    code, _, err = invoke(["check", str(path)])
+    assert code == 1
+    assert err == f"ERROR E_SYN {path}:1:11 expected end of statement, found 'concept'\n"
+
+
 def test_version_exits_zero(capsys):
     code = run(["--version"])
     captured = capsys.readouterr()

@@ -2,19 +2,36 @@
 
 import json
 import re
+from decimal import Decimal
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from otl import (
+    And,
+    AssociativeLink,
+    AttrEquals,
+    AttributeDecl,
+    Axis,
+    ClassDef,
     Concept,
+    Difference,
     ExportOptions,
+    HasAttr,
+    InConcept,
     InvalidModelError,
     JsonSchemaError,
     Model,
+    Not,
     NotValidatedError,
+    ObjectInstance,
+    Or,
     PartLink,
+    RelationKind,
+    Term,
+    TermStatus,
+    ValueKind,
     from_json,
     parse,
     print_dsl,
@@ -161,6 +178,15 @@ def test_json_number_strings_in_the_dsl_grammar_load_and_round_trip(raw):
     assert json.loads(to_json(model))["objects"][0]["values"]["weight"]["value"] == raw
 
 
+def test_json_nested_too_deeply_is_a_schema_error(mouse):
+    deep = '{"op": "not", "child": ' * 3000 + '{"op": "has", "attribute": "colour"}' + "}" * 3000
+    doc = json.loads(to_json(mouse))
+    doc["classes"] = [{"id": "Deep", "expr": "EXPR"}]
+    with pytest.raises(JsonSchemaError) as exc:
+        from_json(json.dumps(doc).replace('"EXPR"', deep))
+    assert exc.value.path == "/"
+
+
 def test_json_not_json_at_all():
     with pytest.raises(JsonSchemaError):
         from_json("{not json")
@@ -300,3 +326,62 @@ def test_dot_is_always_valid(seed):
     assert_valid_dot(
         to_dot(model, ExportOptions(include_objects=True, include_derived_edges=True))
     )
+
+
+# -- the canonical layout, against the stdlib encoder as an independent oracle ------
+
+
+def stdlib_layout(text):
+    return json.dumps(json.loads(text), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_json_layout_is_the_stdlib_layout_on_random_models(seed):
+    text = to_json(valid_random_model(seed, max_concepts=15, with_extras=True))
+    assert text == stdlib_layout(text)
+    for concept in json.loads(text)["concepts"]:
+        assert concept["intension"] == sorted(concept["intension"])
+
+
+def test_json_layout_is_the_stdlib_layout_on_fixtures_and_sparse_models(
+    mouse, porphyry, multi_genus, red_things, mouse_parts, terms_model
+):
+    sparse = Model()
+    sparse.concepts["A"] = Concept("A", "A")
+    sparse.attributes["w"] = AttributeDecl("w", "w", "A", ValueKind.TEXT)
+    sparse.objects["o"] = ObjectInstance("o", "o", "A")
+    validate_or_raise(sparse)
+    for model in (build(""), sparse, mouse, porphyry, multi_genus, red_things, mouse_parts, terms_model):
+        text = to_json(model)
+        assert text == stdlib_layout(text)
+
+
+_AWKWARD = st.text(alphabet='"\\\n\t\x00\x7f\u2028é€𝄞 a', max_size=6) | st.text(max_size=4)
+
+
+@given(st.lists(_AWKWARD, min_size=11, max_size=11), st.integers(-10**20, 10**20))
+def test_json_layout_is_the_stdlib_layout_on_awkward_strings(texts, whole):
+    model = Model()
+    model.differences["x"] = Difference("x", texts[0])
+    model.differences["y"] = Difference("y", texts[1])
+    model.concepts["A"] = Concept("A", texts[2])
+    model.concepts["B"] = Concept("B", texts[3], "A", ("x",))
+    model.concepts["C"] = Concept("C", "C", "A", ("y",))
+    model.axes["K"] = Axis("K", texts[4], "A", ("x", "y"), False)
+    kinds = {"t": ValueKind.TEXT, "n": ValueKind.NUMBER, "d": ValueKind.NUMBER, "b": ValueKind.BOOLEAN}
+    for aid, kind in kinds.items():
+        model.attributes[aid] = AttributeDecl(aid, texts[5], "A", kind)
+    model.objects["o"] = ObjectInstance(
+        "o", texts[6], "B", {"t": texts[7], "n": whole, "d": Decimal("-0.25"), "b": False}
+    )
+    model.objects["p"] = ObjectInstance("p", "p", "C")
+    model.parts.append(PartLink("B", "C", texts[8]))
+    model.relations.append(AssociativeLink(RelationKind.CAUSAL, "B", "C"))
+    model.terms.append(Term(texts[9] or "t", "en", TermStatus.PREFERRED, "B", texts[10]))
+    model.terms.append(Term("u", "en", TermStatus.ADMITTED, "C"))
+    expr = Or((AttrEquals("t", texts[7]), Not(And((InConcept("B"), HasAttr("b")))), AttrEquals("b", False)))
+    model.classes["Q"] = ClassDef("Q", expr)
+    validate_or_raise(model)
+    text = to_json(model)
+    assert text == stdlib_layout(text)
+    assert from_json(text) == model

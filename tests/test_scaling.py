@@ -4,7 +4,9 @@ Ratios rather than absolute times, so the gates mean the same on a slow or
 a shared machine.  The n and 2n runs are timed back to back in CPU time,
 after a garbage collection, and the gate takes the median ratio of five
 such pairs, so a burst of load on the machine skews one pair, not the
-result.  A stage linear in its input doubles (gate 2.5); the genus chain's
+result.  The heap is frozen around each timed call, so the collections it
+triggers scan only what the call allocates, not what earlier tests left.
+A stage linear in its input doubles (gate 2.5); the genus chain's
 superiors are quadratic in n, so its gate is 4.5.
 """
 
@@ -45,17 +47,25 @@ def wide_tree_source(n):
 def time_validate(source):
     model = parse(source).model
     gc.collect()
-    start = time.process_time()
-    diagnostics = validate(model)
-    elapsed = time.process_time() - start
+    gc.freeze()
+    try:
+        start = time.process_time()
+        diagnostics = validate(model)
+        elapsed = time.process_time() - start
+    finally:
+        gc.unfreeze()
     return elapsed, diagnostics
 
 
 def time_parse(source):
     gc.collect()
-    start = time.process_time()
-    result = parse(source)
-    elapsed = time.process_time() - start
+    gc.freeze()
+    try:
+        start = time.process_time()
+        result = parse(source)
+        elapsed = time.process_time() - start
+    finally:
+        gc.unfreeze()
     return elapsed, result.diagnostics
 
 

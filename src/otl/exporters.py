@@ -454,7 +454,8 @@ def from_json(text: str) -> m.Model:
     # recomputed; hand-edited files drift here first.
     for i, cid in enumerate(model.concepts):
         if cid in stated_intensions:
-            if sorted(model.intensions[cid]) != sorted(stated_intensions[cid]):
+            stated, derived = stated_intensions[cid], model.intensions[cid]
+            if len(stated) != len(derived) or derived != frozenset(stated):
                 raise JsonSchemaError(
                     f"/concepts/{i}/intension",
                     f"stated intension of '{cid}' does not match the derived one",

@@ -171,7 +171,6 @@ DIAGNOSTIC_CODES = frozenset(
         "E_ROOT_NO_INTENSIONAL",
         "E_NO_SUBORDINATES",
         # warnings
-        "W_UNDISTINGUISHED_COORDINATES",
         "W_NO_PREFERRED_TERM",
         "W_DESCRIPTION_ONLY",
     }

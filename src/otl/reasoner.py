@@ -3,9 +3,9 @@
 Validation runs in stages, each assuming the previous one succeeded:
 reference resolution (including materializing implicitly declared
 differences), genus-cycle detection, intension computation, intension
-uniqueness and axis checks, then attribute/part/term checks.  Diagnostics
-report the earliest failing stage; later stages are skipped once a stage
-produced errors.
+uniqueness and axis checks, the derived hierarchy, then attribute/part/term
+checks.  Diagnostics report the earliest failing stage; later stages are
+skipped once a stage produced errors.
 
 Subsumption is derived, never asserted: a concept subsumes another exactly
 when its intension is a strict subset of the other's.  Because any subset of
@@ -21,24 +21,24 @@ subsumption pairs (I and S are the sizes of the outputs ``intensions`` and
 * resolution and genus cycles: O(M); each genus chain is walked once;
 * intensions: memoized genus walk, O(I);
 * uniqueness and axis checks: intensions hashed once, O(I); axis clashes
-  from each intension's exclusive-axis members only; one set difference
-  per covering edge for the coordinates warning;
-* hierarchy: intensions as bitmasks, one bit per difference (Ait-Kaci et
-  al., TOPLAS 1989).  An inverted index files each concept under its
-  rarest difference, and c is tested only against the concepts filed under
-  its own differences: K candidate pairs, S of which hold (K = S + C on
-  trees and chains).  Covering edges by transitive reduction on bitsets of
-  superiors.  O(I + K + S) operations on ints of O(C) bits;
+  from each intension's exclusive-axis members only;
+* hierarchy, derived only from intensions that passed those checks:
+  superiors as bitsets over concepts (Ait-Kaci et al., TOPLAS 1989),
+  built in increasing intension size.  Each concept inherits its genus's
+  superiors and the genus itself, and looks for further superiors only
+  among the smaller concepts that hold one of its own differentiae that
+  another concept also declares: K' candidate pairs, each tested by set
+  inclusion (K' = 0 on trees and chains).  Only the genus and those
+  extras can be covering edges.  O(C log C + M + K') operations on ints of
+  O(C) bits, plus S element copies in C-level frozenset unions;
 * attributes O(values), part cycles O(parts) by Tarjan's strongly
   connected components (SIAM J. Comput. 1972), terms O(terms + C).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, repeat
 from operator import or_
 
 from . import model as m
@@ -53,10 +53,11 @@ class Hierarchy:
     ``direct_super`` is the covering relation (transitive reduction) and
     ``direct_sub`` its inverse; ``roots`` are the concepts nothing subsumes.
 
-    Built by ``_hierarchy_from_intensions`` in O(I + K + S) operations on
-    ints of O(C) bits, where I is the total intension size, S the number of
-    subsumption pairs and K the candidate pairs its index yields (see the
-    module docstring); the bitmasks it works on do not outlive it.
+    Built by ``_derive_hierarchy`` down the genus tree in O(C log C + M +
+    K') operations on ints of O(C) bits plus S element copies, for C
+    concepts, M declarations, S subsumption pairs and K' candidate extra
+    superiors (see the module docstring); the bitsets it works on do not
+    outlive it.
     """
 
     superiors: dict[str, frozenset[str]]
@@ -68,70 +69,95 @@ class Hierarchy:
         return c1 in self.superiors.get(c2, frozenset())
 
 
-def _superiors(intensions: dict[str, frozenset[str]]) -> dict[str, frozenset[str]]:
-    """Each concept's strict superiors: the concepts whose intension is a
-    strict subset of its own."""
-    ids = list(intensions)
-    sizes = [len(intensions[c]) for c in ids]
-    counts = Counter(chain.from_iterable(intensions.values()))
-    # One bit per difference that two or more intensions share.  A concept
-    # holding a difference of its own is included in no other concept, so
-    # it is filed nowhere and its unshared differences need no bit.
-    bit = {diff: 1 << i for i, diff in enumerate(d for d, k in counts.items() if k > 1)}
-    masks = [sum(map(bit.get, intensions[c], repeat(0))) for c in ids]
+def _derive_hierarchy(
+    concepts: dict[str, m.Concept], intensions: dict[str, frozenset[str]]
+) -> Hierarchy:
+    """The hierarchy of a model whose intensions passed ``check_intensions``.
 
-    # A concept's intension can only be included in c's if its rarest
-    # difference is one of c's, so each concept is filed under that one
-    # difference; empty intensions are included in every other.
-    filed: dict[str, list[int]] = {diff: [] for diff in counts}
-    empty: list[int] = []
-    for i, c in enumerate(ids):
-        if not sizes[i]:
-            empty.append(i)
-            continue
-        rarest = min(intensions[c], key=counts.__getitem__)
-        if counts[rarest] > 1:
-            filed[rarest].append(i)
-    superiors: dict[str, frozenset[str]] = {}
-    for i, c in enumerate(ids):
-        mask, size = masks[i], sizes[i]
-        found = [
-            g
-            for g in chain.from_iterable(map(filed.__getitem__, intensions[c]))
-            if sizes[g] < size and masks[g] | mask == mask
-        ]
-        if size:
-            found += empty
-        superiors[c] = frozenset(map(ids.__getitem__, found))
-    return superiors
-
-
-def _hierarchy_from_intensions(intensions: dict[str, frozenset[str]]) -> Hierarchy:
-    superiors = _superiors(intensions)
-    # g covers c unless g also lies above another superior of c; with the
-    # superiors as bitsets, one bit per concept,
-    # direct(c) = sup(c) & ~OR(sup(h) for h in sup(c)).
-    ids = list(intensions)
+    There intensions are unique and each genus's intension is a strict subset
+    of its child's, so sup(c) = sup(genus) | {genus} | E(c).  An extra
+    superior in E(c) holds one of c's own differentiae, which it inherits
+    from a declarer other than c.  A root with differences takes the
+    empty-intension concept, if there is one, in place of a genus.
+    """
+    # Concepts are walked, and numbered as bits, in increasing intension
+    # size: a concept's genus and extras come before it, and the concepts
+    # smaller than it are a prefix of the numbering.
+    ids = sorted(intensions, key=lambda c: len(intensions[c]))
     position = {c: i for i, c in enumerate(ids)}
-    above = [sum(map((1).__lshift__, map(position.__getitem__, superiors[c]))) for c in ids]
-    direct_super: dict[str, frozenset[str]] = {}
-    direct_sub: dict[str, list[str]] = {c: [] for c in ids}
+    first: dict[int, int] = {}
     for i, c in enumerate(ids):
-        shadow = reduce(or_, map(above.__getitem__, map(position.__getitem__, superiors[c])), 0)
-        rest = above[i] & ~shadow
-        covering = []
+        first.setdefault(len(intensions[c]), i)
+    empty = ids[0] if ids and not intensions[ids[0]] else None
+
+    # has[d]: the concepts whose intension holds d, i.e. the union of the
+    # genus subtrees of d's declarers.  Only a difference that two or more
+    # concepts declare can bring in an extra superior.
+    declarers: dict[str, list[str]] = {}
+    for concept in concepts.values():
+        for diff in concept.differentiae:
+            declarers.setdefault(diff, []).append(concept.id)
+    shared = {diff: xs for diff, xs in declarers.items() if len(xs) > 1}
+    has: dict[str, int] = {}
+    if shared:
+        # from the largest down: a child is larger than its genus, so its
+        # subtree is complete before it is folded into the genus's
+        subtree = [1 << i for i in range(len(ids))]
+        for i in range(len(ids) - 1, -1, -1):
+            genus = concepts[ids[i]].genus
+            if genus is not None:
+                subtree[position[genus]] |= subtree[i]
+        for diff, xs in shared.items():
+            has[diff] = reduce(or_, [subtree[position[x]] for x in xs])
+
+    # up[i]: bitset of the superiors of ids[i].  The dicts are keyed in
+    # declaration order and filled in size order.
+    up: list[int] = []
+    superiors: dict[str, frozenset[str]] = dict.fromkeys(intensions, frozenset())
+    direct_super: dict[str, frozenset[str]] = dict.fromkeys(intensions, frozenset())
+    direct_sub: dict[str, list[str]] = {c: [] for c in intensions}
+    for c in ids:
+        intension = intensions[c]
+        base = concepts[c].genus
+        if base is None and intension:
+            base = empty
+        if base is None:
+            above = shadow = 0
+            parents: list[int] = []
+        else:
+            g = position[base]
+            shadow = up[g]
+            above = shadow | 1 << g
+            parents = [g]
+        reach = 0
+        for diff in concepts[c].differentiae:
+            reach |= has.get(diff, 0)
+        extras: list[int] = []
+        rest = reach & ~above & (1 << first[len(intension)]) - 1
         while rest:
             low = rest & -rest
-            genus = ids[low.bit_length() - 1]
-            covering.append(genus)
-            direct_sub[genus].append(c)
+            j = low.bit_length() - 1
+            if intensions[ids[j]] <= intension:
+                extras.append(j)
+                above |= low
+                shadow |= up[j]
             rest ^= low
+        up.append(above)
+        # Every other superior lies below the base, so only the base and the
+        # extras can cover c; each does unless it lies below another.
+        covering = [ids[j] for j in parents + extras if not shadow >> j & 1]
         direct_super[c] = frozenset(covering)
+        for h in covering:
+            direct_sub[h].append(c)
+        extra_ids = map(ids.__getitem__, extras)
+        superiors[c] = (
+            frozenset(extra_ids) if base is None else superiors[base].union((base,), extra_ids)
+        )
     return Hierarchy(
         superiors=superiors,
         direct_super=direct_super,
         direct_sub={c: frozenset(subs) for c, subs in direct_sub.items()},
-        roots=frozenset(c for c in ids if not superiors[c]),
+        roots=frozenset(c for c, bits in zip(ids, up) if not bits),
     )
 
 
@@ -357,6 +383,7 @@ class _Validator:
 
     def detect_genus_cycles(self) -> None:
         model = self.model
+        declared = {c: i for i, c in enumerate(model.concepts)}
         done: set[str] = set()
         reported: set[frozenset[str]] = set()
         for start in model.concepts:
@@ -371,9 +398,7 @@ class _Validator:
                         reported.add(key)
                         pivot = min(range(len(cycle)), key=lambda i: cycle[i])
                         ordered = cycle[pivot:] + cycle[:pivot]
-                        first = min(
-                            ordered, key=lambda c: list(model.concepts).index(c)
-                        )
+                        first = min(ordered, key=declared.__getitem__)
                         self.error(
                             "E_GENUS_CYCLE",
                             "generic cycle: " + " -> ".join(ordered + [ordered[0]]),
@@ -491,28 +516,12 @@ class _Validator:
                         concept.id,
                     )
 
-        self.hierarchy = _hierarchy_from_intensions(intensions)
+    # -- stage 5: the derived hierarchy ----------------------------------------
 
-        # Defensive check: coordinates under a shared direct superordinate
-        # must differ in their relative differences.  Unreachable while
-        # intension uniqueness holds.
-        for genus_id, children in sorted(self.hierarchy.direct_sub.items()):
-            by_relative: dict[frozenset[str], list[str]] = {}
-            for child in sorted(children):
-                relative = intensions[child] - intensions[genus_id]
-                by_relative.setdefault(relative, []).append(child)
-            for group in by_relative.values():
-                first, *rest = group
-                for cid in rest:
-                    self.warn(
-                        "W_UNDISTINGUISHED_COORDINATES",
-                        f"coordinates '{first}' and '{cid}' under '{genus_id}' share "
-                        f"the same delimiting differences",
-                        "concept",
-                        cid,
-                    )
+    def derive_hierarchy(self) -> None:
+        self.hierarchy = _derive_hierarchy(self.model.concepts, self.intensions)
 
-    # -- stage 5: attributes, parts, terms -------------------------------------
+    # -- stage 6: attributes, parts, terms --------------------------------------
 
     def check_attributes(self) -> None:
         model = self.model
@@ -609,6 +618,7 @@ class _Validator:
             self.detect_genus_cycles,
             self.compute_intensions,
             self.check_intensions,
+            self.derive_hierarchy,
             lambda: (self.check_attributes(), self.check_parts(), self.check_terms()),
         )
         for stage in stages:
@@ -670,8 +680,6 @@ def subsumes(model: m.Model, c1: str, c2: str) -> bool:
 def compute_hierarchy(model: m.Model) -> Hierarchy:
     """The materialized subsumption structure of a validated model."""
     model.require_validated("compute_hierarchy")
-    if model.hierarchy is None:
-        model.hierarchy = _hierarchy_from_intensions(model.intensions)
     return model.hierarchy
 
 

@@ -138,6 +138,16 @@ def test_json_requires_validated_model():
             lambda d: d["concepts"][1].__setitem__("intension", ["wrong"]),
             "/concepts/1/intension",
         ),
+        pytest.param(
+            lambda d: d["concepts"][2]["intension"].append("optical"),
+            "/concepts/2/intension",
+            id="duplicated-intension-entry",
+        ),
+        pytest.param(
+            lambda d: d["concepts"][1]["intension"].clear(),
+            "/concepts/1/intension",
+            id="missing-intension-entry",
+        ),
     ],
 )
 def test_json_schema_errors_carry_paths(mouse, mutate, path_fragment):
@@ -146,6 +156,14 @@ def test_json_schema_errors_carry_paths(mouse, mutate, path_fragment):
     with pytest.raises(JsonSchemaError) as exc:
         from_json(json.dumps(doc))
     assert path_fragment in str(exc.value)
+
+
+def test_json_stated_intension_may_list_its_differences_in_any_order(porphyry):
+    doc = json.loads(to_json(porphyry))
+    for concept in doc["concepts"]:
+        concept["intension"].reverse()
+    assert max(len(c["intension"]) for c in doc["concepts"]) >= 2
+    assert from_json(json.dumps(doc)) == porphyry
 
 
 WEIGHED = "concept A := x\nattribute weight : number on A\nobject o : A { weight = 3 }\n"

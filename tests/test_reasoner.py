@@ -1,5 +1,7 @@
 """Validation diagnostics and the derived hierarchy."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,7 +26,12 @@ from otl.model import DIAGNOSTIC_CODES
 
 from conftest import load_fixture
 from gen import valid_random_model
-from oracles import oracle_classify, oracle_direct_super, oracle_subsumes
+from oracles import (
+    oracle_classify,
+    oracle_direct_super,
+    oracle_intension,
+    oracle_subsumes,
+)
 
 
 def parse_ok(source):
@@ -95,6 +102,24 @@ def test_genus_cycle_detected_once():
     model.concepts["B"] = Concept("B", "B", "A", ("y",))
     diagnostics = validate(model)
     assert codes(diagnostics).count("E_GENUS_CYCLE") == 1
+
+
+def test_genus_cycle_located_at_its_first_declared_member():
+    # the walk from Tail enters the first cycle at B; C is declared first
+    source = (
+        "concept Tail := B + t\n"
+        "concept C := B + c\n"
+        "concept A := C + a\n"
+        "concept B := A + b\n"
+        "concept Z := Q + z\n"
+        "concept Q := Z + q\n"
+    )
+    result = parse(source, "cyc.otl")
+    assert result.model is not None
+    assert [d.render() for d in validate(result.model)] == [
+        "ERROR E_GENUS_CYCLE cyc.otl:2:9 generic cycle: A -> C -> B -> A",
+        "ERROR E_GENUS_CYCLE cyc.otl:5:9 generic cycle: Q -> Z -> Q",
+    ]
 
 
 def test_redundant_differentia():
@@ -206,14 +231,17 @@ def test_part_chain_without_cycle_is_fine():
     assert validate(model) == []
 
 
-def test_undistinguished_coordinates_warning_next_to_dup_intension():
+def test_undistinguished_coordinates_are_one_dup_intension_error():
+    # equal relative differences under one genus are equal intensions: the
+    # error says it all, and no hierarchy is derived for a model with errors
     model = Model()
     model.concepts["G"] = Concept("G", "G", None, ("g",))
     model.concepts["A"] = Concept("A", "A", "G", ("d",))
     model.concepts["B"] = Concept("B", "B", "G", ("d",))
-    diagnostics = validate(model)
-    assert "E_DUP_INTENSION" in codes(diagnostics)
-    assert "W_UNDISTINGUISHED_COORDINATES" in codes(diagnostics)
+    assert [d.render() for d in validate(model)] == [
+        "ERROR E_DUP_INTENSION B concept 'B' has the same combination of differences as 'A'"
+    ]
+    assert model.hierarchy is None
 
 
 def test_no_preferred_term_warning():
@@ -344,6 +372,85 @@ def test_porphyry_chain_is_covering_chain(porphyry):
     }
 
 
+def assert_hierarchy_matches_oracles(model):
+    hierarchy = compute_hierarchy(model)
+    # oracle_subsumes, with each oracle intension computed once
+    intension = {c: oracle_intension(model, c) for c in model.concepts}
+    assert hierarchy.superiors == {
+        c: {g for g in intension if intension[g] < intension[c]} for c in intension
+    }
+    covering = oracle_direct_super(model)
+    assert {c: set(s) for c, s in hierarchy.direct_super.items()} == covering
+    inverse = {c: set() for c in model.concepts}
+    for specific, supers in covering.items():
+        for generic in supers:
+            inverse[generic].add(specific)
+    assert {c: set(s) for c, s in hierarchy.direct_sub.items()} == inverse
+    assert hierarchy.roots == {c for c in model.concepts if not model.superiors[c]}
+    assert hierarchy.roots == {c for c, s in covering.items() if not s}
+
+
+def test_hierarchy_of_an_empty_root_beside_roots_with_differences():
+    model = validate_or_raise(
+        parse_ok(
+            "concept R1 := a\n"
+            "concept Top\n"
+            "concept R2 := a, b\n"
+            "concept S := Top + a, c\n"
+            "concept R3 := b\n"
+        )
+    )
+    assert_hierarchy_matches_oracles(model)
+    assert compute_hierarchy(model).roots == {"Top"}
+    assert compute_hierarchy(model).direct_super["R2"] == {"R1", "R3"}
+
+
+def test_hierarchy_of_a_difference_declared_in_subtrees_at_several_depths():
+    model = validate_or_raise(
+        parse_ok(
+            "concept T\n"
+            "concept A := T + x\n"
+            "concept A1 := A + y\n"
+            "concept A2 := A1 + d\n"
+            "concept B := T + d\n"
+            "concept C := T + z\n"
+            "concept C1 := C + d\n"
+            "concept C2 := C1 + x, y\n"
+            "concept D := T + y, d\n"
+            "concept E := d, x\n"
+        )
+    )
+    assert_hierarchy_matches_oracles(model)
+    assert compute_hierarchy(model).direct_super["A2"] == {"A1", "D", "E"}
+
+
+def test_hierarchy_of_all_small_subsets():
+    names = "abcdef"
+    lines = []
+    for size in (1, 2, 3):
+        for combo in itertools.combinations(names, size):
+            genus = f"S{''.join(combo[:-1])} + " if size > 1 else ""
+            lines.append(f"concept S{''.join(combo)} := {genus}{combo[-1]}\n")
+    model = validate_or_raise(parse_ok("".join(lines)))
+    assert_hierarchy_matches_oracles(model)
+    assert compute_hierarchy(model).direct_super["Sace"] == {"Sac", "Sae", "Sce"}
+
+
+def test_hierarchy_of_a_long_genus_chain():
+    source = "concept K0\n" + "".join(
+        f"concept K{i} := K{i - 1} + e{i}\n" for i in range(1, 300)
+    )
+    model = validate_or_raise(parse_ok(source))
+    assert_hierarchy_matches_oracles(model)
+    assert len(model.superiors["K299"]) == 299
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=5))
+def test_hierarchy_over_few_differences_matches_oracles(seed, max_diffs):
+    # few differences: most are declared by several concepts
+    assert_hierarchy_matches_oracles(valid_random_model(seed, max_diffs=max_diffs))
+
+
 # -- coordinates ---------------------------------------------------------------
 
 
@@ -428,17 +535,7 @@ def test_covering_edges_add_a_differentia(seed):
 
 @given(st.integers(min_value=0, max_value=10_000))
 def test_covering_edges_equal_oracle(seed):
-    model = valid_random_model(seed)
-    hierarchy = compute_hierarchy(model)
-    covering = oracle_direct_super(model)
-    assert {c: set(s) for c, s in hierarchy.direct_super.items()} == covering
-    inverse = {c: set() for c in model.concepts}
-    for specific, supers in covering.items():
-        for generic in supers:
-            inverse[generic].add(specific)
-    assert {c: set(s) for c, s in hierarchy.direct_sub.items()} == inverse
-    assert hierarchy.roots == {c for c in model.concepts if not model.superiors[c]}
-    assert hierarchy.roots == {c for c, s in covering.items() if not s}
+    assert_hierarchy_matches_oracles(valid_random_model(seed))
 
 
 @given(st.integers(min_value=0, max_value=10_000))

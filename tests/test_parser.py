@@ -288,6 +288,469 @@ def test_string_escapes_round_trip_through_lexer():
     assert result.model.terms[0].designation == 'say "hi"\n'
 
 
+# One malformed statement per expect site of each statement kind and of class
+# expressions, parsed between two declarations of A: the duplicate on line 3
+# shows the parser recovered at the next statement, unless an open bracket
+# kept the newline from ending the statement.
+RECOVERED = ("ERROR E_DUP_DECL t.otl:3:9 concept 'A' already declared at 1:9", 1)
+SYNTAX_ERRORS = {
+    "statement_keyword": (
+        "whatever x",
+        [
+            ("ERROR E_SYN t.otl:2:1 expected one of concept, axis, attribute, object, part, relation, term, class, found 'whatever'", 8),
+            RECOVERED,
+        ],
+    ),
+    "statement_number": (
+        "12 concept",
+        [
+            ("ERROR E_SYN t.otl:2:1 expected one of concept, axis, attribute, object, part, relation, term, class, found '12'", 2),
+            RECOVERED,
+        ],
+    ),
+    "statement_string": (
+        '"t" x',
+        [
+            ('ERROR E_SYN t.otl:2:1 expected one of concept, axis, attribute, object, part, relation, term, class, found \'"t"\'', 3),
+            RECOVERED,
+        ],
+    ),
+    "statement_punct": (
+        ": x",
+        [
+            ("ERROR E_SYN t.otl:2:1 expected one of concept, axis, attribute, object, part, relation, term, class, found ':'", 1),
+            RECOVERED,
+        ],
+    ),
+    "concept_name": (
+        "concept of",
+        [("ERROR E_SYN t.otl:2:9 expected concept identifier, found 'of'", 2), RECOVERED],
+    ),
+    "concept_genus_or_difference": (
+        "concept B := + x",
+        [
+            ("ERROR E_SYN t.otl:2:14 expected genus or difference identifier, found '+'", 1),
+            RECOVERED,
+        ],
+    ),
+    "concept_difference_after_plus": (
+        "concept B := A +",
+        [
+            ("ERROR E_SYN t.otl:2:17 expected difference identifier, found end of line", 1),
+            RECOVERED,
+        ],
+    ),
+    "concept_difference_after_comma": (
+        "concept B := A + x,",
+        [
+            ("ERROR E_SYN t.otl:2:20 expected difference identifier, found end of line", 1),
+            RECOVERED,
+        ],
+    ),
+    "root_difference_after_comma": (
+        "concept B := x, 1",
+        [("ERROR E_SYN t.otl:2:17 expected difference identifier, found '1'", 1), RECOVERED],
+    ),
+    "concept_end_of_statement": (
+        "concept B A",
+        [("ERROR E_SYN t.otl:2:11 expected end of statement, found 'A'", 1), RECOVERED],
+    ),
+    "concept_duplicate_differentia": (
+        "concept B := A + x, y, x",
+        [("ERROR E_DUP_DECL t.otl:2:24 duplicate differentia 'x'", 1), RECOVERED],
+    ),
+    "axis_name": (
+        "axis { x }",
+        [("ERROR E_SYN t.otl:2:6 expected axis identifier, found '{'", 1), RECOVERED],
+    ),
+    "axis_of": (
+        "axis K on A { x }",
+        [("ERROR E_SYN t.otl:2:8 expected 'of', found 'on'", 2), RECOVERED],
+    ),
+    "axis_scope": (
+        'axis K of "A" { x }',
+        [('ERROR E_SYN t.otl:2:11 expected concept identifier, found \'"A"\'', 3), RECOVERED],
+    ),
+    "axis_lbrace": (
+        "axis K of A x",
+        [("ERROR E_SYN t.otl:2:13 expected '{', found 'x'", 1), RECOVERED],
+    ),
+    "axis_first_member": (
+        "axis K of A { }",
+        [("ERROR E_SYN t.otl:2:15 expected difference identifier, found '}'", 1), RECOVERED],
+    ),
+    "axis_member_after_comma": (
+        "axis K of A { x, }",
+        [("ERROR E_SYN t.otl:2:18 expected difference identifier, found '}'", 1), RECOVERED],
+    ),
+    "axis_rbrace": (
+        "axis K of A { x y }",
+        [("ERROR E_SYN t.otl:2:17 expected '}', found 'y'", 1), RECOVERED],
+    ),
+    "axis_nonexclusive_rbrace": (
+        "axis K of A nonexclusive { x ;",
+        [("ERROR E_SYN t.otl:2:30 expected '}', found ';'", 1), RECOVERED],
+    ),
+    "axis_duplicate_member": (
+        "axis K of A { x, x }",
+        [("ERROR E_DUP_DECL t.otl:2:18 duplicate member 'x'", 1), RECOVERED],
+    ),
+    "attribute_name": (
+        "attribute : text on A",
+        [("ERROR E_SYN t.otl:2:11 expected attribute identifier, found ':'", 1), RECOVERED],
+    ),
+    "attribute_colon": (
+        "attribute a text on A",
+        [("ERROR E_SYN t.otl:2:13 expected ':', found 'text'", 4), RECOVERED],
+    ),
+    "attribute_kind": (
+        "attribute a : int on A",
+        [
+            ("ERROR E_SYN t.otl:2:15 expected one of text, number, boolean, found 'int'", 3),
+            RECOVERED,
+        ],
+    ),
+    "attribute_kind_at_end_of_line": (
+        "attribute a :",
+        [
+            ("ERROR E_SYN t.otl:2:14 expected one of text, number, boolean, found '\\n'", 1),
+            RECOVERED,
+        ],
+    ),
+    "attribute_kind_keyword": (
+        "attribute a : on A",
+        [
+            ("ERROR E_SYN t.otl:2:15 expected one of text, number, boolean, found 'on'", 2),
+            RECOVERED,
+        ],
+    ),
+    "attribute_on": (
+        "attribute a : text of A",
+        [("ERROR E_SYN t.otl:2:20 expected 'on', found 'of'", 2), RECOVERED],
+    ),
+    "attribute_domain": (
+        "attribute a : text on 3",
+        [("ERROR E_SYN t.otl:2:23 expected concept identifier, found '3'", 1), RECOVERED],
+    ),
+    "object_name": (
+        "object : A",
+        [("ERROR E_SYN t.otl:2:8 expected object identifier, found ':'", 1), RECOVERED],
+    ),
+    "object_colon": (
+        "object o A",
+        [("ERROR E_SYN t.otl:2:10 expected ':', found 'A'", 1), RECOVERED],
+    ),
+    "object_concept": (
+        "object o : { a = 1 }",
+        [("ERROR E_SYN t.otl:2:12 expected concept identifier, found '{'", 1), RECOVERED],
+    ),
+    "object_attribute": (
+        "object o : A { = 1 }",
+        [("ERROR E_SYN t.otl:2:16 expected attribute identifier, found '='", 1), RECOVERED],
+    ),
+    "object_attribute_after_comma": (
+        "object o : A { a = 1, }",
+        [("ERROR E_SYN t.otl:2:23 expected attribute identifier, found '}'", 1), RECOVERED],
+    ),
+    "object_equals": (
+        "object o : A { a 1 }",
+        [("ERROR E_SYN t.otl:2:18 expected '=', found '1'", 1), RECOVERED],
+    ),
+    "object_value": (
+        "object o : A { a = b }",
+        [
+            ("ERROR E_SYN t.otl:2:20 expected string, number, true or false, found 'b'", 1),
+            RECOVERED,
+        ],
+    ),
+    "object_value_at_end": (
+        "object o : A { a =",
+        [("ERROR E_SYN t.otl:3:1 expected string, number, true or false, found 'concept'", 7)],
+    ),
+    "object_rbrace": (
+        "object o : A { a = 1 b = 2 }",
+        [("ERROR E_SYN t.otl:2:22 expected '}', found 'b'", 1), RECOVERED],
+    ),
+    "object_end_of_statement": (
+        "object o : A x",
+        [("ERROR E_SYN t.otl:2:14 expected end of statement, found 'x'", 1), RECOVERED],
+    ),
+    "part_whole": (
+        "part has A",
+        [("ERROR E_SYN t.otl:2:6 expected concept identifier, found 'has'", 3), RECOVERED],
+    ),
+    "part_has": (
+        "part A of A",
+        [("ERROR E_SYN t.otl:2:8 expected 'has', found 'of'", 2), RECOVERED],
+    ),
+    "part_part": (
+        "part A has",
+        [("ERROR E_SYN t.otl:2:11 expected concept identifier, found end of line", 1), RECOVERED],
+    ),
+    "relation_name": (
+        "relation (causal) A -> A",
+        [("ERROR E_SYN t.otl:2:10 expected relation identifier, found '('", 1), RECOVERED],
+    ),
+    "relation_lparen": (
+        "relation r causal) A -> A",
+        [("ERROR E_SYN t.otl:2:12 expected '(', found 'causal'", 6), RECOVERED],
+    ),
+    "relation_kind": (
+        "relation r (friendly) A -> A",
+        [
+            ("ERROR E_SYN t.otl:2:13 expected one of associative, sequential, temporal, causal, cause_effect, producer_product, found 'friendly'", 8),
+            RECOVERED,
+        ],
+    ),
+    "relation_kind_keyword": (
+        "relation r (for) A -> A",
+        [
+            ("ERROR E_SYN t.otl:2:13 expected one of associative, sequential, temporal, causal, cause_effect, producer_product, found 'for'", 3),
+            RECOVERED,
+        ],
+    ),
+    "relation_rparen": (
+        "relation r (causal A -> A",
+        [("ERROR E_SYN t.otl:2:20 expected ')', found 'A'", 1)],
+    ),
+    "relation_source": (
+        "relation r (causal) -> A",
+        [("ERROR E_SYN t.otl:2:21 expected concept identifier, found '->'", 2), RECOVERED],
+    ),
+    "relation_arrow": (
+        "relation r (causal) A = A",
+        [("ERROR E_SYN t.otl:2:23 expected '->', found '='", 1), RECOVERED],
+    ),
+    "relation_target": (
+        "relation r (causal) A ->",
+        [("ERROR E_SYN t.otl:2:25 expected concept identifier, found end of line", 1), RECOVERED],
+    ),
+    "term_designation": (
+        "term t (en, preferred) for A",
+        [("ERROR E_SYN t.otl:2:6 expected term designation string, found 't'", 1), RECOVERED],
+    ),
+    "term_lparen": (
+        'term "t" en, preferred) for A',
+        [("ERROR E_SYN t.otl:2:10 expected '(', found 'en'", 2), RECOVERED],
+    ),
+    "term_language": (
+        'term "t" ("en", preferred) for A',
+        [('ERROR E_SYN t.otl:2:11 expected language tag, found \'"en"\'', 4), RECOVERED],
+    ),
+    "term_comma": (
+        'term "t" (en preferred) for A',
+        [("ERROR E_SYN t.otl:2:14 expected ',', found 'preferred'", 9), RECOVERED],
+    ),
+    "term_status": (
+        'term "t" (en, favourite) for A',
+        [
+            ("ERROR E_SYN t.otl:2:15 expected one of preferred, admitted, deprecated, standardized, found 'favourite'", 9),
+            RECOVERED,
+        ],
+    ),
+    "term_status_at_rparen": (
+        'term "t" (en, ) for A',
+        [
+            ("ERROR E_SYN t.otl:2:15 expected one of preferred, admitted, deprecated, standardized, found ')'", 1),
+            RECOVERED,
+        ],
+    ),
+    "term_rparen": (
+        'term "t" (en, preferred for A',
+        [("ERROR E_SYN t.otl:2:25 expected ')', found 'for'", 3)],
+    ),
+    "term_for": (
+        'term "t" (en, preferred) of A',
+        [("ERROR E_SYN t.otl:2:26 expected 'for', found 'of'", 2), RECOVERED],
+    ),
+    "term_concept": (
+        'term "t" (en, preferred) for',
+        [("ERROR E_SYN t.otl:2:29 expected concept identifier, found end of line", 1), RECOVERED],
+    ),
+    "term_definition_string": (
+        'term "t" (en, preferred) for A definition x',
+        [("ERROR E_SYN t.otl:2:43 expected definition string, found 'x'", 1), RECOVERED],
+    ),
+    "term_end_of_statement": (
+        'term "t" (en, preferred) for A "d"',
+        [('ERROR E_SYN t.otl:2:32 expected end of statement, found \'"d"\'', 3), RECOVERED],
+    ),
+    "class_name": (
+        "class := { x | in A }",
+        [("ERROR E_SYN t.otl:2:7 expected class identifier, found ':='", 2), RECOVERED],
+    ),
+    "class_assign": (
+        "class Q = { x | in A }",
+        [("ERROR E_SYN t.otl:2:9 expected ':=', found '='", 1), RECOVERED],
+    ),
+    "class_lbrace": (
+        "class Q := x | in A }",
+        [("ERROR E_SYN t.otl:2:12 expected '{', found 'x'", 1), RECOVERED],
+    ),
+    "class_x": (
+        "class Q := { y | in A }",
+        [("ERROR E_SYN t.otl:2:14 expected 'x', found 'y'", 1), RECOVERED],
+    ),
+    "class_pipe": (
+        "class Q := { x in A }",
+        [("ERROR E_SYN t.otl:2:16 expected '|', found 'in'", 2), RECOVERED],
+    ),
+    "class_expression": (
+        "class Q := { x | }",
+        [
+            ("ERROR E_SYN t.otl:2:18 expected 'in', 'has', attribute comparison, 'not' or '(', found '}'", 1),
+            RECOVERED,
+        ],
+    ),
+    "class_rbrace": (
+        "class Q := { x | in A ;",
+        [("ERROR E_SYN t.otl:2:23 expected '}', found ';'", 1), RECOVERED],
+    ),
+    "class_in_concept": (
+        "class Q := { x | in 3 }",
+        [("ERROR E_SYN t.otl:2:21 expected concept identifier, found '3'", 1), RECOVERED],
+    ),
+    "class_has_attribute": (
+        "class Q := { x | has }",
+        [("ERROR E_SYN t.otl:2:22 expected attribute identifier, found '}'", 1), RECOVERED],
+    ),
+    "class_comparison_equals": (
+        "class Q := { x | a 1 }",
+        [("ERROR E_SYN t.otl:2:20 expected '=', found '1'", 1), RECOVERED],
+    ),
+    "class_comparison_value": (
+        "class Q := { x | a = in }",
+        [
+            ("ERROR E_SYN t.otl:2:22 expected string, number, true or false, found 'in'", 2),
+            RECOVERED,
+        ],
+    ),
+    "class_and_operand": (
+        "class Q := { x | in A and }",
+        [
+            ("ERROR E_SYN t.otl:2:27 expected 'in', 'has', attribute comparison, 'not' or '(', found '}'", 1),
+            RECOVERED,
+        ],
+    ),
+    "class_or_operand": (
+        "class Q := { x | in A or or }",
+        [
+            ("ERROR E_SYN t.otl:2:26 expected 'in', 'has', attribute comparison, 'not' or '(', found 'or'", 2),
+            RECOVERED,
+        ],
+    ),
+    "class_not_operand": (
+        "class Q := { x | not }",
+        [
+            ("ERROR E_SYN t.otl:2:22 expected 'in', 'has', attribute comparison, 'not' or '(', found '}'", 1),
+            RECOVERED,
+        ],
+    ),
+    "class_rparen": (
+        "class Q := { x | (in A }",
+        [("ERROR E_SYN t.otl:2:24 expected ')', found '}'", 1)],
+    ),
+    "class_too_deep": (
+        "class Q := { x | " + "(" * 202 + "in A" + ")" * 202 + " }",
+        [("ERROR E_SYN t.otl:2:219 class expression too deeply nested", 1), RECOVERED],
+    ),
+    "errors_between_semicolons": (
+        "concept ; axis K ; object o : ; part A has B",
+        [
+            ("ERROR E_SYN t.otl:2:9 expected concept identifier, found ';'", 1),
+            ("ERROR E_SYN t.otl:2:18 expected 'of', found ';'", 1),
+            ("ERROR E_SYN t.otl:2:31 expected concept identifier, found ';'", 1),
+            RECOVERED,
+        ],
+    ),
+    "unterminated_designation_duplicate": (
+        'class Q := { x | (in A }; term "a" (en, preferred) for A; term "a\n(en, preferred) for A',
+        [
+            ("ERROR E_SYN t.otl:2:24 expected ')', found '}'", 1),
+            ("ERROR E_DUP_DECL t.otl:2:64 term 'a' (en) for 'A' already declared", 1),
+            ("ERROR E_LEX t.otl:2:64 unterminated string literal", 2),
+            ("ERROR E_SYN t.otl:4:1 expected end of statement, found 'concept'", 7),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTAX_ERRORS))
+def test_syntax_errors_render_exact_diagnostics_and_recover(name):
+    bad, expected = SYNTAX_ERRORS[name]
+    result = parse("concept A\n" + bad + "\nconcept A\n", "t.otl")
+    assert result.model is None
+    assert [(d.render(), d.location.length) for d in result.diagnostics] == expected
+
+
+CLASS_EXPR_ERRORS = {
+    "empty": (
+        "",
+        "ERROR E_SYN q:1:1 expected 'in', 'has', attribute comparison, 'not' or '(', found end of input",
+        0,
+    ),
+    "only_blanks": (
+        "  \n ",
+        "ERROR E_SYN q:1:3 expected 'in', 'has', attribute comparison, 'not' or '(', found end of line",
+        1,
+    ),
+    "in_concept": ("in", "ERROR E_SYN q:1:3 expected concept identifier, found end of input", 0),
+    "has_attribute": ("has 3", "ERROR E_SYN q:1:5 expected attribute identifier, found '3'", 1),
+    "comparison_equals": ("a", "ERROR E_SYN q:1:2 expected '=', found end of input", 0),
+    "comparison_value": (
+        "a = b",
+        "ERROR E_SYN q:1:5 expected string, number, true or false, found 'b'",
+        1,
+    ),
+    "and_operand": (
+        "in A and",
+        "ERROR E_SYN q:1:9 expected 'in', 'has', attribute comparison, 'not' or '(', found end of input",
+        0,
+    ),
+    "or_operand": (
+        "in A or )",
+        "ERROR E_SYN q:1:9 expected 'in', 'has', attribute comparison, 'not' or '(', found ')'",
+        1,
+    ),
+    "not_operand": (
+        "not not",
+        "ERROR E_SYN q:1:8 expected 'in', 'has', attribute comparison, 'not' or '(', found end of input",
+        0,
+    ),
+    "rparen": ("(in A", "ERROR E_SYN q:1:6 expected ')', found end of input", 0),
+    "unopened_rparen": (
+        ")",
+        "ERROR E_SYN q:1:1 expected 'in', 'has', attribute comparison, 'not' or '(', found ')'",
+        1,
+    ),
+    "trailing_input": ("in A in B", "ERROR E_SYN q:1:6 unexpected trailing input 'in'", 2),
+    "trailing_after_newline": (
+        "in A\n\nhas b",
+        "ERROR E_SYN q:3:1 unexpected trailing input 'has'",
+        3,
+    ),
+    "trailing_semicolon_word": ("in A; x", "ERROR E_SYN q:1:7 unexpected trailing input 'x'", 1),
+    "lexical_error": ("in A and $", "ERROR E_LEX q:1:10 unexpected character '$'", 1),
+    "lexical_error_after_syntax_error": (
+        "in and $",
+        "ERROR E_LEX q:1:8 unexpected character '$'",
+        1,
+    ),
+    "unterminated_string": ('a = "open', "ERROR E_LEX q:1:5 unterminated string literal", 5),
+    "leading_zero": ("a = 01", "ERROR E_LEX q:1:5 number '01' has a leading zero", 2),
+    "too_deep": ("(" * 202 + "in A" + ")" * 202, "ERROR E_SYN q:1:202 class expression too deeply nested", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_EXPR_ERRORS))
+def test_class_expression_errors_render_exact_diagnostics(name):
+    source, rendered, length = CLASS_EXPR_ERRORS[name]
+    with pytest.raises(ParseError) as exc:
+        parse_class_expr(source, "q")
+    diagnostic = exc.value.diagnostic
+    assert (diagnostic.render(), diagnostic.location.length) == (rendered, length)
+
+
 # -- class expressions -------------------------------------------------------
 
 

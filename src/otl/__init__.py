@@ -9,6 +9,8 @@ a definition generator, and canonical serializers.
 
 __version__ = "0.1.0"
 
+from importlib import import_module
+
 from .classes import (
     And,
     AttrEquals,
@@ -21,22 +23,6 @@ from .classes import (
     concept_conjunction,
     concept_disjunction,
     evaluate_class,
-)
-from .definitions import (
-    DefinitionError,
-    GeneratedDefinition,
-    describe_object,
-    extensional_definition,
-    intensional_definition,
-    lexicon,
-)
-from .exporters import (
-    ExportOptions,
-    JsonSchemaError,
-    from_json,
-    print_dsl,
-    to_dot,
-    to_json,
 )
 from .model import (
     AmbiguousIdentifierError,
@@ -79,6 +65,33 @@ from .reasoner import (
     validate,
     validate_or_raise,
 )
+
+# The definitions and exporters names load with their module on first access
+# (PEP 562), so a command that never uses them does not import them.
+_LAZY = {
+    "DefinitionError": "definitions",
+    "GeneratedDefinition": "definitions",
+    "describe_object": "definitions",
+    "extensional_definition": "definitions",
+    "intensional_definition": "definitions",
+    "lexicon": "definitions",
+    "ExportOptions": "exporters",
+    "JsonSchemaError": "exporters",
+    "from_json": "exporters",
+    "print_dsl": "exporters",
+    "to_dot": "exporters",
+    "to_json": "exporters",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "__version__",

@@ -14,7 +14,7 @@ axis is reported as a ``Contradiction`` instead of an expression.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, TypeVar, Union
 
 from . import model as m
 
@@ -79,6 +79,35 @@ class Contradiction:
         )
 
 
+_T = TypeVar("_T")
+
+
+def fold(expr: ClassExpression, combine: Callable[[ClassExpression, list[_T]], _T]) -> _T:
+    """Combine an expression bottom-up: `combine(node, results)` gets each
+    node with the results of its children, in order, and the root's result is
+    returned.  Children are visited left to right, and an explicit stack
+    keeps the walk clear of the interpreter recursion limit at any depth."""
+    results: list[_T] = []
+    stack: list[tuple[ClassExpression, bool]] = [(expr, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, (And, Or)):
+            children: tuple[ClassExpression, ...] = node.children
+        elif isinstance(node, Not):
+            children = (node.child,)
+        else:
+            children = ()
+        if expanded or not children:
+            cut = len(results) - len(children)
+            value = combine(node, results[cut:])
+            del results[cut:]
+            results.append(value)
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(children))
+    return results[0]
+
+
 def expression_references(expr: ClassExpression) -> tuple[set[str], set[str]]:
     """Concept and attribute identifiers referenced by an expression."""
     concepts: set[str] = set()
@@ -101,36 +130,30 @@ def evaluate_class(model: m.Model, expr: ClassExpression) -> frozenset[str]:
     """Set of object identifiers satisfying the expression."""
     model.require_validated("evaluate_class")
     universe = frozenset(model.objects)
-    return _evaluate(model, expr, universe)
 
+    def evaluate(node: ClassExpression, parts: list[frozenset[str]]) -> frozenset[str]:
+        if isinstance(node, InConcept):
+            return m.extension(model, node.concept)
+        if isinstance(node, AttrEquals):
+            _check_attribute(model, node.attribute)
+            return frozenset(
+                oid
+                for oid in universe
+                if node.attribute in model.objects[oid].values
+                and m.values_equal(model.objects[oid].values[node.attribute], node.value)
+            )
+        if isinstance(node, HasAttr):
+            _check_attribute(model, node.attribute)
+            return frozenset(
+                oid for oid in universe if node.attribute in model.objects[oid].values
+            )
+        if isinstance(node, And):
+            return parts[0].intersection(*parts[1:])
+        if isinstance(node, Or):
+            return parts[0].union(*parts[1:])
+        return universe - parts[0]
 
-def _evaluate(model: m.Model, expr: ClassExpression, universe: frozenset[str]) -> frozenset[str]:
-    if isinstance(expr, InConcept):
-        return m.extension(model, expr.concept)
-    if isinstance(expr, AttrEquals):
-        _check_attribute(model, expr.attribute)
-        return frozenset(
-            oid
-            for oid in universe
-            if expr.attribute in model.objects[oid].values
-            and m.values_equal(model.objects[oid].values[expr.attribute], expr.value)
-        )
-    if isinstance(expr, HasAttr):
-        _check_attribute(model, expr.attribute)
-        return frozenset(
-            oid for oid in universe if expr.attribute in model.objects[oid].values
-        )
-    if isinstance(expr, And):
-        result = _evaluate(model, expr.children[0], universe)
-        for child in expr.children[1:]:
-            result &= _evaluate(model, child, universe)
-        return result
-    if isinstance(expr, Or):
-        result = _evaluate(model, expr.children[0], universe)
-        for child in expr.children[1:]:
-            result |= _evaluate(model, child, universe)
-        return result
-    return universe - _evaluate(model, expr.child, universe)
+    return fold(expr, evaluate)
 
 
 def _check_attribute(model: m.Model, attribute_id: str) -> None:

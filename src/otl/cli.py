@@ -15,15 +15,7 @@ from typing import Callable, Optional
 from . import __version__
 from . import model as m
 from .classes import evaluate_class
-from .definitions import (
-    DefinitionError,
-    describe_object,
-    extensional_definition,
-    intensional_definition,
-    lexicon,
-)
-from .exporters import ExportOptions, print_dsl, to_dot, to_json
-from .parser import ParseError, parse, parse_class_expr
+from .parser import parse, parse_class_expr
 from .reasoner import validate
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -105,7 +97,8 @@ def _wrong_kind(model: m.Model, name: str, wanted: str) -> m.OtlError:
 
 
 # Each command maps the loaded model and the parsed arguments to its payload;
-# None means the command has nothing to write.
+# None means the command has nothing to write.  A command imports the modules
+# only it uses, so `check` loads neither the exporters nor the definitions.
 
 
 def _check(model: m.Model, args: argparse.Namespace) -> Optional[str]:
@@ -113,6 +106,8 @@ def _check(model: m.Model, args: argparse.Namespace) -> Optional[str]:
 
 
 def _tree(model: m.Model, args: argparse.Namespace) -> Optional[str]:
+    from .exporters import ExportOptions, to_dot
+
     opts = ExportOptions(include_objects=args.objects, include_derived_edges=args.derived)
     return to_dot(model, opts)
 
@@ -123,6 +118,8 @@ def _query(model: m.Model, args: argparse.Namespace) -> Optional[str]:
 
 
 def _define(model: m.Model, args: argparse.Namespace) -> Optional[str]:
+    from .definitions import extensional_definition, intensional_definition
+
     if args.concept not in model.concepts:
         raise _wrong_kind(model, args.concept, "concept")
     if args.extensional:
@@ -133,16 +130,22 @@ def _define(model: m.Model, args: argparse.Namespace) -> Optional[str]:
 
 
 def _describe(model: m.Model, args: argparse.Namespace) -> Optional[str]:
+    from .definitions import describe_object
+
     if args.object not in model.objects:
         raise _wrong_kind(model, args.object, "object")
     return describe_object(model, args.object) + "\n"
 
 
 def _lexicon(model: m.Model, args: argparse.Namespace) -> Optional[str]:
+    from .definitions import lexicon
+
     return lexicon(model, args.lang)
 
 
 def _export(model: m.Model, args: argparse.Namespace) -> Optional[str]:
+    from .exporters import print_dsl, to_json
+
     return to_json(model) if args.format == "json" else print_dsl(model)
 
 
@@ -172,7 +175,7 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
         return 1
     try:
         payload = COMMANDS[args.command](model, args)
-    except (ParseError, DefinitionError, m.OtlError) as exc:
+    except m.OtlError as exc:  # ParseError and DefinitionError included
         print(f"error: {exc}", file=stderr)
         return 1
     if payload is None:

@@ -33,16 +33,18 @@ Parsing is total: it never raises on bad input, always returning a
 ParseResult whose model is present iff no error diagnostics were produced.
 Cross-references are left symbolic; resolution happens in otl.reasoner.
 
-Cost.  The lexer is one scan of a compiled master regex with a named group
-per token class (the "Writing a Tokenizer" recipe of the ``re`` docs), so
-lexing is O(input length).  A token is a plain tuple holding its offset and
-length, not its line and column, and the parser records each declaration as
-an offset too.  Positions are resolved only when a diagnostic needs one:
+Cost.  Lexing is one scan of a compiled master regex with a named group per
+token class (the "Writing a Tokenizer" recipe of the ``re`` docs), so it is
+O(input length), and it is the parser's own token step: `_Parser.advance`
+pulls the next match, keeps the match itself as the lookahead and its group
+name as the token kind, and does more only for the few kinds that need it
+(bracket depth, string escapes, lexical errors).  No token object or list is
+built, so the match the scan returns is all a token costs; a statement reads
+an identifier's text or offset from the match when it needs one.  Positions are resolved only when a diagnostic needs one:
 SourceText collects the newline offsets on first use and maps an offset to
 its line and column with one bisect.  The parser is recursive descent with
-one token of lookahead that pulls tokens from the lexer as it goes, O(tokens)
-with no token list held.  Class-expression nesting is bounded by
-MAX_EXPR_DEPTH and chains of ``not`` are counted iteratively.
+that one token of lookahead, O(tokens).  Class-expression nesting is bounded
+by MAX_EXPR_DEPTH and chains of ``not`` are counted iteratively.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterator, Optional
+from typing import Optional
 
 from .classes import And, AttrEquals, ClassExpression, HasAttr, InConcept, Not, Or
 from .model import (
@@ -66,7 +68,6 @@ from .model import (
     OtlError,
     PartLink,
     Severity,
-    SourceSpan,
     SourceText,
     Term,
     TermStatus,
@@ -127,15 +128,6 @@ _STATUS_WORDS = tuple(s.value for s in TermStatus)
 MAX_EXPR_DEPTH = 200
 
 
-# A token is a plain tuple (kind, text, offset, length, value), read through
-# the index names below.  kind is IDENT, KEYWORD, STRING, NUMBER, a
-# punctuation kind, SEP or EOF; offset and length place it in the source,
-# and SourceText.span turns them into a line and column only when a
-# diagnostic needs one; value is the decoded payload of a STRING or NUMBER.
-Token = tuple[str, str, int, int, Optional[Value]]
-KIND, TEXT, OFFSET, LENGTH, VALUE = range(5)
-
-
 @dataclass
 class ParseResult:
     """Outcome of a parse; `model` is present iff there were no errors."""
@@ -152,525 +144,467 @@ class ParseError(OtlError):
         super().__init__(diagnostic.render())
 
 
-_PUNCT = {
-    ":=": "ASSIGN",
-    "->": "ARROW",
-    ":": "COLON",
-    ",": "COMMA",
-    "{": "LBRACE",
-    "}": "RBRACE",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "=": "EQUALS",
-    "+": "PLUS",
-    "|": "PIPE",
-}
-
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
 # Each match is the blanks and comment before one token, then the token: one
-# alternative per token class, tried in order.  OTHER takes any character but
-# a newline, so the scan never stalls, and END ends it.  Identifiers and
-# numbers are ASCII-only; NUMBER takes a whole digit run, leading zeros
-# included, and NUMBER_LITERAL then decides whether it is a number.  A
-# string runs to its closing quote, a newline or the end of input; a
-# backslash escapes the next character, newline included.
+# named group per token kind, and the group's name is the kind.  The groups
+# are tried in order, the most frequent first (only ':=' must come before
+# ':'); WORD (a keyword or an identifier) is group 1, so `match[1]` is a
+# word's text.  OTHER takes any character but a newline, so the scan never
+# stalls, and END ends it.  Identifiers and numbers are ASCII-only; NUMBER
+# takes a whole digit run, leading zeros included, and NUMBER_LITERAL then
+# decides whether it is a number.  A string runs to its closing quote, a
+# newline or the end of input; a backslash escapes the next character,
+# newline included.
 _TOKEN = re.compile(
     r"[ \t\r]*(?:#[^\n]*)?"
     r"(?:(?P<WORD>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<PUNCT>:=|->|[:,{}()=+|;])"
-    r"|(?P<NEWLINE>\n)"
-    r"|(?P<NUMBER>-?[0-9]+(?:\.[0-9]+)?)"
+    r"|(?P<EQUALS>=)|(?P<NEWLINE>\n)|(?P<COMMA>,)"
     r'|(?P<STRING>"(?P<body>[^"\\\n]*(?:\\[\s\S]?[^"\\\n]*)*)(?P<close>"?))'
+    r"|(?P<LBRACE>\{)|(?P<RBRACE>\})|(?P<ASSIGN>:=)|(?P<COLON>:)"
+    r"|(?P<NUMBER>-?[0-9]+(?:\.[0-9]+)?)"
+    r"|(?P<PLUS>\+)|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<ARROW>->)|(?P<PIPE>\|)|(?P<SEMI>;)"
     r"|(?P<OTHER>.)"
     r"|(?P<END>\Z))"
 )
 _ESCAPE = re.compile(r"\\([\s\S]?)")
+# kinds the token step passes on as they are
+_PLAIN = frozenset({"WORD", "ASSIGN", "ARROW", "COLON", "COMMA", "EQUALS", "PLUS", "PIPE"})
 
 
-def _describe(tok: Token) -> str:
-    if tok[KIND] == "EOF":
-        return "end of input"
-    if tok[KIND] == "SEP":
-        return "';'" if tok[TEXT] == ";" else "end of line"
-    return repr(tok[TEXT])
-
-
-def _lex(source: SourceText, diagnostics: list[Diagnostic]) -> Iterator[Token]:
-    """Yield the tokens of source, from one pass of the master regex, and
-    append lexical errors to `diagnostics` on the way.
-
-    Tokens carry offsets only.  Newlines inside brackets do not end
-    statements, so they produce no SEP token.  The last token is EOF.
-    """
-    text = source.text
-
-    def error(message: str, offset: int, length: int) -> None:
-        diagnostics.append(
-            Diagnostic(Severity.ERROR, "E_LEX", message, source.span(offset, length))
-        )
-
-    depth = 0
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        lexeme = match.group(kind)
-        start = match.end() - len(lexeme)
-        if kind == "WORD":
-            yield ("KEYWORD" if lexeme in KEYWORDS else "IDENT", lexeme, start, len(lexeme), None)
-        elif kind == "PUNCT":
-            if lexeme == ";":
-                yield ("SEP", lexeme, start, 1, None)
-                continue
-            if lexeme in "({":
-                depth += 1
-            elif lexeme in ")}":
-                depth = max(0, depth - 1)
-            yield (_PUNCT[lexeme], lexeme, start, len(lexeme), None)
-        elif kind == "NEWLINE":
-            if depth == 0:
-                yield ("SEP", lexeme, start, 1, None)
-        elif kind == "NUMBER":
-            if NUMBER_LITERAL.fullmatch(lexeme) is None:
-                error(f"number {lexeme!r} has a leading zero", start, len(lexeme))
-            yield ("NUMBER", lexeme, start, len(lexeme), Decimal(lexeme))
-        elif kind == "STRING":
-            body = match.group("body")
-            raw_length = len(lexeme)
-            value = body
-            if "\\" in body:
-                chars: list[str] = []
-                last = 0
-                for esc in _ESCAPE.finditer(body):
-                    chars.append(body[last : esc.start()])
-                    last = esc.end()
-                    decoded = _ESCAPES.get(esc.group(1))
-                    if decoded is not None:
-                        chars.append(decoded)
-                        continue
-                    error(f"unknown escape '\\{esc.group(1)}'", start + 1 + esc.start(), 2)
-                    if not esc.group(1):
-                        raw_length += 1  # a final backslash still counts two
-                chars.append(body[last:])
-                value = "".join(chars)
-            if match.group("close"):
-                yield ("STRING", lexeme, start, raw_length, value)
-            else:
-                error("unterminated string literal", start, raw_length)
-                # still emit what was seen so the parser can continue
-                yield ("STRING", value, start, max(1, len(value)), value)
-        elif kind == "OTHER":
-            error(f"unexpected character {lexeme!r}", start, 1)
-    yield ("EOF", "", len(text), 0, None)
+def _token(match: re.Match, value: str = "") -> tuple[str, int, int]:
+    """Text, offset and length of the token `match` holds.  A SEP's text is
+    its ';' or newline and EOF's is empty; an unterminated string stands for
+    its decoded `value`."""
+    kind = match.lastgroup
+    text = match[kind]
+    if kind == "STRING" and not match["close"]:
+        return value, match.start(kind), max(1, len(value))
+    return text, match.start(kind), len(text)
 
 
 class _Parser:
-    def __init__(self, tokens: Iterator[Token], source: SourceText):
+    def __init__(self, source: SourceText):
         self.source = source
-        self.tokens = tokens
-        self.tok = next(tokens)  # the one token of lookahead
+        self.scan = _TOKEN.finditer(source.text).__next__
+        self.depth = 0  # open brackets; a newline inside them ends nothing
+        self.lex_errors: list[Diagnostic] = []
         self.diagnostics: list[Diagnostic] = []
         # model.spans also tracks duplicates: (kind, id) -> first declaration
         self.model = Model(source=source)
         # difference id -> owning axis id (a difference belongs to one axis)
         self.diff_owner: dict[str, str] = {}
         self.term_triples: set[tuple[str, str, str]] = set()
+        # the one token of lookahead: its match, its kind and, for a STRING,
+        # its decoded value
+        self.m: re.Match
+        self.kind = ""
+        self.value = ""
+        self.advance()
 
-    # -- token plumbing ----------------------------------------------------
+    # -- the token step ------------------------------------------------------
 
-    # the tokens end with EOF and `next` never moves past it
-    def peek(self) -> Token:
-        return self.tok
+    def advance(self) -> None:
+        """Step to the next token.  Kinds are the group names of _TOKEN, but
+        a ';' or a newline outside brackets is SEP and the end is EOF, which
+        is never stepped past; other newlines and OTHER are skipped."""
+        while True:
+            m = self.scan()
+            kind = m.lastgroup
+            if kind in _PLAIN:
+                break
+            if kind == "NEWLINE":
+                if self.depth:
+                    continue
+                kind = "SEP"
+            elif kind == "STRING":
+                self.value = self.string(m)
+            elif kind == "NUMBER":
+                number = m[kind]
+                if NUMBER_LITERAL.fullmatch(number) is None:
+                    message = f"number {number!r} has a leading zero"
+                    self.lex_error(message, m.start(kind), len(number))
+            elif kind == "LBRACE" or kind == "LPAREN":
+                self.depth += 1
+            elif kind == "RBRACE" or kind == "RPAREN":
+                self.depth = max(0, self.depth - 1)
+            elif kind == "SEMI":
+                kind = "SEP"
+            elif kind == "OTHER":
+                self.lex_error(f"unexpected character {m[kind]!r}", m.start(kind), 1)
+                continue
+            else:
+                kind = "EOF"
+            break
+        self.m = m
+        self.kind = kind
 
-    def next(self) -> Token:
-        tok = self.tok
-        if tok[KIND] != "EOF":
-            self.tok = next(self.tokens)
-        return tok
+    def string(self, m: re.Match) -> str:
+        """The decoded value of a STRING match; report its lexical errors."""
+        start = m.start("STRING")
+        body = m["body"]
+        length = len(m["STRING"])
+        if "\\" in body:
+            chars: list[str] = []
+            last = 0
+            for esc in _ESCAPE.finditer(body):
+                chars.append(body[last : esc.start()])
+                last = esc.end()
+                decoded = _ESCAPES.get(esc[1])
+                if decoded is not None:
+                    chars.append(decoded)
+                    continue
+                self.lex_error(f"unknown escape '\\{esc[1]}'", start + 1 + esc.start(), 2)
+                if not esc[1]:
+                    length += 1  # a final backslash still counts two
+            chars.append(body[last:])
+            body = "".join(chars)
+        if not m["close"]:
+            self.lex_error("unterminated string literal", start, length)
+        return body
 
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.tok
-        return tok[KIND] == kind and (text is None or tok[TEXT] == text)
+    def lex_error(self, message: str, offset: int, length: int) -> None:
+        self.lex_errors.append(
+            Diagnostic(Severity.ERROR, "E_LEX", message, self.source.span(offset, length))
+        )
 
-    def span(self, tok: Token) -> SourceSpan:
-        return self.source.span(tok[OFFSET], tok[LENGTH])
+    # -- reading tokens --------------------------------------------------------
 
-    def error(self, message: str, tok: Token, code: str = "E_SYN") -> None:
-        self.diagnostics.append(Diagnostic(Severity.ERROR, code, message, self.span(tok)))
+    def at_word(self, word: str) -> bool:
+        return self.kind == "WORD" and self.m[1] == word
 
-    def expect(self, kind: str, expected: str, text: Optional[str] = None) -> Optional[Token]:
-        tok = self.tok
-        if tok[KIND] == kind and (text is None or tok[TEXT] == text):
-            return self.next()
-        self.error(f"expected {expected}, found {_describe(tok)}", tok)
+    def text(self) -> str:
+        return _token(self.m, self.value)[0]
+
+    def describe(self) -> str:
+        if self.kind == "EOF":
+            return "end of input"
+        if self.kind == "SEP":
+            return "';'" if self.m.lastgroup == "SEMI" else "end of line"
+        return repr(self.text())
+
+    def error(self, message: str, m: re.Match, code: str = "E_SYN", value: str = "") -> None:
+        _, offset, length = _token(m, value)
+        self.diagnostics.append(
+            Diagnostic(Severity.ERROR, code, message, self.source.span(offset, length))
+        )
+
+    def fail(self, expected: str) -> None:
+        """Report that the lookahead is not the `expected` token."""
+        self.error(f"expected {expected}, found {self.describe()}", self.m, value=self.value)
+
+    def expect(self, kind: str, expected: str) -> bool:
+        if self.kind == kind:
+            self.advance()
+            return True
+        self.fail(expected)
+        return False
+
+    def expect_word(self, word: str) -> bool:
+        if self.at_word(word):
+            self.advance()
+            return True
+        self.fail(f"'{word}'")
+        return False
+
+    def ident(self, expected: str) -> Optional[str]:
+        """Take an identifier and return its text, or report `expected`."""
+        if self.kind == "WORD":
+            word = self.m[1]
+            if word not in KEYWORDS:
+                self.advance()
+                return word
+        self.fail(expected)
         return None
 
-    def expect_ident(self, expected: str) -> Optional[Token]:
-        return self.expect("IDENT", expected)
+    def one_of(self, words: tuple[str, ...]) -> Optional[str]:
+        """Take an identifier among `words` and return it, or report them."""
+        if self.kind == "WORD" and self.m[1] in words:
+            word = self.m[1]
+            self.advance()
+            return word
+        expected = ", ".join(words)
+        self.error(f"expected one of {expected}, found {self.text()!r}", self.m, value=self.value)
+        return None
 
     def recover(self) -> None:
         """Skip to the next statement boundary after a syntax error."""
-        if self.peek()[KIND] not in ("SEP", "EOF"):
-            self.next()
-        while self.peek()[KIND] not in ("SEP", "EOF"):
-            self.next()
+        while self.kind != "SEP" and self.kind != "EOF":
+            self.advance()
 
-    def end_statement(self) -> None:
-        tok = self.peek()
-        if tok[KIND] in ("SEP", "EOF"):
-            return
-        self.error(f"expected end of statement, found {_describe(tok)}", tok)
-        self.recover()
-
-    def declare(self, kind: str, name: str, tok: Token) -> bool:
+    def declare(self, kind: str, name: str, at: re.Match) -> bool:
         """Record a declaration; returns False (and diagnoses) on duplicates."""
         if (kind, name) in self.model.spans:
             prior = self.model.span_for(kind, name)
             self.error(
                 f"{kind} '{name}' already declared at {prior.line}:{prior.column}",
-                tok,
+                at,
                 code="E_DUP_DECL",
             )
             return False
-        self.note_span(kind, name, tok)
+        self.model.spans[(kind, name)] = (at.start(1), len(name))
         return True
-
-    def note_span(self, kind: str, entity_id: str, tok: Token) -> None:
-        self.model.spans[(kind, entity_id)] = (tok[OFFSET], tok[LENGTH])
 
     # -- statements --------------------------------------------------------
 
-    def run(self) -> ParseResult:
+    def run(self) -> None:
         while True:
-            while self.at("SEP"):
-                self.next()
-            if self.at("EOF"):
+            while self.kind == "SEP":
+                self.advance()
+            if self.kind == "EOF":
                 break
-            tok = self.peek()
-            if tok[KIND] == "KEYWORD" and tok[TEXT] in STATEMENT_KEYWORDS:
-                handler = getattr(self, f"_stmt_{tok[TEXT]}")
-                handler()
-                self.end_statement()
-            else:
-                expected = ", ".join(STATEMENT_KEYWORDS)
-                self.error(f"expected one of {expected}, found {_describe(tok)}", tok)
+            statement = _STATEMENTS.get(self.m[1]) if self.kind == "WORD" else None
+            if statement is None:
+                self.fail(f"one of {', '.join(STATEMENT_KEYWORDS)}")
                 self.recover()
-        model = None if any(d.is_error for d in self.diagnostics) else self.model
-        return ParseResult(model, self.diagnostics)
+                continue
+            statement(self)
+            if self.kind != "SEP" and self.kind != "EOF":
+                self.fail("end of statement")
+                self.recover()
 
-    def _ident_list(self, expected: str) -> Optional[list[Token]]:
-        first = self.expect_ident(expected)
-        if first is None:
-            return None
-        items = [first]
-        while self.at("COMMA"):
-            self.next()
-            nxt = self.expect_ident(expected)
-            if nxt is None:
+    def _ident_list(
+        self, expected: str, first: Optional[str] = None
+    ) -> Optional[list[tuple[str, re.Match]]]:
+        """Identifiers separated by commas, each with its match; `first` says
+        what the first one is, when it is more than `expected`."""
+        items = []
+        while True:
+            at = self.m
+            name = self.ident(first if first and not items else expected)
+            if name is None:
                 return None
-            items.append(nxt)
-        return items
+            items.append((name, at))
+            if self.kind != "COMMA":
+                return items
+            self.advance()
 
     def _stmt_concept(self) -> None:
-        self.next()  # 'concept'
-        name = self.expect_ident("concept identifier")
+        self.advance()  # 'concept'
+        at = self.m
+        name = self.ident("concept identifier")
         if name is None:
             return self.recover()
         genus: Optional[str] = None
         differentiae: list[str] = []
-        if self.at("ASSIGN"):
-            self.next()
-            first = self.expect_ident("genus or difference identifier")
-            if first is None:
-                return self.recover()
-            if self.at("PLUS"):
-                self.next()
-                genus = first[TEXT]
+        if self.kind == "ASSIGN":
+            self.advance()
+            diffs = self._ident_list("difference identifier", "genus or difference identifier")
+            if diffs is not None and len(diffs) == 1 and self.kind == "PLUS":
+                self.advance()
+                genus = diffs[0][0]
                 diffs = self._ident_list("difference identifier")
-                if diffs is None:
-                    return self.recover()
-            else:
-                diffs = [first]
-                while self.at("COMMA"):
-                    self.next()
-                    nxt = self.expect_ident("difference identifier")
-                    if nxt is None:
-                        return self.recover()
-                    diffs.append(nxt)
-            for tok in diffs:
-                if tok[TEXT] in differentiae:
-                    self.error(
-                        f"duplicate differentia '{tok[TEXT]}'", tok, code="E_DUP_DECL"
-                    )
+            if diffs is None:
+                return self.recover()
+            for diff, diff_at in diffs:
+                if diff in differentiae:
+                    self.error(f"duplicate differentia '{diff}'", diff_at, code="E_DUP_DECL")
                 else:
-                    differentiae.append(tok[TEXT])
-        if not self.declare("concept", name[TEXT], name):
-            return
-        self.model.concepts[name[TEXT]] = Concept(
-            name[TEXT], name[TEXT], genus, tuple(differentiae)
-        )
+                    differentiae.append(diff)
+        if self.declare("concept", name, at):
+            self.model.concepts[name] = Concept(name, name, genus, tuple(differentiae))
 
     def _stmt_axis(self) -> None:
-        self.next()  # 'axis'
-        name = self.expect_ident("axis identifier")
-        if name is None:
+        self.advance()  # 'axis'
+        at = self.m
+        name = self.ident("axis identifier")
+        if name is None or not self.expect_word("of"):
             return self.recover()
-        if self.expect("KEYWORD", "'of'", "of") is None:
-            return self.recover()
-        scope = self.expect_ident("concept identifier")
+        scope = self.ident("concept identifier")
         if scope is None:
             return self.recover()
-        exclusive = True
-        if self.at("KEYWORD", "nonexclusive"):
-            self.next()
-            exclusive = False
-        if self.expect("LBRACE", "'{'") is None:
+        exclusive = not self.at_word("nonexclusive")
+        if not exclusive:
+            self.advance()
+        if not self.expect("LBRACE", "'{'"):
             return self.recover()
         members = self._ident_list("difference identifier")
-        if members is None:
+        if members is None or not self.expect("RBRACE", "'}'"):
             return self.recover()
-        if self.expect("RBRACE", "'}'") is None:
-            return self.recover()
-        if not self.declare("axis", name[TEXT], name):
+        if not self.declare("axis", name, at):
             return
         member_ids: list[str] = []
-        for tok in members:
-            if tok[TEXT] in member_ids:
-                self.error(f"duplicate member '{tok[TEXT]}'", tok, code="E_DUP_DECL")
+        for member, member_at in members:
+            if member in member_ids:
+                self.error(f"duplicate member '{member}'", member_at, code="E_DUP_DECL")
                 continue
-            owner = self.diff_owner.get(tok[TEXT])
+            owner = self.diff_owner.get(member)
             if owner is not None:
                 self.error(
-                    f"difference '{tok[TEXT]}' already belongs to axis '{owner}'",
-                    tok,
+                    f"difference '{member}' already belongs to axis '{owner}'",
+                    member_at,
                     code="E_DUP_DECL",
                 )
                 continue
-            self.diff_owner[tok[TEXT]] = name[TEXT]
-            member_ids.append(tok[TEXT])
-        self.model.axes[name[TEXT]] = Axis(
-            name[TEXT], name[TEXT], scope[TEXT], tuple(member_ids), exclusive
-        )
+            self.diff_owner[member] = name
+            member_ids.append(member)
+        self.model.axes[name] = Axis(name, name, scope, tuple(member_ids), exclusive)
 
     def _stmt_attribute(self) -> None:
-        self.next()  # 'attribute'
-        name = self.expect_ident("attribute identifier")
-        if name is None:
+        self.advance()  # 'attribute'
+        at = self.m
+        name = self.ident("attribute identifier")
+        if name is None or not self.expect("COLON", "':'"):
             return self.recover()
-        if self.expect("COLON", "':'") is None:
+        value_kind = self.one_of(("text", "number", "boolean"))
+        if value_kind is None or not self.expect_word("on"):
             return self.recover()
-        kind_tok = self.peek()
-        if kind_tok[KIND] == "IDENT" and kind_tok[TEXT] in ("text", "number", "boolean"):
-            self.next()
-        else:
-            self.error(
-                f"expected one of text, number, boolean, found {kind_tok[TEXT]!r}",
-                kind_tok,
-            )
-            return self.recover()
-        if self.expect("KEYWORD", "'on'", "on") is None:
-            return self.recover()
-        domain = self.expect_ident("concept identifier")
+        domain = self.ident("concept identifier")
         if domain is None:
             return self.recover()
-        if not self.declare("attribute", name[TEXT], name):
-            return
-        self.model.attributes[name[TEXT]] = AttributeDecl(
-            name[TEXT], name[TEXT], domain[TEXT], ValueKind(kind_tok[TEXT])
-        )
+        if self.declare("attribute", name, at):
+            self.model.attributes[name] = AttributeDecl(name, name, domain, ValueKind(value_kind))
 
-    def _value(self) -> Optional[tuple[Value, Token]]:
-        tok = self.peek()
-        if tok[KIND] in ("STRING", "NUMBER"):
-            self.next()
-            assert tok[VALUE] is not None
-            return tok[VALUE], tok
-        if tok[KIND] == "KEYWORD" and tok[TEXT] in ("true", "false"):
-            self.next()
-            return tok[TEXT] == "true", tok
-        self.error(
-            f"expected string, number, true or false, found {_describe(tok)}", tok
-        )
-        return None
+    def _value(self) -> Optional[Value]:
+        kind = self.kind
+        if kind == "STRING":
+            value: Value = self.value
+        elif kind == "NUMBER":
+            value = Decimal(self.m[kind])
+        elif kind == "WORD" and self.m[1] in ("true", "false"):
+            value = self.m[1] == "true"
+        else:
+            self.fail("string, number, true or false")
+            return None
+        self.advance()
+        return value
 
     def _stmt_object(self) -> None:
-        self.next()  # 'object'
-        name = self.expect_ident("object identifier")
-        if name is None:
+        self.advance()  # 'object'
+        at = self.m
+        name = self.ident("object identifier")
+        if name is None or not self.expect("COLON", "':'"):
             return self.recover()
-        if self.expect("COLON", "':'") is None:
-            return self.recover()
-        concept = self.expect_ident("concept identifier")
+        concept = self.ident("concept identifier")
         if concept is None:
             return self.recover()
         values: dict[str, Value] = {}
-        value_spans: list[tuple[str, Token]] = []
-        if self.at("LBRACE"):
-            self.next()
+        value_spans: list[tuple[str, re.Match]] = []
+        if self.kind == "LBRACE":
+            self.advance()
             while True:
-                attr = self.expect_ident("attribute identifier")
-                if attr is None:
+                attr_at = self.m
+                attr = self.ident("attribute identifier")
+                if attr is None or not self.expect("EQUALS", "'='"):
                     return self.recover()
-                if self.expect("EQUALS", "'='") is None:
+                value = self._value()
+                if value is None:
                     return self.recover()
-                val = self._value()
-                if val is None:
-                    return self.recover()
-                if attr[TEXT] in values:
+                if attr in values:
                     self.error(
-                        f"duplicate value for attribute '{attr[TEXT]}'",
-                        attr,
-                        code="E_DUP_DECL",
+                        f"duplicate value for attribute '{attr}'", attr_at, code="E_DUP_DECL"
                     )
                 else:
-                    values[attr[TEXT]] = val[0]
-                    value_spans.append((attr[TEXT], attr))
-                if self.at("COMMA"):
-                    self.next()
-                    continue
-                break
-            if self.expect("RBRACE", "'}'") is None:
+                    values[attr] = value
+                    value_spans.append((attr, attr_at))
+                if self.kind != "COMMA":
+                    break
+                self.advance()
+            if not self.expect("RBRACE", "'}'"):
                 return self.recover()
-        if not self.declare("object", name[TEXT], name):
+        if not self.declare("object", name, at):
             return
-        self.model.objects[name[TEXT]] = ObjectInstance(
-            name[TEXT], name[TEXT], concept[TEXT], values
-        )
-        for attr_id, tok in value_spans:
-            self.note_span("value", f"{name[TEXT]}.{attr_id}", tok)
+        self.model.objects[name] = ObjectInstance(name, name, concept, values)
+        spans = self.model.spans
+        for attr, attr_at in value_spans:
+            spans[("value", f"{name}.{attr}")] = (attr_at.start(1), len(attr))
 
     def _stmt_part(self) -> None:
-        kw = self.next()  # 'part'
-        whole = self.expect_ident("concept identifier")
-        if whole is None:
+        at = self.m
+        self.advance()  # 'part'
+        whole = self.ident("concept identifier")
+        if whole is None or not self.expect_word("has"):
             return self.recover()
-        if self.expect("KEYWORD", "'has'", "has") is None:
-            return self.recover()
-        part = self.expect_ident("concept identifier")
+        part = self.ident("concept identifier")
         if part is None:
             return self.recover()
-        index = len(self.model.parts)
-        self.model.parts.append(PartLink(whole[TEXT], part[TEXT]))
-        self.note_span("part", str(index), kw)
+        self.model.spans[("part", str(len(self.model.parts)))] = _token(at)[1:]
+        self.model.parts.append(PartLink(whole, part))
 
     def _stmt_relation(self) -> None:
-        kw = self.next()  # 'relation'
+        at = self.m
+        self.advance()  # 'relation'
         # Links are anonymous in the model; the name is required by the
         # syntax but only aids readability of the source.
-        if self.expect_ident("relation identifier") is None:
+        if self.ident("relation identifier") is None or not self.expect("LPAREN", "'('"):
             return self.recover()
-        if self.expect("LPAREN", "'('") is None:
+        rel = self.one_of(_RELTYPE_WORDS)
+        if rel is None or not self.expect("RPAREN", "')'"):
             return self.recover()
-        rel = self.peek()
-        if rel[KIND] == "IDENT" and rel[TEXT] in _RELTYPE_WORDS:
-            self.next()
-        else:
-            expected = ", ".join(_RELTYPE_WORDS)
-            self.error(f"expected one of {expected}, found {rel[TEXT]!r}", rel)
+        source = self.ident("concept identifier")
+        if source is None or not self.expect("ARROW", "'->'"):
             return self.recover()
-        if self.expect("RPAREN", "')'") is None:
-            return self.recover()
-        source = self.expect_ident("concept identifier")
-        if source is None:
-            return self.recover()
-        if self.expect("ARROW", "'->'") is None:
-            return self.recover()
-        target = self.expect_ident("concept identifier")
+        target = self.ident("concept identifier")
         if target is None:
             return self.recover()
-        index = len(self.model.relations)
-        self.model.relations.append(
-            AssociativeLink(parse_relation_kind(rel[TEXT]), source[TEXT], target[TEXT])
-        )
-        self.note_span("relation", str(index), kw)
+        self.model.spans[("relation", str(len(self.model.relations)))] = _token(at)[1:]
+        self.model.relations.append(AssociativeLink(parse_relation_kind(rel), source, target))
 
     def _stmt_term(self) -> None:
-        self.next()  # 'term'
-        designation = self.expect("STRING", "term designation string")
-        if designation is None:
+        self.advance()  # 'term'
+        at, designation = self.m, self.value
+        if not (self.expect("STRING", "term designation string") and self.expect("LPAREN", "'('")):
             return self.recover()
-        if self.expect("LPAREN", "'('") is None:
+        lang = self.ident("language tag")
+        if lang is None or not self.expect("COMMA", "','"):
             return self.recover()
-        lang = self.expect_ident("language tag")
-        if lang is None:
+        status = self.one_of(_STATUS_WORDS)
+        if status is None or not self.expect("RPAREN", "')'") or not self.expect_word("for"):
             return self.recover()
-        if self.expect("COMMA", "','") is None:
-            return self.recover()
-        status_tok = self.peek()
-        if status_tok[KIND] == "IDENT" and status_tok[TEXT] in _STATUS_WORDS:
-            self.next()
-        else:
-            expected = ", ".join(_STATUS_WORDS)
-            self.error(f"expected one of {expected}, found {status_tok[TEXT]!r}", status_tok)
-            return self.recover()
-        if self.expect("RPAREN", "')'") is None:
-            return self.recover()
-        if self.expect("KEYWORD", "'for'", "for") is None:
-            return self.recover()
-        concept = self.expect_ident("concept identifier")
+        concept = self.ident("concept identifier")
         if concept is None:
             return self.recover()
         nl_definition: Optional[str] = None
-        if self.at("KEYWORD", "definition"):
-            self.next()
-            text = self.expect("STRING", "definition string")
-            if text is None:
+        if self.at_word("definition"):
+            self.advance()
+            nl_definition = self.value
+            if not self.expect("STRING", "definition string"):
                 return self.recover()
-            nl_definition = str(text[VALUE])
-        triple = (str(designation[VALUE]), lang[TEXT], concept[TEXT])
+        triple = (designation, lang, concept)
         if triple in self.term_triples:
             self.error(
-                f"term {triple[0]!r} ({lang[TEXT]}) for '{concept[TEXT]}' already declared",
-                designation,
+                f"term {triple[0]!r} ({lang}) for '{concept}' already declared",
+                at,
                 code="E_DUP_DECL",
+                value=designation,
             )
             return
         self.term_triples.add(triple)
-        index = len(self.model.terms)
+        self.model.spans[("term", str(len(self.model.terms)))] = _token(at, designation)[1:]
         self.model.terms.append(
-            Term(
-                str(designation[VALUE]),
-                lang[TEXT],
-                TermStatus(status_tok[TEXT]),
-                concept[TEXT],
-                nl_definition,
-            )
+            Term(designation, lang, TermStatus(status), concept, nl_definition)
         )
-        self.note_span("term", str(index), designation)
 
     def _stmt_class(self) -> None:
-        self.next()  # 'class'
-        name = self.expect_ident("class identifier")
-        if name is None:
-            return self.recover()
-        if self.expect("ASSIGN", "':='") is None:
-            return self.recover()
-        if self.expect("LBRACE", "'{'") is None:
-            return self.recover()
-        if self.expect("IDENT", "'x'", "x") is None:
-            return self.recover()
-        if self.expect("PIPE", "'|'") is None:
+        self.advance()  # 'class'
+        at = self.m
+        name = self.ident("class identifier")
+        if (
+            name is None
+            or not self.expect("ASSIGN", "':='")
+            or not self.expect("LBRACE", "'{'")
+            or not self.expect_word("x")
+            or not self.expect("PIPE", "'|'")
+        ):
             return self.recover()
         expr = self._class_expr(0)
-        if expr is None:
+        if expr is None or not self.expect("RBRACE", "'}'"):
             return self.recover()
-        if self.expect("RBRACE", "'}'") is None:
-            return self.recover()
-        if not self.declare("class", name[TEXT], name):
-            return
-        self.model.classes[name[TEXT]] = ClassDef(name[TEXT], expr)
+        if self.declare("class", name, at):
+            self.model.classes[name] = ClassDef(name, expr)
 
     # -- class expressions ---------------------------------------------------
 
     def _class_expr(self, depth: int) -> Optional[ClassExpression]:
         if depth > MAX_EXPR_DEPTH:
-            self.error("class expression too deeply nested", self.peek())
+            self.error("class expression too deeply nested", self.m, value=self.value)
             return None
         left = self._and_expr(depth)
         if left is None:
             return None
         children = [left]
-        while self.at("KEYWORD", "or"):
-            self.next()
+        while self.at_word("or"):
+            self.advance()
             nxt = self._and_expr(depth)
             if nxt is None:
                 return None
@@ -682,8 +616,8 @@ class _Parser:
         if left is None:
             return None
         children = [left]
-        while self.at("KEYWORD", "and"):
-            self.next()
+        while self.at_word("and"):
+            self.advance()
             nxt = self._unary(depth)
             if nxt is None:
                 return None
@@ -694,54 +628,41 @@ class _Parser:
         # leading 'not's are counted iteratively so pathological chains can't
         # exhaust the interpreter stack
         negations = 0
-        while self.at("KEYWORD", "not"):
-            self.next()
+        while self.at_word("not"):
+            self.advance()
             negations += 1
-        if self.at("LPAREN"):
-            self.next()
-            inner = self._class_expr(depth + 1)
-            if inner is None:
+        if self.kind == "LPAREN":
+            self.advance()
+            expr = self._class_expr(depth + 1)
+            if expr is None or not self.expect("RPAREN", "')'"):
                 return None
-            if self.expect("RPAREN", "')'") is None:
-                return None
-            expr = inner
         else:
-            atom = self._atom()
-            if atom is None:
+            expr = self._atom()
+            if expr is None:
                 return None
-            expr = atom
         for _ in range(negations):
             expr = Not(expr)
         return expr
 
     def _atom(self) -> Optional[ClassExpression]:
-        tok = self.peek()
-        if tok[KIND] == "KEYWORD" and tok[TEXT] == "in":
-            self.next()
-            concept = self.expect_ident("concept identifier")
-            if concept is None:
+        word = self.m[1] if self.kind == "WORD" else None
+        if word == "in" or word == "has":
+            self.advance()
+            name = self.ident("concept identifier" if word == "in" else "attribute identifier")
+            if name is None:
                 return None
-            return InConcept(concept[TEXT])
-        if tok[KIND] == "KEYWORD" and tok[TEXT] == "has":
-            self.next()
-            attr = self.expect_ident("attribute identifier")
-            if attr is None:
+            return InConcept(name) if word == "in" else HasAttr(name)
+        if word is not None and word not in KEYWORDS:
+            self.advance()
+            if not self.expect("EQUALS", "'='"):
                 return None
-            return HasAttr(attr[TEXT])
-        if tok[KIND] == "IDENT":
-            self.next()
-            if self.expect("EQUALS", "'='") is None:
-                return None
-            val = self._value()
-            if val is None:
-                return None
-            return AttrEquals(tok[TEXT], val[0])
-        self.error(
-            f"expected 'in', 'has', attribute comparison, 'not' or '(', "
-            f"found {_describe(tok)}",
-            tok,
-        )
+            value = self._value()
+            return None if value is None else AttrEquals(word, value)
+        self.fail("'in', 'has', attribute comparison, 'not' or '('")
         return None
+
+
+_STATEMENTS = {word: getattr(_Parser, f"_stmt_{word}") for word in STATEMENT_KEYWORDS}
 
 
 def parse(source: str, file_name: str = "<input>") -> ParseResult:
@@ -750,44 +671,43 @@ def parse(source: str, file_name: str = "<input>") -> ParseResult:
     Never raises; lexical and syntactic problems are reported as diagnostics
     and the parser resynchronizes at the next statement boundary.
     """
-    text = SourceText(file_name, source)
-    lex_diags: list[Diagnostic] = []
-    result = _Parser(_lex(text, lex_diags), text).run()
+    parser = _Parser(SourceText(file_name, source))
+    parser.run()
     diagnostics = sorted(
-        lex_diags + result.diagnostics,
-        key=lambda d: (d.location.line, d.location.column, d.code)
-        if isinstance(d.location, SourceSpan)
-        else (0, 0, d.code),
+        parser.lex_errors + parser.diagnostics,
+        key=lambda d: (d.location.line, d.location.column, d.code),
     )
-    if any(d.is_error for d in diagnostics):
-        return ParseResult(None, diagnostics)
-    return ParseResult(result.model, diagnostics)
+    # every diagnostic of the parser is an error
+    return ParseResult(None if diagnostics else parser.model, diagnostics)
 
 
 def parse_class_expr(source: str, file_name: str = "<expr>") -> ClassExpression:
-    """Parse a standalone class expression, raising ParseError on bad input."""
-    text = SourceText(file_name, source)
-    lex_diags: list[Diagnostic] = []
-    tokens = list(_lex(text, lex_diags))
-    if lex_diags:
-        raise ParseError(lex_diags[0])
-    parser = _Parser(iter(tokens), text)
+    """Parse a standalone class expression, raising ParseError on bad input.
+
+    A lexical error anywhere in the input is reported before a syntax error.
+    """
+    parser = _Parser(SourceText(file_name, source))
     expr = parser._class_expr(0)
-    if expr is None or parser.diagnostics:
-        diag = parser.diagnostics[0] if parser.diagnostics else Diagnostic(
-            Severity.ERROR, "E_SYN", "empty class expression", SourceSpan(file_name, 1, 1)
-        )
-        raise ParseError(diag)
-    while parser.at("SEP"):
-        parser.next()
-    trailing = parser.peek()
-    if trailing[KIND] != "EOF":
+    trailing = None
+    if expr is not None:
+        while parser.kind == "SEP":
+            parser.advance()
+        if parser.kind != "EOF":
+            trailing = (parser.m, parser.value)
+    while parser.kind != "EOF":
+        parser.advance()
+    if parser.lex_errors:
+        raise ParseError(parser.lex_errors[0])
+    if expr is None:
+        raise ParseError(parser.diagnostics[0])
+    if trailing is not None:
+        text, offset, length = _token(*trailing)
         raise ParseError(
             Diagnostic(
                 Severity.ERROR,
                 "E_SYN",
-                f"unexpected trailing input {trailing[TEXT]!r}",
-                parser.span(trailing),
+                f"unexpected trailing input {text!r}",
+                parser.source.span(offset, length),
             )
         )
     return expr

@@ -1,9 +1,10 @@
 """Class algebra: evaluation semantics, conjunction/disjunction, laws."""
 
 import random
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otl import (
@@ -151,6 +152,21 @@ def test_de_morgan(seed):
     left = evaluate_class(model, Not(And((a, b))))
     right = evaluate_class(model, Or((Not(a), Not(b))))
     assert left == right
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=15)
+def test_double_negation_beyond_the_recursion_limit(seed):
+    rng = random.Random(seed)
+    model = valid_random_model(seed, max_concepts=12, max_objects=15)
+    base = random_expr(rng, model, depth=3)
+    expected = evaluate_class(model, base)
+    depth = 2 * (sys.getrecursionlimit() // 2 + rng.randint(1, 500))
+    expr = base
+    for _ in range(depth):
+        expr = Not(expr)
+    assert evaluate_class(model, expr) == expected
+    assert evaluate_class(model, Not(expr)) == frozenset(model.objects) - expected
 
 
 @given(st.integers(min_value=0, max_value=10_000))

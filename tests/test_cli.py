@@ -3,6 +3,8 @@
 import gc
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from otl import __version__, from_json, parse, to_json, validate
 from otl.cli import main, run
 
-from conftest import FIXTURES
+from conftest import FIXTURES, ROOT
 
 MOUSE = str(FIXTURES / "mouse.otl")
 RED = str(FIXTURES / "red_things.otl")
@@ -21,6 +23,14 @@ def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def otl_process(*args):
+    """Run `python [args]` with otl importable from the source tree."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, check=False
+    )
 
 
 def test_check_valid_file_silent_success():
@@ -255,3 +265,44 @@ def test_main_runs_without_the_cyclic_collector(monkeypatch, capsys):
         assert not gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
+
+
+DEFERRED = {"json", "otl.definitions", "otl.exporters"}
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        (["check", MOUSE], set()),
+        (["export", MOUSE, "--format", "json"], {"json", "otl.exporters"}),
+        (["define", MOUSE, "OpticalMouse"], {"otl.definitions"}),
+    ],
+)
+def test_commands_import_only_the_modules_they_use(command, loaded):
+    done = otl_process("-X", "importtime", "-m", "otl.cli", *command)
+    assert done.returncode == 0
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "otl.parser" in imported
+    assert imported & DEFERRED == loaded
+
+
+def test_library_api_is_complete_after_lazy_imports():
+    import otl
+
+    namespace = {}
+    exec("from otl import *", namespace)
+    assert {name for name in otl.__all__ if name not in namespace} == set()
+    assert namespace["to_json"] is to_json
+    with pytest.raises(AttributeError):
+        otl.no_such_name
+
+
+@pytest.mark.parametrize("depth, members", [(5000, "thisOpticalMouse\n"), (5001, "")])
+def test_query_on_a_not_chain_deeper_than_the_recursion_limit(depth, members):
+    expr = "not " * depth + "has colour"
+    done = otl_process("-m", "otl.cli", "query", MOUSE, "--class", expr)
+    assert (done.returncode, done.stdout, done.stderr) == (0, members, "")

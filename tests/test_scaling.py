@@ -1,11 +1,17 @@
-"""Doubling-ratio gates on the load path: the time at 2n over the time at n.
+"""Doubling-ratio gates on the load path: the cost at 2n over the cost at n.
 
-Ratios rather than absolute times, so the gates mean the same on a slow or
-a shared machine.  The n and 2n runs are timed back to back in CPU time,
-after a garbage collection, and the gate takes the median ratio of five
-such pairs, so a burst of load on the machine skews one pair, not the
-result.  The heap is frozen around each timed call, so the collections it
-triggers scan only what the call allocates, not what earlier tests left.
+Ratios rather than absolute costs, so the gates mean the same on a slow or
+a shared machine.  Each gate checks two ratios of one stage:
+
+* CPU time: the median ratio of PAIRS pairs of back-to-back n and 2n runs,
+  after a garbage collection each, with the order of the two sizes
+  alternating from pair to pair, so a machine that speeds up or slows down
+  during a pair pushes as many ratios up as down.  The heap is frozen
+  around each timed call, so the collections it triggers scan only what
+  the call allocates, not what earlier tests left.
+* Memory: the peak bytes tracemalloc sees during one run of each size,
+  which does not depend on the machine's load at all.
+
 A stage linear in its input doubles (gate 2.5); the genus chain's
 superiors are quadratic in n, so its gate is 4.5.
 """
@@ -13,10 +19,12 @@ superiors are quadratic in n, so its gate is 4.5.
 import gc
 import statistics
 import time
+import tracemalloc
+from functools import partial
 
 from otl import has_errors, parse, validate
 
-PAIRS = 5
+PAIRS = 9
 
 
 def chain_source(n):
@@ -44,54 +52,66 @@ def wide_tree_source(n):
     return "\n".join(lines) + "\n"
 
 
-def time_validate(source):
-    model = parse(source).model
+def validate_call(source):
+    return partial(validate, parse(source).model)
+
+
+def parse_call(source):
+    return partial(parse, source)
+
+
+def timed(call):
     gc.collect()
     gc.freeze()
     try:
         start = time.process_time()
-        diagnostics = validate(model)
+        result = call()
         elapsed = time.process_time() - start
     finally:
         gc.unfreeze()
-    return elapsed, diagnostics
+    return elapsed, result
 
 
-def time_parse(source):
+def peak_bytes(call):
     gc.collect()
-    gc.freeze()
+    tracemalloc.start()
     try:
-        start = time.process_time()
-        result = parse(source)
-        elapsed = time.process_time() - start
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
-        gc.unfreeze()
-    return elapsed, result.diagnostics
+        tracemalloc.stop()
 
 
-def doubling_ratio(timed, make_source, n):
-    small, large = make_source(n), make_source(2 * n)
+def doubling_ratios(make_call, make_source, n):
+    """(time ratio, memory ratio, result at 2n) of the stage that
+    `make_call` readies for one run on a source."""
+    sources = {"n": make_source(n), "2n": make_source(2 * n)}
     ratios = []
-    for _ in range(PAIRS):
-        elapsed_small, _ = timed(small)
-        elapsed_large, diagnostics = timed(large)
-        ratios.append(elapsed_large / elapsed_small)
-    return statistics.median(ratios), diagnostics
+    elapsed, results = {}, {}
+    for pair in range(PAIRS):
+        for size in ("n", "2n") if pair % 2 == 0 else ("2n", "n"):
+            elapsed[size], results[size] = timed(make_call(sources[size]))
+        ratios.append(elapsed["2n"] / elapsed["n"])
+    peaks = {size: peak_bytes(make_call(source)) for size, source in sources.items()}
+    return statistics.median(ratios), peaks["2n"] / peaks["n"], results["2n"]
 
 
 def test_genus_chain_validate_grows_with_its_quadratic_output():
-    ratio, diagnostics = doubling_ratio(time_validate, chain_source, 128)
+    time_ratio, memory_ratio, diagnostics = doubling_ratios(validate_call, chain_source, 128)
     assert diagnostics == []
-    assert ratio <= 4.5
+    assert time_ratio <= 4.5
+    assert memory_ratio <= 4.5
 
 
 def test_part_cycle_validate_is_linear():
-    ratio, diagnostics = doubling_ratio(time_validate, part_cycle_source, 2000)
+    time_ratio, memory_ratio, diagnostics = doubling_ratios(validate_call, part_cycle_source, 2000)
     assert [d.code for d in diagnostics] == ["E_PART_CYCLE"]
-    assert ratio <= 2.5
+    assert time_ratio <= 2.5
+    assert memory_ratio <= 2.5
 
 
 def test_wide_tree_parse_is_linear():
-    ratio, diagnostics = doubling_ratio(time_parse, wide_tree_source, 1000)
-    assert not has_errors(diagnostics)
-    assert ratio <= 2.5
+    time_ratio, memory_ratio, result = doubling_ratios(parse_call, wide_tree_source, 1000)
+    assert not has_errors(result.diagnostics)
+    assert time_ratio <= 2.5
+    assert memory_ratio <= 2.5

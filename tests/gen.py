@@ -7,7 +7,9 @@ list) so tests can reason about which identifiers may appear where.
 
 from __future__ import annotations
 
+import copy
 import random
+import re
 from decimal import Decimal
 
 from otl import (
@@ -32,6 +34,7 @@ from otl import (
     has_errors,
     validate,
 )
+from otl.parser import KEYWORDS
 
 TEXT_POOL = ("red", "blue", "green", "matte", "glossy", "compact", "heavy")
 LANG_POOL = ("en", "fr", "de")
@@ -201,3 +204,55 @@ def valid_random_model(seed: int, **kwargs) -> Model:
         + "; ".join(d.render() for d in diagnostics if d.is_error)
     )
     return model
+
+
+# JSON values a mutation may put anywhere: each JSON type, the enum
+# spellings and a stray expression node.
+ODD_VALUES = (
+    None, True, False, 0, -1, 2.5, "", "otl-json/1", "cause_effect", "number",
+    "boolean", "007", [], {}, ["x"], {"op": "has", "attribute": "a0"},
+)
+_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
+def _slots(node):
+    """Every (container, key) pair of a JSON document, depth first."""
+    keys = range(len(node)) if isinstance(node, list) else list(node)
+    for key in keys:
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+def mutated_document(rng: random.Random, doc: dict, max_edits: int = 3) -> dict:
+    """A copy of an otl-json document with one to `max_edits` random edits,
+    the ones that keep it loadable most often drawn most often: a string
+    replaced by one of the document's identifier-shaped strings, a key or an
+    item removed, an item duplicated or swapped with another, an unknown key
+    added, a value replaced by an odd value or by another node."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, max_edits)):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        strings = [(c, k) for c, k in slots if isinstance(c[k], str)]
+        names = sorted({c[k] for c, k in strings if _IDENTIFIER.fullmatch(c[k]) and c[k] not in KEYWORDS}) or ["x"]
+        edit = rng.choice(("name", "name", "name", "drop", "drop", "grow", "grow", "odd", "node"))
+        container, key = rng.choice(strings if edit == "name" and strings else slots)
+        if edit == "name":
+            container[key] = rng.choice(names)
+        elif edit == "drop":
+            del container[key]
+        elif edit == "odd":
+            container[key] = copy.deepcopy(rng.choice(ODD_VALUES))
+        elif edit == "node":
+            other, other_key = rng.choice(slots)
+            container[key] = copy.deepcopy(other[other_key])
+        elif isinstance(container, dict):
+            container[rng.choice(("extra", "op", "id", "value"))] = rng.choice(names)
+        elif rng.random() < 0.5:
+            container.insert(key, copy.deepcopy(container[key]))
+        else:
+            other_key = rng.randrange(len(container))
+            container[key], container[other_key] = container[other_key], container[key]
+    return doc

@@ -5,11 +5,14 @@ Three exchange formats:
 * canonical JSON (``.otl.json``, schema version ``otl-json/1``): object keys
   sorted, arrays in declaration order, UTF-8, LF newlines, two-space indent,
   byte-stable across runs.  Number values are carried as decimal literal
-  strings so nothing is lost to binary floating point.  The bytes are those
-  of ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)``, but
-  ``to_json`` builds no ``doc``: it fills one ``%`` template per entity kind,
-  whose keys are written in sorted order, with field values escaped by the
-  C escaper ``json.dumps`` uses, and joins each array once.
+  strings so nothing is lost to binary floating point.  The schema is
+  written once, in ``_ENTITIES`` (one row per entity array, in load order)
+  and ``_OPS`` (one row per expression operator); each field has a codec
+  with its JSON shape, its writer and its reader.  ``to_json`` writes the
+  bytes of ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)``
+  without building ``doc``: one ``%`` template per row, keys in sorted
+  order, filled a column at a time with strings escaped by the C escaper
+  ``json.dumps`` uses.  ``from_json`` runs one loop over the same rows.
 * DSL text (``.otl``): ``print_dsl`` is the round-trip partner of the
   parser; declarations are emitted in dependency order.
 * DOT (``.dot``): the concept hierarchy as a directed graph, with declared
@@ -24,10 +27,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Any, Iterable, Optional
+from functools import lru_cache
+from itertools import repeat
+from operator import attrgetter
+from typing import Any, Callable, Container, Iterable, NamedTuple, Optional
 
 from . import model as m
-from .classes import And, AttrEquals, ClassExpression, HasAttr, InConcept, Not, Or
+from .classes import And, AttrEquals, ClassExpression, HasAttr, InConcept, Not, Or, fold
 from .reasoner import compute_hierarchy, validate
 
 JSON_VERSION = "otl-json/1"
@@ -64,11 +70,17 @@ def _pad(depth: int) -> str:
     return "\n" + "  " * depth
 
 
-def _template(depth: int, *keys: str) -> str:
+@lru_cache(maxsize=None)
+def _template(depth: int, keys: tuple[str, ...]) -> str:
     """``%`` template of an object opened at nesting ``depth`` whose values
-    are JSON text already; ``keys`` come in sorted order."""
+    are JSON text already, to be filled in the sorted order of ``keys``."""
     pad = _pad(depth)
-    return "{" + ",".join(pad + '  "' + key + '": %s' for key in keys) + pad + "}"
+    return "{" + ",".join(pad + '  "' + key + '": %s' for key in sorted(keys)) + pad + "}"
+
+
+def _fill(depth: int, texts: dict[str, str]) -> str:
+    keys = sorted(texts)
+    return _template(depth, tuple(keys)) % tuple(map(texts.__getitem__, keys))
 
 
 def _array(items: list[str], depth: int, brackets: str = "[]") -> str:
@@ -80,15 +92,84 @@ def _array(items: list[str], depth: int, brackets: str = "[]") -> str:
     return brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + brackets[1]
 
 
-def _strings(items: Iterable[str], depth: int) -> str:
-    return _array(list(map(_quote, items)), depth)
+def _shape_error(path: str, expected: str, node: Any) -> JsonSchemaError:
+    return JsonSchemaError(path, f"expected {expected}, got {type(node).__name__}")
 
 
-def _opt(text: Optional[str]) -> str:
-    return "null" if text is None else _quote(text)
+class _Codec(NamedTuple):
+    """How a field's values are written and read.  ``shape`` is the JSON type
+    a value must have.  ``write(values, depth)`` turns a column of the
+    model's values into their JSON texts, each opened at ``depth``.
+    ``read(node, path)`` turns a JSON value into the model's value, or
+    raises; without it the JSON value is taken as it is."""
+
+    shape: type
+    write: Optional[Callable[[Iterable[Any], int], Iterable[str]]] = None
+    read: Optional[Callable[[Any, str], Any]] = None
 
 
-def _value(value: m.Value, template: str) -> str:
+class _Field(NamedTuple):
+    """One key of a JSON object.  A ``derive``d field is output of
+    validation: its column is ``derive(model, entities)``, it is optional on
+    input, and a stated value must agree with the validated model."""
+
+    key: str
+    codec: _Codec
+    derive: Optional[Callable[[m.Model, Iterable[Any]], Iterable[Any]]] = None
+
+
+def _check(node: Any, path: str, fields: Iterable[_Field], keys: Container[str]) -> None:
+    """Check the keys of a JSON object and the shape of each field's value:
+    first any key not in ``keys``, then each field's presence and shape in
+    field order."""
+    if not isinstance(node, dict):
+        raise _shape_error(path, "object", node)
+    for key in node:
+        if key not in keys:
+            raise JsonSchemaError(f"{path}/{key}", "unexpected key")
+    for key, codec, derive in fields:
+        if key not in node:
+            if derive is None:
+                raise JsonSchemaError(path, f"missing key '{key}'")
+        elif not isinstance(node[key], codec.shape):
+            raise _shape_error(f"{path}/{key}", codec.shape.__name__, node[key])
+
+
+def _read_opt(node: Any, path: str) -> Optional[str]:
+    if node is None or isinstance(node, str):
+        return node
+    raise _shape_error(path, "string or null", node)
+
+
+def _read_strings(node: list, path: str) -> tuple[str, ...]:
+    if not all(isinstance(item, str) for item in node):
+        raise JsonSchemaError(path, "expected array of strings")
+    return tuple(node)
+
+
+_STR = _Codec(str, lambda texts, depth: map(_quote, texts))
+_OPT = _Codec(object, lambda texts, depth: ["null" if t is None else _quote(t) for t in texts], _read_opt)
+_STRINGS = _Codec(list, lambda lists, depth: [_array(list(map(_quote, s)), depth) for s in lists], _read_strings)
+
+
+def _enum(parse: Callable[[str], Any], noun: str) -> _Codec:
+    """Codec of a str enum, written as its value."""
+
+    def read(node: str, path: str) -> Any:
+        try:
+            return parse(node)
+        except (ValueError, m.UnknownIdentifierError):
+            raise JsonSchemaError(path, f"unknown {noun} {node!r}") from None
+
+    return _Codec(str, _STR.write, read)
+
+
+# A value is a tagged object: {"kind": "text" | "number" | "boolean", "value": ...}.
+_VALUE_FIELDS = (_Field("kind", _STR), _Field("value", _Codec(object)))
+_VALUE_KEYS = tuple(field.key for field in _VALUE_FIELDS)
+
+
+def _tagged(value: m.Value, template: str) -> str:
     kind = m.value_kind_of(value)
     if kind is m.ValueKind.TEXT:
         return template % ('"text"', _quote(value))  # type: ignore[arg-type]
@@ -97,184 +178,144 @@ def _value(value: m.Value, template: str) -> str:
     return template % ('"boolean"', "true" if value else "false")
 
 
+def _read_value(node: Any, path: str) -> m.Value:
+    _check(node, path, _VALUE_FIELDS, _VALUE_KEYS)
+    kind, raw = node["kind"], node["value"]
+    if kind == "text":
+        if not isinstance(raw, str):
+            raise JsonSchemaError(f"{path}/value", "text value must be a string")
+        return raw
+    if kind == "boolean":
+        if not isinstance(raw, bool):
+            raise JsonSchemaError(f"{path}/value", "boolean value must be true or false")
+        return raw
+    if kind == "number":
+        if not isinstance(raw, str):
+            raise JsonSchemaError(f"{path}/value", "number value must be a decimal literal string")
+        if not m.NUMBER_LITERAL.fullmatch(raw):
+            raise JsonSchemaError(f"{path}/value", f"invalid decimal literal {raw!r}")
+        return Decimal(raw)
+    raise JsonSchemaError(f"{path}/kind", f"unknown value kind {kind!r}")
+
+
+def _write_values(dicts: Iterable[dict[str, m.Value]], depth: int) -> list[str]:
+    template = _template(depth + 1, _VALUE_KEYS)
+    return [_array([_quote(k) + ": " + _tagged(d[k], template) for k in sorted(d)], depth, "{}") for d in dicts]
+
+
+_VALUE = _Codec(object, lambda values, depth: [_tagged(v, _template(depth, _VALUE_KEYS)) for v in values], _read_value)
+_VALUES = _Codec(dict, _write_values, lambda node, path: {k: _read_value(v, f"{path}/{k}") for k, v in node.items()})
+
+
+# An expression is written and read with one call of _expr or _read_expr per
+# nesting level (their codecs call them through map or a loop, never a
+# comprehension), so as deep as json.loads itself reads.
+
+
 def _expr(expr: ClassExpression, depth: int) -> str:
-    if isinstance(expr, InConcept):
-        return _template(depth, "concept", "op") % (_quote(expr.concept), '"in"')
-    if isinstance(expr, AttrEquals):
-        value = _value(expr.value, _template(depth + 1, "kind", "value"))
-        return _template(depth, "attribute", "op", "value") % (_quote(expr.attribute), '"eq"', value)
-    if isinstance(expr, HasAttr):
-        return _template(depth, "attribute", "op") % (_quote(expr.attribute), '"has"')
-    if isinstance(expr, (And, Or)):
-        children = _array([_expr(c, depth + 2) for c in expr.children], depth + 1)
-        return _template(depth, "children", "op") % (children, '"and"' if isinstance(expr, And) else '"or"')
-    return _template(depth, "child", "op") % (_expr(expr.child, depth + 1), '"not"')
+    op = _OP_OF[type(expr)]
+    texts = {"op": _quote(op)}
+    for key, codec, _ in _OPS[op][1]:
+        (texts[key],) = codec.write((getattr(expr, key),), depth + 1)
+    return _fill(depth, texts)
 
 
-# Entities sit at depth 2: in an array (depth 1) in the document (depth 0).
-_DOCUMENT = _template(
-    0, "attributes", "axes", "classes", "concepts", "differences",
-    "objects", "parts", "relations", "terms", "version",
+def _read_expr(node: Any, path: str) -> ClassExpression:
+    if not isinstance(node, dict) or "op" not in node:
+        raise JsonSchemaError(path, "expected expression object with 'op'")
+    op = node["op"]
+    if not isinstance(op, str) or op not in _OPS:
+        raise JsonSchemaError(f"{path}/op", f"unknown operator {op!r}")
+    cls, fields = _OPS[op]
+    _check(node, path, fields, {"op", *(field.key for field in fields)})
+    args = {}
+    for key, codec, _ in fields:
+        args[key] = node[key] if codec.read is None else codec.read(node[key], f"{path}/{key}")
+    try:
+        return cls(**args)
+    except ValueError:  # And and Or take two children or more
+        raise JsonSchemaError(f"{path}/children", f"'{op}' needs at least two children") from None
+
+
+def _exprs(children: tuple[ClassExpression, ...], depth: int) -> str:
+    return _array(list(map(_expr, children, repeat(depth + 1))), depth)
+
+
+def _read_exprs(node: list, path: str) -> tuple[ClassExpression, ...]:
+    children = []
+    for i, child in enumerate(node):
+        children.append(_read_expr(child, f"{path}/{i}"))
+    return tuple(children)
+
+
+_EXPR = _Codec(object, lambda exprs, depth: map(_expr, exprs, repeat(depth)), _read_expr)
+_EXPRS = _Codec(list, lambda lists, depth: map(_exprs, lists, repeat(depth)), _read_exprs)
+
+# The otl-json/1 schema.  ``_OPS``: each expression operator's class and
+# fields; ``_ENTITIES``: one row per entity array, in load order, with the
+# entity class, the noun of duplicate-id errors (None for arrays without
+# ids) and the fields.  Fields come in the order from_json checks them, and
+# each key is the name of the entity's attribute that holds the value.
+_OPS: dict[str, tuple[type, tuple[_Field, ...]]] = {
+    "in": (InConcept, (_Field("concept", _STR),)),
+    "eq": (AttrEquals, (_Field("attribute", _STR), _Field("value", _VALUE))),
+    "has": (HasAttr, (_Field("attribute", _STR),)),
+    "and": (And, (_Field("children", _EXPRS),)),
+    "or": (Or, (_Field("children", _EXPRS),)),
+    "not": (Not, (_Field("child", _EXPR),)),
+}
+_OP_OF = {cls: op for op, (cls, _) in _OPS.items()}
+
+_ID, _LABEL = _Field("id", _STR), _Field("label", _STR)
+_ENTITIES: tuple[tuple[str, type, Optional[str], tuple[_Field, ...]], ...] = (
+    ("differences", m.Difference, "difference", (
+        _ID, _LABEL, _Field("axis", _OPT, lambda model, differences: [d.axis for d in differences]),
+    )),
+    ("axes", m.Axis, "axis", (
+        _ID, _LABEL, _Field("scope", _STR), _Field("members", _STRINGS),
+        _Field("exclusive", _Codec(bool, lambda flags, depth: ["true" if f else "false" for f in flags])),
+    )),
+    ("concepts", m.Concept, "concept", (
+        _ID, _LABEL, _Field("genus", _OPT), _Field("differentiae", _STRINGS),
+        _Field("intension", _STRINGS, lambda model, concepts: [sorted(model.intensions[c.id]) for c in concepts]),
+    )),
+    ("attributes", m.AttributeDecl, "attribute", (
+        _ID, _LABEL, _Field("domain", _STR), _Field("value_kind", _enum(m.ValueKind, "value kind")),
+    )),
+    ("objects", m.ObjectInstance, "object", (_ID, _LABEL, _Field("concept", _STR), _Field("values", _VALUES))),
+    ("parts", m.PartLink, None, (_Field("whole", _STR), _Field("part", _STR), _Field("note", _OPT))),
+    ("relations", m.AssociativeLink, None, (
+        _Field("relation_type", _enum(m.parse_relation_kind, "relation type")),
+        _Field("source", _STR), _Field("target", _STR),
+    )),
+    ("terms", m.Term, None, (
+        _Field("designation", _STR), _Field("language", _STR), _Field("status", _enum(m.TermStatus, "term status")),
+        _Field("concept", _STR), _Field("nl_definition", _OPT),
+    )),
+    ("classes", m.ClassDef, "class", (_ID, _Field("expr", _EXPR))),
 )
-_DIFFERENCE = _template(2, "axis", "id", "label")
-_AXIS = _template(2, "exclusive", "id", "label", "members", "scope")
-_CONCEPT = _template(2, "differentiae", "genus", "id", "intension", "label")
-_ATTRIBUTE = _template(2, "domain", "id", "label", "value_kind")
-_OBJECT = _template(2, "concept", "id", "label", "values")
-_OBJECT_VALUE = _template(4, "kind", "value")
-_PART = _template(2, "note", "part", "whole")
-_RELATION = _template(2, "relation_type", "source", "target")
-_TERM = _template(2, "concept", "designation", "language", "nl_definition", "status")
-_CLASS = _template(2, "expr", "id")
 
 
-def _values(values: dict[str, m.Value]) -> str:
-    return _array([_quote(k) + ": " + _value(values[k], _OBJECT_VALUE) for k in sorted(values)], 3, "{}")
+def _entities(model: m.Model, key: str, fields: tuple[_Field, ...]) -> str:
+    """The array of one entity kind at depth 1, written a column at a time:
+    each field's values in one pass, then one ``%`` fill per entity."""
+    items = getattr(model, key)
+    if isinstance(items, dict):
+        items = items.values()
+    columns = [
+        codec.write(derive(model, items) if derive else map(attrgetter(field_key), items), 3)
+        for field_key, codec, derive in sorted(fields)
+    ]
+    template = _template(2, tuple(field.key for field in fields))
+    return _array([template % texts for texts in zip(*columns)], 1)
 
 
 def to_json(model: m.Model) -> str:
     """Canonical JSON for a validated model, including derived intensions."""
     model.require_validated("to_json")
-    q = _quote
-    return _DOCUMENT % (
-        _array([
-            _ATTRIBUTE % (q(a.domain), q(a.id), q(a.label), q(a.value_kind.value))
-            for a in model.attributes.values()
-        ], 1),
-        _array([
-            _AXIS % ("true" if a.exclusive else "false", q(a.id), q(a.label), _strings(a.members, 3), q(a.scope))
-            for a in model.axes.values()
-        ], 1),
-        _array([_CLASS % (_expr(c.expr, 3), q(c.id)) for c in model.classes.values()], 1),
-        _array([
-            _CONCEPT % (
-                _strings(c.differentiae, 3), _opt(c.genus), q(c.id),
-                _strings(sorted(model.intensions[c.id]), 3), q(c.label),
-            )
-            for c in model.concepts.values()
-        ], 1),
-        _array([_DIFFERENCE % (_opt(d.axis), q(d.id), q(d.label)) for d in model.differences.values()], 1),
-        _array([
-            _OBJECT % (q(o.concept), q(o.id), q(o.label), _values(o.values))
-            for o in model.objects.values()
-        ], 1),
-        _array([_PART % (_opt(p.note), q(p.part), q(p.whole)) for p in model.parts], 1),
-        _array([
-            _RELATION % (q(r.relation_type.value), q(r.source), q(r.target)) for r in model.relations
-        ], 1),
-        _array([
-            _TERM % (q(t.concept), q(t.designation), q(t.language), _opt(t.nl_definition), q(t.status.value))
-            for t in model.terms
-        ], 1),
-        q(JSON_VERSION),
-    ) + "\n"
-
-
-class _Loader:
-    """Strict walker over otl-json documents; errors carry JSON-pointer paths."""
-
-    def obj(self, node: Any, path: str, required: dict[str, type], optional: dict[str, type] | None = None) -> dict:
-        if not isinstance(node, dict):
-            raise JsonSchemaError(path, f"expected object, got {type(node).__name__}")
-        optional = optional or {}
-        for key in node:
-            if key not in required and key not in optional:
-                raise JsonSchemaError(f"{path}/{key}", "unexpected key")
-        out = {}
-        for key, expected in required.items():
-            if key not in node:
-                raise JsonSchemaError(path, f"missing key '{key}'")
-            out[key] = self.typed(node[key], f"{path}/{key}", expected)
-        for key, expected in optional.items():
-            if key in node:
-                out[key] = self.typed(node[key], f"{path}/{key}", expected)
-        return out
-
-    def typed(self, node: Any, path: str, expected: type) -> Any:
-        if expected is object:
-            return node
-        if expected is str and isinstance(node, str):
-            return node
-        if expected is bool and isinstance(node, bool):
-            return node
-        if expected is list and isinstance(node, list):
-            return node
-        if expected is dict and isinstance(node, dict):
-            return node
-        raise JsonSchemaError(path, f"expected {expected.__name__}, got {type(node).__name__}")
-
-    def opt_str(self, node: Any, path: str) -> Optional[str]:
-        if node is None:
-            return None
-        if isinstance(node, str):
-            return node
-        raise JsonSchemaError(path, f"expected string or null, got {type(node).__name__}")
-
-    def str_list(self, node: Any, path: str) -> list[str]:
-        if not isinstance(node, list) or not all(isinstance(x, str) for x in node):
-            raise JsonSchemaError(path, "expected array of strings")
-        return node
-
-    def value(self, node: Any, path: str) -> m.Value:
-        fields = self.obj(node, path, {"kind": str, "value": object})
-        kind = fields["kind"]
-        raw = fields["value"]
-        if kind == "text":
-            if not isinstance(raw, str):
-                raise JsonSchemaError(f"{path}/value", "text value must be a string")
-            return raw
-        if kind == "boolean":
-            if not isinstance(raw, bool):
-                raise JsonSchemaError(f"{path}/value", "boolean value must be true or false")
-            return raw
-        if kind == "number":
-            if not isinstance(raw, str):
-                raise JsonSchemaError(f"{path}/value", "number value must be a decimal literal string")
-            if not m.NUMBER_LITERAL.fullmatch(raw):
-                raise JsonSchemaError(f"{path}/value", f"invalid decimal literal {raw!r}")
-            return Decimal(raw)
-        raise JsonSchemaError(f"{path}/kind", f"unknown value kind {kind!r}")
-
-    def expr(self, node: Any, path: str) -> ClassExpression:
-        if not isinstance(node, dict) or "op" not in node:
-            raise JsonSchemaError(path, "expected expression object with 'op'")
-        op = node["op"]
-        if op == "in":
-            fields = self.obj(node, path, {"op": str, "concept": str})
-            return InConcept(fields["concept"])
-        if op == "eq":
-            fields = self.obj(node, path, {"op": str, "attribute": str, "value": object})
-            return AttrEquals(fields["attribute"], self.value(fields["value"], f"{path}/value"))
-        if op == "has":
-            fields = self.obj(node, path, {"op": str, "attribute": str})
-            return HasAttr(fields["attribute"])
-        if op in ("and", "or"):
-            fields = self.obj(node, path, {"op": str, "children": list})
-            children = [
-                self.expr(child, f"{path}/children/{i}")
-                for i, child in enumerate(fields["children"])
-            ]
-            if len(children) < 2:
-                raise JsonSchemaError(f"{path}/children", f"'{op}' needs at least two children")
-            return And(tuple(children)) if op == "and" else Or(tuple(children))
-        if op == "not":
-            fields = self.obj(node, path, {"op": str, "child": object})
-            return Not(self.expr(fields["child"], f"{path}/child"))
-        raise JsonSchemaError(f"{path}/op", f"unknown operator {op!r}")
-
-
-_TOP_KEYS = (
-    "version",
-    "differences",
-    "axes",
-    "concepts",
-    "attributes",
-    "objects",
-    "parts",
-    "relations",
-    "terms",
-    "classes",
-)
+    texts = {key: _entities(model, key, fields) for key, _, _, fields in _ENTITIES}
+    texts["version"] = _quote(JSON_VERSION)
+    return _fill(0, texts) + "\n"
 
 
 # json.loads (3.10, 3.11) or the expression walk (3.12 on) runs out of
@@ -294,157 +335,47 @@ def from_json(text: str) -> m.Model:
         raise JsonSchemaError("/", f"not valid JSON: {exc}") from None
     except RecursionError:
         raise JsonSchemaError("/", _TOO_DEEP) from None
-    loader = _Loader()
     if not isinstance(doc, dict):
         raise JsonSchemaError("/", "expected top-level object")
+    top_keys = ("version", *(row[0] for row in _ENTITIES))
     for key in doc:
-        if key not in _TOP_KEYS:
+        if key not in top_keys:
             raise JsonSchemaError(f"/{key}", "unexpected key")
-    for key in _TOP_KEYS:
+    for key in top_keys:
         if key not in doc:
             raise JsonSchemaError("/", f"missing key '{key}'")
     if doc["version"] != JSON_VERSION:
         raise JsonSchemaError("/version", f"unsupported version {doc['version']!r}")
 
     model = m.Model()
-    stated_intensions: dict[str, list[str]] = {}
-    stated_axis_refs: dict[str, Optional[str]] = {}
-
-    for i, node in enumerate(loader.typed(doc["differences"], "/differences", list)):
-        path = f"/differences/{i}"
-        fields = loader.obj(node, path, {"id": str, "label": str}, {"axis": object})
-        if fields["id"] in model.differences:
-            raise JsonSchemaError(f"{path}/id", f"duplicate difference '{fields['id']}'")
-        model.differences[fields["id"]] = m.Difference(fields["id"], fields["label"])
-        if "axis" in fields:
-            stated_axis_refs[fields["id"]] = loader.opt_str(fields["axis"], f"{path}/axis")
-
-    for i, node in enumerate(loader.typed(doc["axes"], "/axes", list)):
-        path = f"/axes/{i}"
-        fields = loader.obj(
-            node,
-            path,
-            {"id": str, "label": str, "scope": str, "members": list, "exclusive": bool},
-        )
-        if fields["id"] in model.axes:
-            raise JsonSchemaError(f"{path}/id", f"duplicate axis '{fields['id']}'")
-        members = loader.str_list(fields["members"], f"{path}/members")
-        model.axes[fields["id"]] = m.Axis(
-            fields["id"], fields["label"], fields["scope"], tuple(members), fields["exclusive"]
-        )
-
-    for i, node in enumerate(loader.typed(doc["concepts"], "/concepts", list)):
-        path = f"/concepts/{i}"
-        fields = loader.obj(
-            node,
-            path,
-            {"id": str, "label": str, "genus": object, "differentiae": list},
-            {"intension": list},
-        )
-        if fields["id"] in model.concepts:
-            raise JsonSchemaError(f"{path}/id", f"duplicate concept '{fields['id']}'")
-        genus = loader.opt_str(fields["genus"], f"{path}/genus")
-        differentiae = loader.str_list(fields["differentiae"], f"{path}/differentiae")
-        model.concepts[fields["id"]] = m.Concept(
-            fields["id"], fields["label"], genus, tuple(differentiae)
-        )
-        if "intension" in fields:
-            stated_intensions[fields["id"]] = loader.str_list(
-                fields["intension"], f"{path}/intension"
-            )
-
-    for i, node in enumerate(loader.typed(doc["attributes"], "/attributes", list)):
-        path = f"/attributes/{i}"
-        fields = loader.obj(
-            node, path, {"id": str, "label": str, "domain": str, "value_kind": str}
-        )
-        if fields["id"] in model.attributes:
-            raise JsonSchemaError(f"{path}/id", f"duplicate attribute '{fields['id']}'")
-        try:
-            kind = m.ValueKind(fields["value_kind"])
-        except ValueError:
-            raise JsonSchemaError(
-                f"{path}/value_kind", f"unknown value kind {fields['value_kind']!r}"
-            ) from None
-        model.attributes[fields["id"]] = m.AttributeDecl(
-            fields["id"], fields["label"], fields["domain"], kind
-        )
-
-    for i, node in enumerate(loader.typed(doc["objects"], "/objects", list)):
-        path = f"/objects/{i}"
-        fields = loader.obj(
-            node, path, {"id": str, "label": str, "concept": str, "values": dict}
-        )
-        if fields["id"] in model.objects:
-            raise JsonSchemaError(f"{path}/id", f"duplicate object '{fields['id']}'")
-        values = {
-            key: loader.value(val, f"{path}/values/{key}")
-            for key, val in fields["values"].items()
-        }
-        model.objects[fields["id"]] = m.ObjectInstance(
-            fields["id"], fields["label"], fields["concept"], values
-        )
-
-    for i, node in enumerate(loader.typed(doc["parts"], "/parts", list)):
-        path = f"/parts/{i}"
-        fields = loader.obj(node, path, {"whole": str, "part": str, "note": object})
-        model.parts.append(
-            m.PartLink(fields["whole"], fields["part"], loader.opt_str(fields["note"], f"{path}/note"))
-        )
-
-    for i, node in enumerate(loader.typed(doc["relations"], "/relations", list)):
-        path = f"/relations/{i}"
-        fields = loader.obj(
-            node, path, {"relation_type": str, "source": str, "target": str}
-        )
-        try:
-            kind = m.parse_relation_kind(fields["relation_type"])
-        except m.UnknownIdentifierError:
-            raise JsonSchemaError(
-                f"{path}/relation_type",
-                f"unknown relation type {fields['relation_type']!r}",
-            ) from None
-        model.relations.append(m.AssociativeLink(kind, fields["source"], fields["target"]))
-
-    for i, node in enumerate(loader.typed(doc["terms"], "/terms", list)):
-        path = f"/terms/{i}"
-        fields = loader.obj(
-            node,
-            path,
-            {
-                "designation": str,
-                "language": str,
-                "status": str,
-                "concept": str,
-                "nl_definition": object,
-            },
-        )
-        try:
-            status = m.TermStatus(fields["status"])
-        except ValueError:
-            raise JsonSchemaError(
-                f"{path}/status", f"unknown term status {fields['status']!r}"
-            ) from None
-        model.terms.append(
-            m.Term(
-                fields["designation"],
-                fields["language"],
-                status,
-                fields["concept"],
-                loader.opt_str(fields["nl_definition"], f"{path}/nl_definition"),
-            )
-        )
-
-    for i, node in enumerate(loader.typed(doc["classes"], "/classes", list)):
-        path = f"/classes/{i}"
-        fields = loader.obj(node, path, {"id": str, "expr": object})
-        if fields["id"] in model.classes:
-            raise JsonSchemaError(f"{path}/id", f"duplicate class '{fields['id']}'")
-        try:
-            expr = loader.expr(fields["expr"], f"{path}/expr")
-        except RecursionError:
-            raise JsonSchemaError("/", _TOO_DEEP) from None
-        model.classes[fields["id"]] = m.ClassDef(fields["id"], expr)
+    stated: dict[str, dict[str, Any]] = {"axis": {}, "intension": {}}
+    try:
+        for key, cls, noun, fields in _ENTITIES:
+            nodes, store = doc[key], getattr(model, key)
+            if not isinstance(nodes, list):
+                raise _shape_error(f"/{key}", "list", nodes)
+            keys = {field.key for field in fields}
+            for i, node in enumerate(nodes):
+                path = f"/{key}/{i}"
+                _check(node, path, fields, keys)
+                if noun is not None and node["id"] in store:
+                    raise JsonSchemaError(f"{path}/id", f"duplicate {noun} '{node['id']}'")
+                args = {}
+                for field_key, codec, derive in fields:
+                    if field_key in node:
+                        raw = node[field_key]
+                        value = raw if codec.read is None else codec.read(raw, f"{path}/{field_key}")
+                        if derive is None:
+                            args[field_key] = value
+                        else:
+                            stated[field_key][node["id"]] = value
+                entity = cls(**args)
+                if noun is None:
+                    store.append(entity)
+                else:
+                    store[entity.id] = entity
+    except RecursionError:
+        raise JsonSchemaError("/", _TOO_DEEP) from None
 
     diagnostics = validate(model)
     if m.has_errors(diagnostics):
@@ -453,20 +384,15 @@ def from_json(text: str) -> m.Model:
     # Stated derived data, when present, must agree with what validation
     # recomputed; hand-edited files drift here first.
     for i, cid in enumerate(model.concepts):
-        if cid in stated_intensions:
-            stated, derived = stated_intensions[cid], model.intensions[cid]
-            if len(stated) != len(derived) or derived != frozenset(stated):
-                raise JsonSchemaError(
-                    f"/concepts/{i}/intension",
-                    f"stated intension of '{cid}' does not match the derived one",
-                )
+        if cid in stated["intension"]:
+            given, derived = stated["intension"][cid], model.intensions[cid]
+            if len(given) != len(derived) or derived != frozenset(given):
+                message = f"stated intension of '{cid}' does not match the derived one"
+                raise JsonSchemaError(f"/concepts/{i}/intension", message)
     for i, did in enumerate(model.differences):
-        if did in stated_axis_refs:
-            if model.differences[did].axis != stated_axis_refs[did]:
-                raise JsonSchemaError(
-                    f"/differences/{i}/axis",
-                    f"stated axis of '{did}' does not match axis membership",
-                )
+        if did in stated["axis"] and model.differences[did].axis != stated["axis"][did]:
+            message = f"stated axis of '{did}' does not match axis membership"
+            raise JsonSchemaError(f"/differences/{i}/axis", message)
     return model
 
 
@@ -475,27 +401,40 @@ def from_json(text: str) -> m.Model:
 # ---------------------------------------------------------------------------
 
 
-def _expr_to_dsl(expr: ClassExpression) -> str:
+def _dsl_node(node: ClassExpression, texts: list[str]) -> str:
     # Parenthesize any compound child of a compound node: precedence is
     # preserved and so is the exact tree shape (nested Or inside Or survives
     # a round-trip instead of being flattened).
-    def wrap(child: ClassExpression) -> str:
-        text = _expr_to_dsl(child)
-        if isinstance(child, (And, Or)):
-            return f"({text})"
-        return text
+    if isinstance(node, InConcept):
+        return f"in {node.concept}"
+    if isinstance(node, AttrEquals):
+        return f"{node.attribute} = {m.render_value(node.value)}"
+    if isinstance(node, HasAttr):
+        return f"has {node.attribute}"
+    children = (node.child,) if isinstance(node, Not) else node.children
+    texts = [f"({t})" if isinstance(c, (And, Or)) else t for c, t in zip(children, texts)]
+    if isinstance(node, Not):
+        return "not " + texts[0]
+    return (" and " if isinstance(node, And) else " or ").join(texts)
 
-    if isinstance(expr, InConcept):
-        return f"in {expr.concept}"
-    if isinstance(expr, AttrEquals):
-        return f"{expr.attribute} = {m.render_value(expr.value)}"
-    if isinstance(expr, HasAttr):
-        return f"has {expr.attribute}"
-    if isinstance(expr, And):
-        return " and ".join(wrap(c) for c in expr.children)
-    if isinstance(expr, Or):
-        return " or ".join(wrap(c) for c in expr.children)
-    return f"not {wrap(expr.child)}"
+
+def _emission_order(concepts: dict[str, m.Concept]) -> list[m.Concept]:
+    """Concepts in the order of repeated passes over the declarations that
+    each emit, in declaration order, every concept whose genus is out:
+    pass(root) = 0 and pass(c) = pass(genus) + (c declared before its
+    genus), computed once along each genus chain."""
+    position = {cid: i for i, cid in enumerate(concepts)}
+    passes: dict[str, int] = {}
+    for cid in concepts:
+        chain = []
+        while cid not in passes and (genus := concepts[cid].genus) is not None:
+            chain.append(cid)
+            cid = genus
+        p = passes.setdefault(cid, 0)  # cid is a root or already numbered
+        for child in reversed(chain):
+            p += position[child] < position[concepts[child].genus]  # type: ignore[index]
+            passes[child] = p
+    return sorted(concepts.values(), key=lambda c: passes[c.id])  # stable: declaration order within a pass
 
 
 def print_dsl(model: m.Model) -> str:
@@ -509,62 +448,34 @@ def print_dsl(model: m.Model) -> str:
     for axis in model.axes.values():
         axes_by_scope.setdefault(axis.scope, []).append(axis)
 
-    emitted: set[str] = set()
-    pending = list(model.concepts.values())
-    while pending:
-        progressed = False
-        remaining: list[m.Concept] = []
-        for concept in pending:
-            if concept.genus is not None and concept.genus not in emitted:
-                remaining.append(concept)
-                continue
-            progressed = True
-            emitted.add(concept.id)
-            if concept.genus is not None:
-                lines.append(
-                    f"concept {concept.id} := {concept.genus} + "
-                    + ", ".join(concept.differentiae)
-                )
-            elif concept.differentiae:
-                lines.append(f"concept {concept.id} := " + ", ".join(concept.differentiae))
-            else:
-                lines.append(f"concept {concept.id}")
-            for axis in axes_by_scope.get(concept.id, ()):
-                flag = "" if axis.exclusive else " nonexclusive"
-                members = ", ".join(axis.members)
-                lines.append(f"axis {axis.id} of {axis.scope}{flag} {{ {members} }}")
-        if not progressed:  # unreachable on validated models (genus resolved, acyclic)
-            raise m.InvalidModelError([])
-        pending = remaining
+    for concept in _emission_order(model.concepts):
+        if concept.genus is not None:
+            lines.append(f"concept {concept.id} := {concept.genus} + " + ", ".join(concept.differentiae))
+        elif concept.differentiae:
+            lines.append(f"concept {concept.id} := " + ", ".join(concept.differentiae))
+        else:
+            lines.append(f"concept {concept.id}")
+        for axis in axes_by_scope.get(concept.id, ()):
+            flag = "" if axis.exclusive else " nonexclusive"
+            members = ", ".join(axis.members)
+            lines.append(f"axis {axis.id} of {axis.scope}{flag} {{ {members} }}")
 
     for attr in model.attributes.values():
         lines.append(f"attribute {attr.id} : {attr.value_kind.value} on {attr.domain}")
     for obj in model.objects.values():
-        if obj.values:
-            assigns = ", ".join(
-                f"{k} = {m.render_value(v)}" for k, v in obj.values.items()
-            )
-            lines.append(f"object {obj.id} : {obj.concept} {{ {assigns} }}")
-        else:
-            lines.append(f"object {obj.id} : {obj.concept}")
+        assigns = ", ".join(f"{k} = {m.render_value(v)}" for k, v in obj.values.items())
+        lines.append(f"object {obj.id} : {obj.concept}" + (f" {{ {assigns} }}" if assigns else ""))
     for part in model.parts:
         lines.append(f"part {part.whole} has {part.part}")
     for index, link in enumerate(model.relations, start=1):
-        lines.append(
-            f"relation r{index} ({link.relation_type.value}) {link.source} -> {link.target}"
-        )
+        lines.append(f"relation r{index} ({link.relation_type.value}) {link.source} -> {link.target}")
     for term in model.terms:
-        suffix = (
-            f" definition {m.dsl_quote(term.nl_definition)}"
-            if term.nl_definition is not None
-            else ""
-        )
+        suffix = "" if term.nl_definition is None else f" definition {m.dsl_quote(term.nl_definition)}"
         lines.append(
-            f"term {m.dsl_quote(term.designation)} ({term.language}, {term.status.value}) "
-            f"for {term.concept}{suffix}"
+            f"term {m.dsl_quote(term.designation)} ({term.language}, {term.status.value}) for {term.concept}{suffix}"
         )
     for cdef in model.classes.values():
-        lines.append(f"class {cdef.id} := {{ x | {_expr_to_dsl(cdef.expr)} }}")
+        lines.append(f"class {cdef.id} := {{ x | {fold(cdef.expr, _dsl_node)} }}")
 
     return "\n".join(lines) + "\n" if lines else ""
 

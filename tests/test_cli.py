@@ -306,3 +306,15 @@ def test_query_on_a_not_chain_deeper_than_the_recursion_limit(depth, members):
     expr = "not " * depth + "has colour"
     done = otl_process("-m", "otl.cli", "query", MOUSE, "--class", expr)
     assert (done.returncode, done.stdout, done.stderr) == (0, members, "")
+
+
+def test_export_dsl_of_a_class_deeper_than_the_recursion_limit(tmp_path):
+    source = "concept A := x\nattribute colour : text on A\nclass Deep := { x | " + "not " * 5000 + "has colour }\n"
+    path = tmp_path / "deep.otl"
+    path.write_text(source, encoding="utf-8")
+    done = otl_process("-m", "otl.cli", "export", str(path), "--format", "dsl")
+    assert "Traceback" not in done.stderr
+    # the source is in print_dsl's own layout, so the same bytes are the same model
+    assert (done.returncode, done.stdout) == (0, source)
+    reparsed = parse(done.stdout)
+    assert reparsed.diagnostics == [] and validate(reparsed.model) == []

@@ -522,6 +522,34 @@ def test_print_dsl_emits_dependencies_first():
     )
 
 
+def reference_emission_order(model):
+    """Concept ids in the order of print_dsl's former emission loop: passes
+    over the pending concepts in declaration order, each emitting every
+    concept whose genus is already out."""
+    emitted, pending = [], list(model.concepts.values())
+    while pending:
+        remaining = []
+        for concept in pending:
+            if concept.genus is not None and concept.genus not in emitted:
+                remaining.append(concept)
+            else:
+                emitted.append(concept.id)
+        assert len(remaining) < len(pending)
+        pending = remaining
+    return emitted
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_print_dsl_emits_concepts_in_the_order_of_the_pass_loop(seed):
+    model = valid_random_model(seed, max_concepts=30, with_extras=True)
+    ids = list(model.concepts)
+    random.Random(seed).shuffle(ids)
+    model.concepts = {cid: model.concepts[cid] for cid in ids}
+    validate_or_raise(model)
+    lines = print_dsl(model).splitlines()
+    assert [line.split()[1] for line in lines if line.startswith("concept ")] == reference_emission_order(model)
+
+
 def test_print_dsl_quotes_strings():
     model = build('concept A := x\nterm "say \\"hi\\"" (en, preferred) for A\n')
     text = print_dsl(model)

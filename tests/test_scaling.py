@@ -22,7 +22,7 @@ import time
 import tracemalloc
 from functools import partial
 
-from otl import has_errors, parse, validate
+from otl import has_errors, parse, print_dsl, validate
 
 PAIRS = 9
 
@@ -113,5 +113,24 @@ def test_part_cycle_validate_is_linear():
 def test_wide_tree_parse_is_linear():
     time_ratio, memory_ratio, result = doubling_ratios(parse_call, wide_tree_source, 1000)
     assert not has_errors(result.diagnostics)
+    assert time_ratio <= 2.5
+    assert memory_ratio <= 2.5
+
+
+def child_first_chain_source(n):
+    """The genus chain of chain_source declared child first."""
+    lines = [f"concept C{i} := C{i - 1} + d{i}" for i in range(n - 1, 0, -1)]
+    return "\n".join(lines + ["concept C0"]) + "\n"
+
+
+def print_dsl_call(source):
+    model = parse(source).model
+    assert validate(model) == []
+    return partial(print_dsl, model)
+
+
+def test_child_first_chain_print_dsl_is_linear():
+    time_ratio, memory_ratio, text = doubling_ratios(print_dsl_call, child_first_chain_source, 500)
+    assert text == chain_source(1000)
     assert time_ratio <= 2.5
     assert memory_ratio <= 2.5

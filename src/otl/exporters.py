@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import lru_cache
 from itertools import repeat
 from operator import attrgetter
 from typing import Any, Callable, Container, Iterable, NamedTuple, Optional
@@ -70,7 +69,6 @@ def _pad(depth: int) -> str:
     return "\n" + "  " * depth
 
 
-@lru_cache(maxsize=None)
 def _template(depth: int, keys: tuple[str, ...]) -> str:
     """``%`` template of an object opened at nesting ``depth`` whose values
     are JSON text already, to be filled in the sorted order of ``keys``."""
@@ -242,10 +240,7 @@ def _exprs(children: tuple[ClassExpression, ...], depth: int) -> str:
 
 
 def _read_exprs(node: list, path: str) -> tuple[ClassExpression, ...]:
-    children = []
-    for i, child in enumerate(node):
-        children.append(_read_expr(child, f"{path}/{i}"))
-    return tuple(children)
+    return tuple(map(_read_expr, node, [f"{path}/{i}" for i in range(len(node))]))
 
 
 _EXPR = _Codec(object, lambda exprs, depth: map(_expr, exprs, repeat(depth)), _read_expr)

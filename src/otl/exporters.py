@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from itertools import repeat
 from operator import attrgetter
-from typing import Any, Callable, Container, Iterable, NamedTuple, Optional
+from typing import Any, Callable, Container, Iterable, Iterator, NamedTuple, Optional
 
 from . import model as m
 from .classes import And, AttrEquals, ClassExpression, HasAttr, InConcept, Not, Or, fold
@@ -76,9 +76,9 @@ def _template(depth: int, keys: tuple[str, ...]) -> str:
     return "{" + ",".join(pad + '  "' + key + '": %s' for key in sorted(keys)) + pad + "}"
 
 
-def _fill(depth: int, texts: dict[str, str]) -> str:
+def _fill(depth: int, texts: dict[str, str], end: str = "") -> str:
     keys = sorted(texts)
-    return _template(depth, tuple(keys)) % tuple(map(texts.__getitem__, keys))
+    return (_template(depth, tuple(keys)) + end) % tuple(map(texts.__getitem__, keys))
 
 
 def _array(items: list[str], depth: int, brackets: str = "[]") -> str:
@@ -146,8 +146,8 @@ def _read_strings(node: list, path: str) -> tuple[str, ...]:
 
 
 _STR = _Codec(str, lambda texts, depth: map(_quote, texts))
-_OPT = _Codec(object, lambda texts, depth: ["null" if t is None else _quote(t) for t in texts], _read_opt)
-_STRINGS = _Codec(list, lambda lists, depth: [_array(list(map(_quote, s)), depth) for s in lists], _read_strings)
+_OPT = _Codec(object, lambda texts, depth: ("null" if t is None else _quote(t) for t in texts), _read_opt)
+_STRINGS = _Codec(list, lambda lists, depth: (_array(list(map(_quote, s)), depth) for s in lists), _read_strings)
 
 
 def _enum(parse: Callable[[str], Any], noun: str) -> _Codec:
@@ -196,12 +196,12 @@ def _read_value(node: Any, path: str) -> m.Value:
     raise JsonSchemaError(f"{path}/kind", f"unknown value kind {kind!r}")
 
 
-def _write_values(dicts: Iterable[dict[str, m.Value]], depth: int) -> list[str]:
+def _write_values(dicts: Iterable[dict[str, m.Value]], depth: int) -> Iterator[str]:
     template = _template(depth + 1, _VALUE_KEYS)
-    return [_array([_quote(k) + ": " + _tagged(d[k], template) for k in sorted(d)], depth, "{}") for d in dicts]
+    return (_array([_quote(k) + ": " + _tagged(d[k], template) for k in sorted(d)], depth, "{}") for d in dicts)
 
 
-_VALUE = _Codec(object, lambda values, depth: [_tagged(v, _template(depth, _VALUE_KEYS)) for v in values], _read_value)
+_VALUE = _Codec(object, lambda values, depth: (_tagged(v, _template(depth, _VALUE_KEYS)) for v in values), _read_value)
 _VALUES = _Codec(dict, _write_values, lambda node, path: {k: _read_value(v, f"{path}/{k}") for k, v in node.items()})
 
 
@@ -264,15 +264,15 @@ _OP_OF = {cls: op for op, (cls, _) in _OPS.items()}
 _ID, _LABEL = _Field("id", _STR), _Field("label", _STR)
 _ENTITIES: tuple[tuple[str, type, Optional[str], tuple[_Field, ...]], ...] = (
     ("differences", m.Difference, "difference", (
-        _ID, _LABEL, _Field("axis", _OPT, lambda model, differences: [d.axis for d in differences]),
+        _ID, _LABEL, _Field("axis", _OPT, lambda model, differences: map(attrgetter("axis"), differences)),
     )),
     ("axes", m.Axis, "axis", (
         _ID, _LABEL, _Field("scope", _STR), _Field("members", _STRINGS),
-        _Field("exclusive", _Codec(bool, lambda flags, depth: ["true" if f else "false" for f in flags])),
+        _Field("exclusive", _Codec(bool, lambda flags, depth: ("true" if f else "false" for f in flags))),
     )),
     ("concepts", m.Concept, "concept", (
         _ID, _LABEL, _Field("genus", _OPT), _Field("differentiae", _STRINGS),
-        _Field("intension", _STRINGS, lambda model, concepts: [sorted(model.intensions[c.id]) for c in concepts]),
+        _Field("intension", _STRINGS, lambda model, concepts: (sorted(model.intensions[c.id]) for c in concepts)),
     )),
     ("attributes", m.AttributeDecl, "attribute", (
         _ID, _LABEL, _Field("domain", _STR), _Field("value_kind", _enum(m.ValueKind, "value kind")),
@@ -310,7 +310,7 @@ def to_json(model: m.Model) -> str:
     model.require_validated("to_json")
     texts = {key: _entities(model, key, fields) for key, _, _, fields in _ENTITIES}
     texts["version"] = _quote(JSON_VERSION)
-    return _fill(0, texts) + "\n"
+    return _fill(0, texts, "\n")  # in the template: appending it would copy the whole document
 
 
 # json.loads (3.10, 3.11) or the expression walk (3.12 on) runs out of

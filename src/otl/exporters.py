@@ -362,8 +362,8 @@ def from_json(text: str) -> m.Model:
                         value = raw if codec.read is None else codec.read(raw, f"{path}/{field_key}")
                         if derive is None:
                             args[field_key] = value
-                        else:
-                            stated[field_key][node["id"]] = value
+                        else:  # only compared after validation: keep the JSON value, not a copy
+                            stated[field_key][node["id"]] = raw
                 entity = cls(**args)
                 if noun is None:
                     store.append(entity)

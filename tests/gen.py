@@ -212,7 +212,12 @@ ODD_VALUES = (
     None, True, False, 0, -1, 2.5, "", "otl-json/1", "cause_effect", "number",
     "boolean", "007", [], {}, ["x"], {"op": "has", "attribute": "a0"},
 )
-_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
+def dsl_identifier(text: str) -> bool:
+    """Whether the DSL can spell `text` as a name: an ASCII word that is
+    not a keyword."""
+    return re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", text) is not None and text not in KEYWORDS
 
 
 def _slots(node):
@@ -236,7 +241,7 @@ def mutated_document(rng: random.Random, doc: dict, max_edits: int = 3) -> dict:
         if not slots:
             break
         strings = [(c, k) for c, k in slots if isinstance(c[k], str)]
-        names = sorted({c[k] for c, k in strings if _IDENTIFIER.fullmatch(c[k]) and c[k] not in KEYWORDS}) or ["x"]
+        names = sorted({c[k] for c, k in strings if dsl_identifier(c[k])}) or ["x"]
         edit = rng.choice(("name", "name", "name", "drop", "drop", "grow", "grow", "odd", "node"))
         container, key = rng.choice(strings if edit == "name" and strings else slots)
         if edit == "name":

@@ -41,10 +41,9 @@ from otl import (
     validate,
     validate_or_raise,
 )
-from otl.parser import KEYWORDS
 
 from conftest import load_fixture
-from gen import mutated_document, valid_random_model
+from gen import dsl_identifier, mutated_document, valid_random_model
 
 
 def build(source):
@@ -690,10 +689,6 @@ def _declared_names(model):
     ]
 
 
-def _dsl_identifier(name):
-    return re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name) is not None and name not in KEYWORDS
-
-
 def _loads_or_rejects(text):
     """The model from_json loads from `text`, or None when it rejects the
     text with one of its two documented errors."""
@@ -713,7 +708,7 @@ def test_edited_documents_are_rejected_or_round_trip(seed):
         return
     text = to_json(loaded)
     assert to_json(from_json(text)) == text
-    if not all(map(_dsl_identifier, _declared_names(loaded))):
+    if not all(map(dsl_identifier, _declared_names(loaded))):
         return  # the DSL cannot spell such a name: see the xfail test below
     dsl = print_dsl(loaded)
     reparsed = parse(dsl, "rt.otl")

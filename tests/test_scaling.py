@@ -1,4 +1,5 @@
-"""Doubling-ratio gates on the load path: the cost at 2n over the cost at n.
+"""Doubling-ratio gates on the load path and on print_dsl: the cost at 2n
+over the cost at n.
 
 Ratios rather than absolute costs, so the gates mean the same on a slow or
 a shared machine.  Each gate checks two ratios of one stage:

@@ -33,7 +33,7 @@ from typing import Any, Callable, Container, Iterable, Iterator, NamedTuple, Opt
 
 from . import model as m
 from .classes import And, AttrEquals, ClassExpression, HasAttr, InConcept, Not, Or, fold
-from .reasoner import compute_hierarchy, validate
+from .reasoner import compute_hierarchy, validate_or_raise
 
 JSON_VERSION = "otl-json/1"
 
@@ -372,9 +372,7 @@ def from_json(text: str) -> m.Model:
     except RecursionError:
         raise JsonSchemaError("/", _TOO_DEEP) from None
 
-    diagnostics = validate(model)
-    if m.has_errors(diagnostics):
-        raise m.InvalidModelError(diagnostics)
+    validate_or_raise(model)
 
     # Stated derived data, when present, must agree with what validation
     # recomputed; hand-edited files drift here first.

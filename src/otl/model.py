@@ -239,6 +239,20 @@ def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.is_error for d in diagnostics)
 
 
+def sorted_diagnostics(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
+    """The order every diagnostic list is reported in: those with a source
+    span by file, line, column and code, then the rest by code; ties keep
+    the order they were found in."""
+
+    def key(diag: Diagnostic) -> tuple:
+        loc = diag.location
+        if isinstance(loc, SourceSpan):
+            return (0, loc.file, loc.line, loc.column, diag.code)
+        return (1, "", 0, 0, diag.code)
+
+    return sorted(diagnostics, key=key)
+
+
 # ---------------------------------------------------------------------------
 # Errors raised by read operations (diagnostics cover build-time problems)
 # ---------------------------------------------------------------------------

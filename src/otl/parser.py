@@ -31,7 +31,11 @@ free-standing difference during validation.
 
 Parsing is total: it never raises on bad input, always returning a
 ParseResult whose model is present iff no error diagnostics were produced.
-Cross-references are left symbolic; resolution happens in otl.reasoner.
+The parser checks syntax and that declaration ids are unique (an object's
+values too, as they are keyed by attribute), and nothing else: it keeps
+every name as read, repeated axis members, differentiae and term triples
+included.  otl.reasoner resolves the cross-references, left symbolic here,
+and checks every other rule, the same for DSL, JSON and API input.
 
 Cost.  Lexing is one scan of a compiled master regex with a named group per
 token class (the "Writing a Tokenizer" recipe of the ``re`` docs), so it is
@@ -74,31 +78,7 @@ from .model import (
     Value,
     ValueKind,
     parse_relation_kind,
-)
-
-KEYWORDS = frozenset(
-    {
-        "concept",
-        "axis",
-        "attribute",
-        "object",
-        "part",
-        "relation",
-        "term",
-        "class",
-        "of",
-        "on",
-        "has",
-        "for",
-        "definition",
-        "nonexclusive",
-        "in",
-        "and",
-        "or",
-        "not",
-        "true",
-        "false",
-    }
+    sorted_diagnostics,
 )
 
 STATEMENT_KEYWORDS = (
@@ -110,6 +90,11 @@ STATEMENT_KEYWORDS = (
     "relation",
     "term",
     "class",
+)
+
+KEYWORDS = frozenset(STATEMENT_KEYWORDS).union(
+    ("of", "on", "has", "for", "definition", "nonexclusive"),
+    ("in", "and", "or", "not", "true", "false"),
 )
 
 _RELTYPE_WORDS = (
@@ -192,9 +177,6 @@ class _Parser:
         self.diagnostics: list[Diagnostic] = []
         # model.spans also tracks duplicates: (kind, id) -> first declaration
         self.model = Model(source=source)
-        # difference id -> owning axis id (a difference belongs to one axis)
-        self.diff_owner: dict[str, str] = {}
-        self.term_triples: set[tuple[str, str, str]] = set()
         # the one token of lookahead: its match, its kind and, for a STRING,
         # its decoded value
         self.m: re.Match
@@ -328,7 +310,10 @@ class _Parser:
         return None
 
     def recover(self) -> None:
-        """Skip to the next statement boundary after a syntax error."""
+        """Skip to the next statement boundary after a syntax error.  Brackets
+        the failed statement left open are closed first, so its newline ends
+        it."""
+        self.depth = 0
         while self.kind != "SEP" and self.kind != "EOF":
             self.advance()
 
@@ -363,18 +348,15 @@ class _Parser:
                 self.fail("end of statement")
                 self.recover()
 
-    def _ident_list(
-        self, expected: str, first: Optional[str] = None
-    ) -> Optional[list[tuple[str, re.Match]]]:
-        """Identifiers separated by commas, each with its match; `first` says
-        what the first one is, when it is more than `expected`."""
-        items = []
+    def _ident_list(self, expected: str, first: Optional[str] = None) -> Optional[list[str]]:
+        """Identifiers separated by commas; `first` says what the first one
+        is, when it is more than `expected`."""
+        items: list[str] = []
         while True:
-            at = self.m
             name = self.ident(first if first and not items else expected)
             if name is None:
                 return None
-            items.append((name, at))
+            items.append(name)
             if self.kind != "COMMA":
                 return items
             self.advance()
@@ -392,15 +374,11 @@ class _Parser:
             diffs = self._ident_list("difference identifier", "genus or difference identifier")
             if diffs is not None and len(diffs) == 1 and self.kind == "PLUS":
                 self.advance()
-                genus = diffs[0][0]
+                genus = diffs[0]
                 diffs = self._ident_list("difference identifier")
             if diffs is None:
                 return self.recover()
-            for diff, diff_at in diffs:
-                if diff in differentiae:
-                    self.error(f"duplicate differentia '{diff}'", diff_at, code="E_DUP_DECL")
-                else:
-                    differentiae.append(diff)
+            differentiae = diffs
         if self.declare("concept", name, at):
             self.model.concepts[name] = Concept(name, name, genus, tuple(differentiae))
 
@@ -421,24 +399,8 @@ class _Parser:
         members = self._ident_list("difference identifier")
         if members is None or not self.expect("RBRACE", "'}'"):
             return self.recover()
-        if not self.declare("axis", name, at):
-            return
-        member_ids: list[str] = []
-        for member, member_at in members:
-            if member in member_ids:
-                self.error(f"duplicate member '{member}'", member_at, code="E_DUP_DECL")
-                continue
-            owner = self.diff_owner.get(member)
-            if owner is not None:
-                self.error(
-                    f"difference '{member}' already belongs to axis '{owner}'",
-                    member_at,
-                    code="E_DUP_DECL",
-                )
-                continue
-            self.diff_owner[member] = name
-            member_ids.append(member)
-        self.model.axes[name] = Axis(name, name, scope, tuple(member_ids), exclusive)
+        if self.declare("axis", name, at):
+            self.model.axes[name] = Axis(name, name, scope, tuple(members), exclusive)
 
     def _stmt_attribute(self) -> None:
         self.advance()  # 'attribute'
@@ -560,16 +522,6 @@ class _Parser:
             nl_definition = self.value
             if not self.expect("STRING", "definition string"):
                 return self.recover()
-        triple = (designation, lang, concept)
-        if triple in self.term_triples:
-            self.error(
-                f"term {triple[0]!r} ({lang}) for '{concept}' already declared",
-                at,
-                code="E_DUP_DECL",
-                value=designation,
-            )
-            return
-        self.term_triples.add(triple)
         self.model.spans[("term", str(len(self.model.terms)))] = _token(at, designation)[1:]
         self.model.terms.append(
             Term(designation, lang, TermStatus(status), concept, nl_definition)
@@ -673,10 +625,7 @@ def parse(source: str, file_name: str = "<input>") -> ParseResult:
     """
     parser = _Parser(SourceText(file_name, source))
     parser.run()
-    diagnostics = sorted(
-        parser.lex_errors + parser.diagnostics,
-        key=lambda d: (d.location.line, d.location.column, d.code),
-    )
+    diagnostics = sorted_diagnostics(parser.lex_errors + parser.diagnostics)
     # every diagnostic of the parser is an error
     return ParseResult(None if diagnostics else parser.model, diagnostics)
 

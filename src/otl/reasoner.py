@@ -624,24 +624,14 @@ class _Validator:
         for stage in stages:
             stage()
             if self.failed:
-                return self._ordered()
+                return m.sorted_diagnostics(self.diagnostics)
         model = self.model
         model.intensions = self.intensions
         assert self.hierarchy is not None
         model.superiors = self.hierarchy.superiors
         model.hierarchy = self.hierarchy
         model.validated = True
-        return self._ordered()
-
-    def _ordered(self) -> list[m.Diagnostic]:
-        def key(item: tuple[int, m.Diagnostic]):
-            index, diag = item
-            if isinstance(diag.location, m.SourceSpan):
-                loc = diag.location
-                return (0, loc.file, loc.line, loc.column, diag.code, index)
-            return (1, "", 0, 0, diag.code, index)
-
-        return [d for _, d in sorted(enumerate(self.diagnostics), key=key)]
+        return m.sorted_diagnostics(self.diagnostics)
 
 
 def validate(model: m.Model) -> list[m.Diagnostic]:

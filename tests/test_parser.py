@@ -83,25 +83,6 @@ def test_duplicate_declaration_reported():
     assert diag.location.line == 2
 
 
-def test_duplicate_term_triple_reported():
-    source = (
-        'concept A := x\n'
-        'term "a" (en, preferred) for A\n'
-        'term "a" (en, admitted) for A\n'
-    )
-    result = parse(source)
-    (diag,) = errors(result)
-    assert diag.code == "E_DUP_DECL"
-
-
-def test_shared_axis_member_reported():
-    source = "concept G\naxis K of G { a, b }\naxis L of G { b, c }\n"
-    result = parse(source)
-    (diag,) = errors(result)
-    assert diag.code == "E_DUP_DECL"
-    assert "'b'" in diag.message
-
-
 def test_parser_recovers_and_reports_multiple_errors():
     source = "concept X := Y + ;\nwhatever\nconcept Z\n"
     result = parse(source)
@@ -290,8 +271,9 @@ def test_string_escapes_round_trip_through_lexer():
 
 # One malformed statement per expect site of each statement kind and of class
 # expressions, parsed between two declarations of A: the duplicate on line 3
-# shows the parser recovered at the next statement, unless an open bracket
-# kept the newline from ending the statement.
+# shows the parser recovered at the next statement.  Recovery closes the
+# brackets the failed statement left open, so its newline ends it; only an
+# error found past that newline, on line 3 itself, hides the duplicate.
 RECOVERED = ("ERROR E_DUP_DECL t.otl:3:9 concept 'A' already declared at 1:9", 1)
 SYNTAX_ERRORS = {
     "statement_keyword": (
@@ -355,10 +337,6 @@ SYNTAX_ERRORS = {
         "concept B A",
         [("ERROR E_SYN t.otl:2:11 expected end of statement, found 'A'", 1), RECOVERED],
     ),
-    "concept_duplicate_differentia": (
-        "concept B := A + x, y, x",
-        [("ERROR E_DUP_DECL t.otl:2:24 duplicate differentia 'x'", 1), RECOVERED],
-    ),
     "axis_name": (
         "axis { x }",
         [("ERROR E_SYN t.otl:2:6 expected axis identifier, found '{'", 1), RECOVERED],
@@ -390,10 +368,6 @@ SYNTAX_ERRORS = {
     "axis_nonexclusive_rbrace": (
         "axis K of A nonexclusive { x ;",
         [("ERROR E_SYN t.otl:2:30 expected '}', found ';'", 1), RECOVERED],
-    ),
-    "axis_duplicate_member": (
-        "axis K of A { x, x }",
-        [("ERROR E_DUP_DECL t.otl:2:18 duplicate member 'x'", 1), RECOVERED],
     ),
     "attribute_name": (
         "attribute : text on A",
@@ -511,7 +485,7 @@ SYNTAX_ERRORS = {
     ),
     "relation_rparen": (
         "relation r (causal A -> A",
-        [("ERROR E_SYN t.otl:2:20 expected ')', found 'A'", 1)],
+        [("ERROR E_SYN t.otl:2:20 expected ')', found 'A'", 1), RECOVERED],
     ),
     "relation_source": (
         "relation r (causal) -> A",
@@ -557,7 +531,7 @@ SYNTAX_ERRORS = {
     ),
     "term_rparen": (
         'term "t" (en, preferred for A',
-        [("ERROR E_SYN t.otl:2:25 expected ')', found 'for'", 3)],
+        [("ERROR E_SYN t.otl:2:25 expected ')', found 'for'", 3), RECOVERED],
     ),
     "term_for": (
         'term "t" (en, preferred) of A',
@@ -648,7 +622,7 @@ SYNTAX_ERRORS = {
     ),
     "class_rparen": (
         "class Q := { x | (in A }",
-        [("ERROR E_SYN t.otl:2:24 expected ')', found '}'", 1)],
+        [("ERROR E_SYN t.otl:2:24 expected ')', found '}'", 1), RECOVERED],
     ),
     "class_too_deep": (
         "class Q := { x | " + "(" * 202 + "in A" + ")" * 202 + " }",
@@ -667,9 +641,10 @@ SYNTAX_ERRORS = {
         'class Q := { x | (in A }; term "a" (en, preferred) for A; term "a\n(en, preferred) for A',
         [
             ("ERROR E_SYN t.otl:2:24 expected ')', found '}'", 1),
-            ("ERROR E_DUP_DECL t.otl:2:64 term 'a' (en) for 'A' already declared", 1),
             ("ERROR E_LEX t.otl:2:64 unterminated string literal", 2),
-            ("ERROR E_SYN t.otl:4:1 expected end of statement, found 'concept'", 7),
+            ("ERROR E_SYN t.otl:2:66 expected '(', found end of line", 1),
+            ("ERROR E_SYN t.otl:3:1 expected one of concept, axis, attribute, object, part, relation, term, class, found '('", 1),
+            ("ERROR E_DUP_DECL t.otl:4:9 concept 'A' already declared at 1:9", 1),
         ],
     ),
 }

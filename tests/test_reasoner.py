@@ -1,6 +1,7 @@
 """Validation diagnostics and the derived hierarchy."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from otl import (
     Concept,
+    InvalidModelError,
     Model,
     PartLink,
     Severity,
@@ -16,9 +18,11 @@ from otl import (
     compute_hierarchy,
     coordinates,
     extension,
+    from_json,
     has_errors,
     parse,
     subsumes,
+    to_json,
     validate,
     validate_or_raise,
 )
@@ -141,6 +145,55 @@ def test_axis_arity():
 def test_axis_arity_from_dsl():
     model = parse_ok("concept G\naxis K of G { only }\n")
     assert "E_AXIS_ARITY" in codes(validate(model))
+
+
+# The duplicate checks live in the validator alone: the parser keeps every
+# name it reads, so DSL input (parsed, then validated) and the same edit of
+# the mouse otl-json/1 document reach the one diagnostic.
+# name: (DSL source, its diagnostic and span length, JSON edit, its diagnostic)
+DUPLICATES = {
+    "axis_duplicate_member": (
+        "concept A\naxis K of A { x, x }\n",
+        ("ERROR E_DUP_DECL t.otl:2:6 axis 'K' lists difference 'x' twice", 1),
+        lambda doc: doc["axes"][0]["members"].append("mechanical"),
+        "ERROR E_DUP_DECL DetectionMechanism axis 'DetectionMechanism' lists difference 'mechanical' twice",
+    ),
+    "shared_axis_member": (
+        "concept G\naxis K of G { a, b }\naxis L of G { b, c }\n",
+        ("ERROR E_DUP_DECL t.otl:3:6 difference 'b' belongs to both axis 'K' and axis 'L'", 1),
+        lambda doc: doc["axes"].append(
+            dict(doc["axes"][0], id="Link", label="Link", members=["optical", "radio"])
+        ),
+        "ERROR E_DUP_DECL Link difference 'optical' belongs to both axis 'DetectionMechanism' and axis 'Link'",
+    ),
+    "concept_duplicate_differentia": (
+        "concept A\nconcept B := A + x, y, x\n",
+        ("ERROR E_DUP_DECL t.otl:2:9 concept 'B' states differentia 'x' twice", 1),
+        lambda doc: doc["concepts"][2]["differentiae"].append("optical"),
+        "ERROR E_DUP_DECL OpticalMouse concept 'OpticalMouse' states differentia 'optical' twice",
+    ),
+    "duplicate_term_triple": (
+        'concept A := x\nterm "a" (en, preferred) for A\nterm "a" (en, admitted) for A\n',
+        ("ERROR E_DUP_DECL t.otl:3:6 term 'a' (en) for 'A' already declared", 3),
+        lambda doc: doc["terms"].append(dict(doc["terms"][0], status="admitted")),
+        "ERROR E_DUP_DECL 1 term 'optical mouse' (en) for 'OpticalMouse' already declared",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUPLICATES))
+def test_validator_owns_duplicate_checks(mouse, name):
+    source, expected, mutate, expected_json = DUPLICATES[name]
+    result = parse(source, "t.otl")
+    assert result.diagnostics == []
+    assert [(d.render(), d.location.length) for d in validate(result.model)] == [expected]
+
+    doc = json.loads(to_json(mouse))
+    mutate(doc)
+    with pytest.raises(InvalidModelError) as exc:
+        from_json(json.dumps(doc))
+    assert [d.render() for d in exc.value.diagnostics] == [expected_json]
+    assert str(exc.value) == expected_json
 
 
 def test_axis_scope_violation():

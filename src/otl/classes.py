@@ -173,13 +173,14 @@ def concept_conjunction(
     for cid in (c1, c2):
         if cid not in model.concepts:
             raise m.UnknownIdentifierError(f"unknown concept '{cid}'")
-    combined = model.intensions[c1] | model.intensions[c2]
+    intensions = model.intensions
+    combined = intensions.bits[c1] | intensions.bits[c2]
     for axis in model.axes.values():
         if not axis.exclusive:
             continue
-        clash = combined.intersection(axis.members)
+        clash = intensions.members(combined & intensions.mask(axis.members))  # in sorted order
         if len(clash) >= 2:
-            return Contradiction(axis.id, tuple(sorted(clash)), (c1, c2))
+            return Contradiction(axis.id, tuple(clash), (c1, c2))
     return And((InConcept(c1), InConcept(c2)))
 
 

@@ -117,9 +117,8 @@ def lexicon(model: m.Model, language: str) -> str:
     """
     model.require_validated("lexicon")
     hierarchy = compute_hierarchy(model)
-    ordered = sorted(
-        model.concepts, key=lambda cid: (len(model.intensions[cid]), cid)
-    )
+    intensions = model.intensions.bits
+    ordered = sorted(model.concepts, key=lambda cid: (intensions[cid].bit_count(), cid))
     status_rank = {
         m.TermStatus.PREFERRED: 0,
         m.TermStatus.STANDARDIZED: 1,

@@ -140,7 +140,7 @@ def _read_opt(node: Any, path: str) -> Optional[str]:
 
 
 def _read_strings(node: list, path: str) -> tuple[str, ...]:
-    if not all(isinstance(item, str) for item in node):
+    if not all(map(isinstance, node, repeat(str))):
         raise JsonSchemaError(path, "expected array of strings")
     return tuple(node)
 
@@ -272,7 +272,8 @@ _ENTITIES: tuple[tuple[str, type, Optional[str], tuple[_Field, ...]], ...] = (
     )),
     ("concepts", m.Concept, "concept", (
         _ID, _LABEL, _Field("genus", _OPT), _Field("differentiae", _STRINGS),
-        _Field("intension", _STRINGS, lambda model, concepts: (sorted(model.intensions[c.id]) for c in concepts)),
+        _Field("intension", _STRINGS, lambda model, concepts: (
+            model.intensions.members(model.intensions.bits[c.id]) for c in concepts)),
     )),
     ("attributes", m.AttributeDecl, "attribute", (
         _ID, _LABEL, _Field("domain", _STR), _Field("value_kind", _enum(m.ValueKind, "value kind")),
@@ -375,11 +376,13 @@ def from_json(text: str) -> m.Model:
     validate_or_raise(model)
 
     # Stated derived data, when present, must agree with what validation
-    # recomputed; hand-edited files drift here first.
+    # recomputed; hand-edited files drift here first.  An intension's
+    # members come in sorted-id order, the order to_json writes them in.
+    intensions = model.intensions
     for i, cid in enumerate(model.concepts):
         if cid in stated["intension"]:
-            given, derived = stated["intension"][cid], model.intensions[cid]
-            if len(given) != len(derived) or derived != frozenset(given):
+            given, derived = stated["intension"][cid], intensions.bits[cid]
+            if len(given) != derived.bit_count() or sorted(given) != intensions.members(derived):
                 message = f"stated intension of '{cid}' does not match the derived one"
                 raise JsonSchemaError(f"/concepts/{i}/intension", message)
     for i, did in enumerate(model.differences):

@@ -19,9 +19,13 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
+from functools import reduce
+from itertools import compress
+from operator import or_
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -406,6 +410,53 @@ class ClassDef:
     expr: "ClassExpression"
 
 
+class BitSets(Mapping[str, frozenset[str]]):
+    """Read-only map from keys to sets of names, stored as one int per key.
+
+    Bit i of ``bits[key]`` stands for ``names[i]`` and ``index`` maps a name
+    to its bit (Ait-Kaci et al., TOPLAS 1989).  A lookup builds a frozenset
+    in time proportional to its size; nothing is cached.
+    """
+
+    __slots__ = ("bits", "names", "index")
+    _FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits -> compress selectors
+
+    def __init__(self, bits: Optional[dict[str, int]] = None, names: Sequence[str] = ()):
+        self.bits: dict[str, int] = {} if bits is None else bits
+        self.names = names
+        self.index = {name: i for i, name in enumerate(names)}
+
+    def __getitem__(self, key: str) -> frozenset[str]:
+        return frozenset(self.members(self.bits[key]))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.bits)
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self.bits
+
+    def mask(self, names: Iterable[str]) -> int:
+        """The bits of `names`, which must all be numbered."""
+        return reduce(or_, map((1).__lshift__, map(self.index.__getitem__, names)), 0)
+
+    def members(self, bits: int) -> list[str]:
+        """The names of the set bits, in numbering order: a sparse set walks its
+        bits, a dense one filters the numbering at C speed, each in time
+        proportional to the set's size."""
+        if bits.bit_count() * 8 > bits.bit_length():
+            return list(compress(self.names, bin(bits)[:1:-1].encode().translate(self._FLAGS)))
+        out = []
+        while bits:
+            top = bits.bit_length() - 1
+            out.append(self.names[top])
+            bits ^= 1 << top
+        out.reverse()
+        return out
+
+
 # ---------------------------------------------------------------------------
 # The model container
 # ---------------------------------------------------------------------------
@@ -441,14 +492,12 @@ class Model:
     source: Optional[SourceText] = field(default=None, compare=False, repr=False)
 
     validated: bool = field(default=False, compare=False)
-    # concept id -> full set of differences (genus intension + differentiae)
-    intensions: dict[str, frozenset[str]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-    # concept id -> all strictly more generic concepts (strict subsumers)
-    superiors: dict[str, frozenset[str]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    # concept id -> full set of differences (genus intension + differentiae),
+    # as bits over the differences in sorted-id order
+    intensions: BitSets = field(default_factory=BitSets, compare=False, repr=False)
+    # concept id -> all strict subsumers, as bits over the concepts in
+    # increasing intension size; the same object as ``hierarchy.superiors``
+    superiors: BitSets = field(default_factory=BitSets, compare=False, repr=False)
     hierarchy: Optional["Hierarchy"] = field(default=None, compare=False, repr=False)
 
     def require_validated(self, operation: str) -> None:
@@ -528,8 +577,8 @@ def extension(model: Model, concept_id: str) -> frozenset[str]:
     model.require_validated("extension")
     if concept_id not in model.concepts:
         raise UnknownIdentifierError(f"unknown concept '{concept_id}'")
-    return frozenset(
-        obj.id
-        for obj in model.objects.values()
-        if obj.concept == concept_id or concept_id in model.superiors[obj.concept]
-    )
+    superiors = model.superiors
+    bit = 1 << superiors.index[concept_id]
+    below = {c for c, up in superiors.bits.items() if up & bit}  # each concept tested once
+    below.add(concept_id)
+    return frozenset(obj.id for obj in model.objects.values() if obj.concept in below)

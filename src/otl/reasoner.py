@@ -13,24 +13,24 @@ a concept's differences may coincide with another concept's intension, the
 derived structure is a poly-hierarchy: concepts can acquire superordinates
 beyond their declared genus.
 
-Cost of each stage, for a model of size M (all its declarations), C
-concepts, intensions of total size I = sum |I(c)| and S = sum |sup(c)|
-subsumption pairs (I and S are the sizes of the outputs ``intensions`` and
-``superiors``; both are quadratic on a genus chain):
+Both derived indexes are bitsets (Ait-Kaci et al., TOPLAS 1989) behind
+read-only ``model.BitSets`` views: an intension is one int over the D
+differences, a superior set one int over the C concepts.  Cost of each
+stage, for a model of size M (all its declarations), in operations on ints
+of O(D) or O(C) bits:
 
 * resolution and genus cycles: O(M); each genus chain is walked once;
-* intensions: memoized genus walk, O(I);
-* uniqueness and axis checks: intensions hashed once, O(I); axis clashes
-  from each intension's exclusive-axis members only;
-* hierarchy, derived only from intensions that passed those checks:
-  superiors as bitsets over concepts (Ait-Kaci et al., TOPLAS 1989),
-  built in increasing intension size.  Each concept inherits its genus's
-  superiors and the genus itself, and looks for further superiors only
-  among the smaller concepts that hold one of its own differentiae that
-  another concept also declares: K' candidate pairs, each tested by set
-  inclusion (K' = 0 on trees and chains).  Only the genus and those
-  extras can be covering edges.  O(C log C + M + K') operations on ints of
-  O(C) bits, plus S element copies in C-level frozenset unions;
+* intensions: memoized genus walk, one OR per concept and one shift per
+  stated differentia, O(M);
+* uniqueness and axis checks: each intension hashed once, O(C + M); axis
+  clashes from each intension's exclusive-axis bits only;
+* hierarchy, derived only from intensions that passed those checks, in
+  increasing intension size.  Each concept inherits its genus's superiors
+  and the genus itself, and looks for further superiors only among the
+  smaller concepts that hold one of its own differentiae that another
+  concept also declares: K' candidate pairs, each one inclusion test
+  ``a | b == b`` (K' = 0 on trees and chains).  Only the genus and those
+  extras can be covering edges.  O(C log C + M + K');
 * attributes O(values), part cycles O(parts) by Tarjan's strongly
   connected components (SIAM J. Comput. 1972), terms O(terms + C).
 """
@@ -49,29 +49,28 @@ from .classes import expression_references
 class Hierarchy:
     """Materialized generic structure of a validated model.
 
-    ``superiors`` maps each concept to all concepts that strictly subsume it;
+    ``superiors`` maps each concept to all concepts that strictly subsume it,
+    as a read-only bitset view (the model's ``superiors``, the same object);
     ``direct_super`` is the covering relation (transitive reduction) and
     ``direct_sub`` its inverse; ``roots`` are the concepts nothing subsumes.
 
     Built by ``_derive_hierarchy`` down the genus tree in O(C log C + M +
-    K') operations on ints of O(C) bits plus S element copies, for C
-    concepts, M declarations, S subsumption pairs and K' candidate extra
-    superiors (see the module docstring); the bitsets it works on do not
-    outlive it.
+    K') operations on ints of O(C) bits, for C concepts, M declarations and
+    K' candidate extra superiors (see the module docstring).  The superiors
+    stay those ints: one per concept, no set of ids.
     """
 
-    superiors: dict[str, frozenset[str]]
+    superiors: m.BitSets
     direct_super: dict[str, frozenset[str]]
     direct_sub: dict[str, frozenset[str]]
     roots: frozenset[str]
 
     def subsumes(self, c1: str, c2: str) -> bool:
-        return c1 in self.superiors.get(c2, frozenset())
+        superiors = self.superiors
+        return c1 in superiors.index and superiors.bits.get(c2, 0) >> superiors.index[c1] & 1 == 1
 
 
-def _derive_hierarchy(
-    concepts: dict[str, m.Concept], intensions: dict[str, frozenset[str]]
-) -> Hierarchy:
+def _derive_hierarchy(concepts: dict[str, m.Concept], intensions: m.BitSets) -> Hierarchy:
     """The hierarchy of a model whose intensions passed ``check_intensions``.
 
     There intensions are unique and each genus's intension is a strict subset
@@ -83,12 +82,15 @@ def _derive_hierarchy(
     # Concepts are walked, and numbered as bits, in increasing intension
     # size: a concept's genus and extras come before it, and the concepts
     # smaller than it are a prefix of the numbering.
-    ids = sorted(intensions, key=lambda c: len(intensions[c]))
-    position = {c: i for i, c in enumerate(ids)}
+    bits = intensions.bits
+    size = {c: b.bit_count() for c, b in bits.items()}  # counted once: O(D) each
+    ids = sorted(size, key=size.__getitem__)
+    superiors = m.BitSets(dict.fromkeys(concepts, 0), ids)  # keyed in declaration order
+    position = superiors.index
     first: dict[int, int] = {}
     for i, c in enumerate(ids):
-        first.setdefault(len(intensions[c]), i)
-    empty = ids[0] if ids and not intensions[ids[0]] else None
+        first.setdefault(size[c], i)
+    empty = ids[0] if ids and not bits[ids[0]] else None
 
     # has[d]: the concepts whose intension holds d, i.e. the union of the
     # genus subtrees of d's declarers.  Only a difference that two or more
@@ -110,14 +112,12 @@ def _derive_hierarchy(
         for diff, xs in shared.items():
             has[diff] = reduce(or_, [subtree[position[x]] for x in xs])
 
-    # up[i]: bitset of the superiors of ids[i].  The dicts are keyed in
-    # declaration order and filled in size order.
+    # up[i]: bitset of the superiors of ids[i], also stored in the view
     up: list[int] = []
-    superiors: dict[str, frozenset[str]] = dict.fromkeys(intensions, frozenset())
-    direct_super: dict[str, frozenset[str]] = dict.fromkeys(intensions, frozenset())
-    direct_sub: dict[str, list[str]] = {c: [] for c in intensions}
+    direct_super: dict[str, frozenset[str]] = dict.fromkeys(concepts, frozenset())
+    direct_sub: dict[str, list[str]] = {c: [] for c in concepts}
     for c in ids:
-        intension = intensions[c]
+        intension = bits[c]
         base = concepts[c].genus
         if base is None and intension:
             base = empty
@@ -133,31 +133,28 @@ def _derive_hierarchy(
         for diff in concepts[c].differentiae:
             reach |= has.get(diff, 0)
         extras: list[int] = []
-        rest = reach & ~above & (1 << first[len(intension)]) - 1
+        rest = reach & ~above & (1 << first[size[c]]) - 1
         while rest:
             low = rest & -rest
             j = low.bit_length() - 1
-            if intensions[ids[j]] <= intension:
+            if bits[ids[j]] | intension == intension:
                 extras.append(j)
                 above |= low
                 shadow |= up[j]
             rest ^= low
         up.append(above)
+        superiors.bits[c] = above
         # Every other superior lies below the base, so only the base and the
         # extras can cover c; each does unless it lies below another.
         covering = [ids[j] for j in parents + extras if not shadow >> j & 1]
         direct_super[c] = frozenset(covering)
         for h in covering:
             direct_sub[h].append(c)
-        extra_ids = map(ids.__getitem__, extras)
-        superiors[c] = (
-            frozenset(extra_ids) if base is None else superiors[base].union((base,), extra_ids)
-        )
     return Hierarchy(
         superiors=superiors,
         direct_super=direct_super,
         direct_sub={c: frozenset(subs) for c, subs in direct_sub.items()},
-        roots=frozenset(c for c, bits in zip(ids, up) if not bits),
+        roots=frozenset(c for c, above in zip(ids, up) if not above),
     )
 
 
@@ -210,7 +207,7 @@ class _Validator:
     def __init__(self, model: m.Model):
         self.model = model
         self.diagnostics: list[m.Diagnostic] = []
-        self.intensions: dict[str, frozenset[str]] = {}
+        self.intensions = m.BitSets()
         self.hierarchy: Hierarchy | None = None
 
     def report(self, severity: m.Severity, code: str, message: str, kind: str, entity_id: str) -> None:
@@ -235,7 +232,7 @@ class _Validator:
 
         owner: dict[str, str] = {}
         for axis in model.axes.values():
-            if len(axis.members) < 2:
+            if len(set(axis.members)) < 2:
                 self.error(
                     "E_AXIS_ARITY",
                     f"axis '{axis.id}' needs at least two member differences",
@@ -415,24 +412,29 @@ class _Validator:
 
     def compute_intensions(self) -> None:
         model = self.model
-        memo: dict[str, frozenset[str]] = {}
+        # differences numbered in sorted-id order, the order to_json lists
+        intensions = m.BitSets({}, sorted(model.differences))
+        index = intensions.index
+        memo: dict[str, int] = {}
         for cid in model.concepts:
             chain: list[str] = []
             cur: str | None = cid
             while cur is not None and cur not in memo:
                 chain.append(cur)
                 cur = model.concepts[cur].genus
-            acc = memo[cur] if cur is not None else frozenset()
+            acc = memo[cur] if cur is not None else 0
             for key in reversed(chain):
-                acc = acc | frozenset(model.concepts[key].differentiae)
+                for diff in model.concepts[key].differentiae:
+                    acc |= 1 << index[diff]
                 memo[key] = acc
-        self.intensions = memo
+        intensions.bits = {cid: memo[cid] for cid in model.concepts}
+        self.intensions = intensions
 
     # -- stage 4: uniqueness and axis coherence -------------------------------
 
     def check_intensions(self) -> None:
         model = self.model
-        intensions = self.intensions
+        intensions, index = self.intensions.bits, self.intensions.index
         flagged: set[str] = set()
 
         for concept in model.concepts.values():
@@ -448,7 +450,7 @@ class _Validator:
                 flagged.add(concept.id)
                 continue
             genus_intension = intensions[concept.genus]
-            redundant = [d for d in concept.differentiae if d in genus_intension]
+            redundant = [d for d in concept.differentiae if genus_intension >> index[d] & 1]
             if redundant:
                 listing = ", ".join(redundant)
                 self.error(
@@ -462,11 +464,12 @@ class _Validator:
         # Intension uniqueness.  Concepts already flagged above necessarily
         # collide with their genus; the duplicate would only restate the
         # earlier error, so they are excluded here.
-        by_intension: dict[frozenset[str], list[str]] = {}
+        # with the top bit: ints hash mod 2**61 - 1, so one-bit keys share 61 hashes
+        by_intension: dict[tuple[int, int], list[str]] = {}
         for cid in model.concepts:
             if cid in flagged:
                 continue
-            by_intension.setdefault(intensions[cid], []).append(cid)
+            by_intension.setdefault((intensions[cid].bit_length(), intensions[cid]), []).append(cid)
         for group in by_intension.values():
             first, *rest = group
             for cid in rest:
@@ -480,18 +483,20 @@ class _Validator:
         # Resolution left each member on exactly one axis, so a concept can
         # only clash on the exclusive axes of its own differences.
         rank = {axis_id: i for i, axis_id in enumerate(model.axes)}
-        exclusive = frozenset(
+        exclusive = self.intensions.mask(
             member for axis in model.axes.values() if axis.exclusive for member in axis.members
         )
         for concept in model.concepts.values():
             intension = intensions[concept.id]
+            on_exclusive = intension & exclusive
             clashes: dict[str, list[str]] = {}
-            for diff_id in intension & exclusive:
-                clashes.setdefault(model.differences[diff_id].axis, []).append(diff_id)
+            if on_exclusive.bit_count() > 1:  # a clash takes two members
+                for diff_id in self.intensions.members(on_exclusive):  # in sorted order
+                    clashes.setdefault(model.differences[diff_id].axis, []).append(diff_id)
             for axis_id in sorted(clashes, key=rank.__getitem__):
                 clash = clashes[axis_id]
                 if len(clash) >= 2:
-                    listing = ", ".join(sorted(clash))
+                    listing = ", ".join(clash)
                     self.error(
                         "E_AXIS_CONTRADICTION",
                         f"concept '{concept.id}' combines {listing}, exclusive on axis '{axis_id}'",
@@ -505,9 +510,7 @@ class _Validator:
                 if axis_id is None:
                     continue
                 scope = model.axes[axis_id].scope
-                if scope not in intensions:
-                    continue  # unresolved scope already reported
-                if not intensions[scope] <= intension:
+                if intensions[scope] | intension != intension:
                     self.error(
                         "E_AXIS_SCOPE",
                         f"concept '{concept.id}' uses '{diff_id}' of axis '{axis_id}' "
@@ -525,11 +528,12 @@ class _Validator:
 
     def check_attributes(self) -> None:
         model = self.model
+        intensions = self.intensions.bits
         for obj in model.objects.values():
+            intension = intensions[obj.concept]
             for attr_id, value in obj.values.items():
                 attr = model.attributes[attr_id]
-                domain_intension = self.intensions[attr.domain]
-                if not domain_intension <= self.intensions[obj.concept]:
+                if intensions[attr.domain] | intension != intension:
                     self.error(
                         "E_ATTR_DOMAIN",
                         f"attribute '{attr_id}' is declared on '{attr.domain}', "
@@ -664,7 +668,8 @@ def subsumes(model: m.Model, c1: str, c2: str) -> bool:
     for cid in (c1, c2):
         if cid not in model.concepts:
             raise m.UnknownIdentifierError(f"unknown concept '{cid}'")
-    return c1 in model.superiors[c2]
+    superiors = model.superiors
+    return superiors.bits[c2] >> superiors.index[c1] & 1 == 1
 
 
 def compute_hierarchy(model: m.Model) -> Hierarchy:
@@ -693,5 +698,9 @@ def classify_object(model: m.Model, object_id: str) -> list[str]:
     obj = model.objects.get(object_id)
     if obj is None:
         raise m.UnknownIdentifierError(f"unknown object '{object_id}'")
-    chain = [obj.concept, *model.superiors[obj.concept]]
-    return sorted(chain, key=lambda cid: (-len(model.intensions[cid]), cid))
+    superiors, intensions = model.superiors, model.intensions.bits
+    chain = superiors.members(superiors.bits[obj.concept])
+    chain.append(obj.concept)
+    chain.sort()  # then stably by size: ties stay in identifier order
+    chain.sort(key=lambda cid: intensions[cid].bit_count(), reverse=True)
+    return chain

@@ -147,13 +147,22 @@ def test_axis_arity_from_dsl():
     assert "E_AXIS_ARITY" in codes(validate(model))
 
 
+def test_axis_arity_counts_distinct_members():
+    # a repeated member is reported, and does not count towards the two
+    result = parse("concept A\naxis K of A { x, x }\n", "t.otl")
+    assert [d.render() for d in validate(result.model)] == [
+        "ERROR E_AXIS_ARITY t.otl:2:6 axis 'K' needs at least two member differences",
+        "ERROR E_DUP_DECL t.otl:2:6 axis 'K' lists difference 'x' twice",
+    ]
+
+
 # The duplicate checks live in the validator alone: the parser keeps every
 # name it reads, so DSL input (parsed, then validated) and the same edit of
 # the mouse otl-json/1 document reach the one diagnostic.
 # name: (DSL source, its diagnostic and span length, JSON edit, its diagnostic)
 DUPLICATES = {
     "axis_duplicate_member": (
-        "concept A\naxis K of A { x, x }\n",
+        "concept A\naxis K of A { x, y, x }\n",
         ("ERROR E_DUP_DECL t.otl:2:6 axis 'K' lists difference 'x' twice", 1),
         lambda doc: doc["axes"][0]["members"].append("mechanical"),
         "ERROR E_DUP_DECL DetectionMechanism axis 'DetectionMechanism' lists difference 'mechanical' twice",
@@ -502,6 +511,25 @@ def test_hierarchy_of_a_long_genus_chain():
 def test_hierarchy_over_few_differences_matches_oracles(seed, max_diffs):
     # few differences: most are declared by several concepts
     assert_hierarchy_matches_oracles(valid_random_model(seed, max_diffs=max_diffs))
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_derived_index_views_equal_the_oracle_dicts(seed):
+    model = valid_random_model(seed, max_concepts=20)
+    ids = list(model.concepts)
+    intensions = {c: oracle_intension(model, c) for c in ids}
+    superiors = {c2: {c1 for c1 in ids if oracle_subsumes(model, c1, c2)} for c2 in ids}
+    hierarchy = compute_hierarchy(model)
+    assert model.superiors is hierarchy.superiors
+    assert model.intensions == intensions and intensions == model.intensions
+    assert model.superiors == superiors and superiors == model.superiors
+    assert model.intensions != {**intensions, ids[0]: frozenset({"elsewhere"})}
+    assert list(model.intensions) == list(model.superiors) == ids
+    for view in (model.intensions, model.superiors):
+        with pytest.raises(TypeError):
+            view[ids[0]] = frozenset()
+        with pytest.raises(TypeError):
+            del view[ids[0]]
 
 
 # -- coordinates ---------------------------------------------------------------

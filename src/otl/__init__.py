@@ -75,11 +75,11 @@ _LAZY = {
     "extensional_definition": "definitions",
     "intensional_definition": "definitions",
     "lexicon": "definitions",
-    "ExportOptions": "exporters",
+    "ExportOptions": "dot",
     "JsonSchemaError": "exporters",
     "from_json": "exporters",
     "print_dsl": "exporters",
-    "to_dot": "exporters",
+    "to_dot": "dot",
     "to_json": "exporters",
 }
 

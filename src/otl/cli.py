@@ -61,8 +61,7 @@ def _load(path: str, stderr) -> Optional[m.Model]:
     model = result.model
     if model is not None:
         diagnostics.extend(validate(model))
-    for diag in diagnostics:
-        print(diag.render(), file=stderr)
+    stderr.write("".join(diag.render() + "\n" for diag in diagnostics))  # one write: stderr is line-buffered
     if model is None or m.has_errors(diagnostics):
         return None
     return model
@@ -98,7 +97,8 @@ def _wrong_kind(model: m.Model, name: str, wanted: str) -> m.OtlError:
 
 # Each command maps the loaded model and the parsed arguments to its payload;
 # None means the command has nothing to write.  A command imports the modules
-# only it uses, so `check` loads neither the exporters nor the definitions.
+# only it uses, so `check` loads neither the exporters nor the definitions,
+# and `tree` only the DOT writer, without `json`.
 
 
 def _check(model: m.Model, args: argparse.Namespace) -> Optional[str]:
@@ -106,7 +106,7 @@ def _check(model: m.Model, args: argparse.Namespace) -> Optional[str]:
 
 
 def _tree(model: m.Model, args: argparse.Namespace) -> Optional[str]:
-    from .exporters import ExportOptions, to_dot
+    from .dot import ExportOptions, to_dot
 
     opts = ExportOptions(include_objects=args.objects, include_derived_edges=args.derived)
     return to_dot(model, opts)

@@ -1,0 +1,76 @@
+"""DOT export (``.dot``): the concept hierarchy as a directed graph, with
+declared genus links solid, additional derived subsumption edges dashed, and
+object attachment dotted.
+
+Kept apart from the JSON and DSL writers, so ``otl tree`` compiles neither
+them nor ``json``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from . import model as m
+from .reasoner import compute_hierarchy
+
+
+@dataclass
+class ExportOptions:
+    include_objects: bool = False
+    include_derived_edges: bool = False
+    rankdir: str = "TB"  # TB = top-down, LR = left-right
+
+    def __post_init__(self) -> None:
+        if self.rankdir not in ("TB", "LR"):
+            raise ValueError(f"rankdir must be 'TB' or 'LR', got {self.rankdir!r}")
+
+
+def _dot_escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _dot_quote(text: str) -> str:
+    return '"' + _dot_escape(text) + '"'
+
+
+def to_dot(model: m.Model, opts: ExportOptions | None = None) -> str:
+    """DOT digraph of the concept hierarchy.
+
+    Solid edges are declared genus links; with ``include_derived_edges`` the
+    remaining covering edges of the derived poly-hierarchy appear dashed;
+    with ``include_objects`` objects hang off their concept on dotted edges.
+    """
+    opts = opts or ExportOptions()
+    hierarchy = compute_hierarchy(model)
+    lines = [
+        "digraph concept_system {",
+        f"  rankdir={opts.rankdir};",
+        "  node [shape=box];",
+    ]
+    for concept in model.concepts.values():
+        # \n here is DOT's newline escape inside the label, not a raw newline
+        diffs = ", ".join(_dot_escape(d) for d in concept.differentiae)
+        label = f'"{_dot_escape(concept.label)}\\n{{{diffs}}}"'
+        lines.append(f"  {_dot_quote(concept.id)} [label={label}];")
+    if opts.include_objects:
+        for obj in model.objects.values():
+            lines.append(
+                f"  {_dot_quote(obj.id)} [label={_dot_quote(obj.label)}, shape=ellipse];"
+            )
+    for concept in model.concepts.values():
+        if concept.genus is not None:
+            lines.append(f"  {_dot_quote(concept.genus)} -> {_dot_quote(concept.id)};")
+    if opts.include_derived_edges:
+        for concept in model.concepts.values():
+            derived = hierarchy.direct_super[concept.id] - {concept.genus}
+            for superordinate in sorted(derived):
+                lines.append(
+                    f"  {_dot_quote(superordinate)} -> {_dot_quote(concept.id)} [style=dashed];"
+                )
+    if opts.include_objects:
+        for obj in model.objects.values():
+            lines.append(
+                f"  {_dot_quote(obj.concept)} -> {_dot_quote(obj.id)} [style=dotted];"
+            )
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -12,12 +12,15 @@ Three exchange formats:
   bytes of ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)``
   without building ``doc``: one ``%`` template per row, keys in sorted
   order, filled a column at a time with strings escaped by the C escaper
-  ``json.dumps`` uses.  ``from_json`` runs one loop over the same rows.
+  ``json.dumps`` uses.  Each derived intension (a genus chain of n concepts
+  holds n²/2 names) is one ``join`` over its members, taken from the
+  numbering of the differences quoted and indented once per call.
+  ``from_json`` runs one loop over the same rows, and compares each stated
+  intension to the derived one as given, sorting it only when they differ.
 * DSL text (``.otl``): ``print_dsl`` is the round-trip partner of the
   parser; declarations are emitted in dependency order.
-* DOT (``.dot``): the concept hierarchy as a directed graph, with declared
-  genus links solid, additional derived subsumption edges dashed, and
-  object attachment dotted.
+* DOT (``.dot``): ``to_dot`` and ``ExportOptions`` live in ``otl.dot`` and
+  are re-exported here.
 
 The JSON schema is documented in docs/schema.md.
 """
@@ -25,7 +28,6 @@ The JSON schema is documented in docs/schema.md.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from decimal import Decimal
 from itertools import repeat
 from operator import attrgetter
@@ -33,7 +35,8 @@ from typing import Any, Callable, Container, Iterable, Iterator, NamedTuple, Opt
 
 from . import model as m
 from .classes import And, AttrEquals, ClassExpression, HasAttr, InConcept, Not, Or, fold
-from .reasoner import compute_hierarchy, validate_or_raise
+from .dot import ExportOptions, to_dot  # noqa: F401 - re-exported
+from .reasoner import validate_or_raise
 
 JSON_VERSION = "otl-json/1"
 
@@ -44,17 +47,6 @@ class JsonSchemaError(m.OtlError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
-
-
-@dataclass
-class ExportOptions:
-    include_objects: bool = False
-    include_derived_edges: bool = False
-    rankdir: str = "TB"  # TB = top-down, LR = left-right
-
-    def __post_init__(self) -> None:
-        if self.rankdir not in ("TB", "LR"):
-            raise ValueError(f"rankdir must be 'TB' or 'LR', got {self.rankdir!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +100,13 @@ class _Codec(NamedTuple):
 
 class _Field(NamedTuple):
     """One key of a JSON object.  A ``derive``d field is output of
-    validation: its column is ``derive(model, entities)``, it is optional on
-    input, and a stated value must agree with the validated model."""
+    validation: ``derive(model, entities, depth)`` writes its column of JSON
+    texts, it is optional on input, and a stated value, as read by the
+    codec, must agree with the validated model."""
 
     key: str
     codec: _Codec
-    derive: Optional[Callable[[m.Model, Iterable[Any]], Iterable[Any]]] = None
+    derive: Optional[Callable[[m.Model, Iterable[Any], int], Iterable[str]]] = None
 
 
 def _check(node: Any, path: str, fields: Iterable[_Field], keys: Container[str]) -> None:
@@ -139,15 +132,34 @@ def _read_opt(node: Any, path: str) -> Optional[str]:
     raise _shape_error(path, "string or null", node)
 
 
-def _read_strings(node: list, path: str) -> tuple[str, ...]:
-    if not all(map(isinstance, node, repeat(str))):
-        raise JsonSchemaError(path, "expected array of strings")
-    return tuple(node)
+def _strings(node: list, path: str) -> list[str]:
+    try:
+        "".join(node)  # fails on the first item that is not a string, at C speed
+    except TypeError:
+        raise JsonSchemaError(path, "expected array of strings") from None
+    return node
 
 
 _STR = _Codec(str, lambda texts, depth: map(_quote, texts))
 _OPT = _Codec(object, lambda texts, depth: ("null" if t is None else _quote(t) for t in texts), _read_opt)
-_STRINGS = _Codec(list, lambda lists, depth: (_array(list(map(_quote, s)), depth) for s in lists), _read_strings)
+_STRINGS = _Codec(
+    list,
+    lambda lists, depth: (_array(list(map(_quote, s)), depth) for s in lists),
+    lambda node, path: tuple(_strings(node, path)),
+)
+
+
+def _write_intensions(model: m.Model, concepts: Iterable[m.Concept], depth: int) -> Iterator[str]:
+    """Each concept's derived intension as an array opened at ``depth``: the
+    numbered differences are quoted and indented once, and each array is one
+    join over its members."""
+    intensions = model.intensions
+    quoted = [_pad(depth + 1) + text for text in map(_quote, intensions.names)]
+    close = _pad(depth) + "]"
+    return (
+        "[" + ",".join(intensions.members(bits, quoted)) + close if bits else "[]"
+        for bits in map(intensions.bits.__getitem__, map(attrgetter("id"), concepts))
+    )
 
 
 def _enum(parse: Callable[[str], Any], noun: str) -> _Codec:
@@ -264,7 +276,8 @@ _OP_OF = {cls: op for op, (cls, _) in _OPS.items()}
 _ID, _LABEL = _Field("id", _STR), _Field("label", _STR)
 _ENTITIES: tuple[tuple[str, type, Optional[str], tuple[_Field, ...]], ...] = (
     ("differences", m.Difference, "difference", (
-        _ID, _LABEL, _Field("axis", _OPT, lambda model, differences: map(attrgetter("axis"), differences)),
+        _ID, _LABEL,
+        _Field("axis", _OPT, lambda model, differences, depth: _OPT.write(map(attrgetter("axis"), differences), depth)),
     )),
     ("axes", m.Axis, "axis", (
         _ID, _LABEL, _Field("scope", _STR), _Field("members", _STRINGS),
@@ -272,8 +285,7 @@ _ENTITIES: tuple[tuple[str, type, Optional[str], tuple[_Field, ...]], ...] = (
     )),
     ("concepts", m.Concept, "concept", (
         _ID, _LABEL, _Field("genus", _OPT), _Field("differentiae", _STRINGS),
-        _Field("intension", _STRINGS, lambda model, concepts: (
-            model.intensions.members(model.intensions.bits[c.id]) for c in concepts)),
+        _Field("intension", _Codec(list, read=_strings), _write_intensions),
     )),
     ("attributes", m.AttributeDecl, "attribute", (
         _ID, _LABEL, _Field("domain", _STR), _Field("value_kind", _enum(m.ValueKind, "value kind")),
@@ -299,7 +311,7 @@ def _entities(model: m.Model, key: str, fields: tuple[_Field, ...]) -> str:
     if isinstance(items, dict):
         items = items.values()
     columns = [
-        codec.write(derive(model, items) if derive else map(attrgetter(field_key), items), 3)
+        derive(model, items, 3) if derive else codec.write(map(attrgetter(field_key), items), 3)
         for field_key, codec, derive in sorted(fields)
     ]
     template = _template(2, tuple(field.key for field in fields))
@@ -359,12 +371,13 @@ def from_json(text: str) -> m.Model:
                 args = {}
                 for field_key, codec, derive in fields:
                     if field_key in node:
-                        raw = node[field_key]
-                        value = raw if codec.read is None else codec.read(raw, f"{path}/{field_key}")
+                        value = node[field_key]
+                        if codec.read is not None:
+                            value = codec.read(value, f"{path}/{field_key}")
                         if derive is None:
                             args[field_key] = value
-                        else:  # only compared after validation: keep the JSON value, not a copy
-                            stated[field_key][node["id"]] = raw
+                        else:  # only compared after validation: its reader returns the JSON value itself
+                            stated[field_key][node["id"]] = value
                 entity = cls(**args)
                 if noun is None:
                     store.append(entity)
@@ -377,12 +390,13 @@ def from_json(text: str) -> m.Model:
 
     # Stated derived data, when present, must agree with what validation
     # recomputed; hand-edited files drift here first.  An intension's
-    # members come in sorted-id order, the order to_json writes them in.
+    # members come in sorted-id order, the order to_json writes them in, so
+    # a stated one is sorted only when it differs as given.
     intensions = model.intensions
     for i, cid in enumerate(model.concepts):
         if cid in stated["intension"]:
-            given, derived = stated["intension"][cid], intensions.bits[cid]
-            if len(given) != derived.bit_count() or sorted(given) != intensions.members(derived):
+            given, derived = stated["intension"][cid], intensions.members(intensions.bits[cid])
+            if given != derived and (len(given) != len(derived) or sorted(given) != derived):
                 message = f"stated intension of '{cid}' does not match the derived one"
                 raise JsonSchemaError(f"/concepts/{i}/intension", message)
     for i, did in enumerate(model.differences):
@@ -474,59 +488,3 @@ def print_dsl(model: m.Model) -> str:
         lines.append(f"class {cdef.id} := {{ x | {fold(cdef.expr, _dsl_node)} }}")
 
     return "\n".join(lines) + "\n" if lines else ""
-
-
-# ---------------------------------------------------------------------------
-# DOT
-# ---------------------------------------------------------------------------
-
-
-def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _dot_quote(text: str) -> str:
-    return '"' + _dot_escape(text) + '"'
-
-
-def to_dot(model: m.Model, opts: ExportOptions | None = None) -> str:
-    """DOT digraph of the concept hierarchy.
-
-    Solid edges are declared genus links; with ``include_derived_edges`` the
-    remaining covering edges of the derived poly-hierarchy appear dashed;
-    with ``include_objects`` objects hang off their concept on dotted edges.
-    """
-    opts = opts or ExportOptions()
-    hierarchy = compute_hierarchy(model)
-    lines = [
-        "digraph concept_system {",
-        f"  rankdir={opts.rankdir};",
-        "  node [shape=box];",
-    ]
-    for concept in model.concepts.values():
-        # \n here is DOT's newline escape inside the label, not a raw newline
-        diffs = ", ".join(_dot_escape(d) for d in concept.differentiae)
-        label = f'"{_dot_escape(concept.label)}\\n{{{diffs}}}"'
-        lines.append(f"  {_dot_quote(concept.id)} [label={label}];")
-    if opts.include_objects:
-        for obj in model.objects.values():
-            lines.append(
-                f"  {_dot_quote(obj.id)} [label={_dot_quote(obj.label)}, shape=ellipse];"
-            )
-    for concept in model.concepts.values():
-        if concept.genus is not None:
-            lines.append(f"  {_dot_quote(concept.genus)} -> {_dot_quote(concept.id)};")
-    if opts.include_derived_edges:
-        for concept in model.concepts.values():
-            derived = hierarchy.direct_super[concept.id] - {concept.genus}
-            for superordinate in sorted(derived):
-                lines.append(
-                    f"  {_dot_quote(superordinate)} -> {_dot_quote(concept.id)} [style=dashed];"
-                )
-    if opts.include_objects:
-        for obj in model.objects.values():
-            lines.append(
-                f"  {_dot_quote(obj.concept)} -> {_dot_quote(obj.id)} [style=dotted];"
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"

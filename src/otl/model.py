@@ -442,16 +442,20 @@ class BitSets(Mapping[str, frozenset[str]]):
         """The bits of `names`, which must all be numbered."""
         return reduce(or_, map((1).__lshift__, map(self.index.__getitem__, names)), 0)
 
-    def members(self, bits: int) -> list[str]:
-        """The names of the set bits, in numbering order: a sparse set walks its
-        bits, a dense one filters the numbering at C speed, each in time
-        proportional to the set's size."""
+    def members(self, bits: int, names: Optional[Sequence[str]] = None) -> list[str]:
+        """The items of ``names`` (by default the numbering itself; any
+        sequence parallel to it, such as the names already quoted) at the set
+        bits, in numbering order: a sparse set walks its bits, a dense one
+        filters ``names`` at C speed, each in time proportional to the set's
+        size."""
+        if names is None:
+            names = self.names
         if bits.bit_count() * 8 > bits.bit_length():
-            return list(compress(self.names, bin(bits)[:1:-1].encode().translate(self._FLAGS)))
+            return list(compress(names, bin(bits)[:1:-1].encode().translate(self._FLAGS)))
         out = []
         while bits:
             top = bits.bit_length() - 1
-            out.append(self.names[top])
+            out.append(names[top])
             bits ^= 1 << top
         out.reverse()
         return out

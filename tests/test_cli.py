@@ -274,6 +274,7 @@ DEFERRED = {"json", "otl.definitions", "otl.exporters"}
     "command, loaded",
     [
         (["check", MOUSE], set()),
+        (["tree", MOUSE, "--derived", "--objects"], set()),
         (["export", MOUSE, "--format", "json"], {"json", "otl.exporters"}),
         (["define", MOUSE, "OpticalMouse"], {"otl.definitions"}),
     ],

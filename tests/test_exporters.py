@@ -643,9 +643,14 @@ def test_json_layout_is_the_stdlib_layout_on_fixtures_and_sparse_models(
     sparse.attributes["w"] = AttributeDecl("w", "w", "A", ValueKind.TEXT)
     sparse.objects["o"] = ObjectInstance("o", "o", "A")
     validate_or_raise(sparse)
-    for model in (build(""), sparse, mouse, porphyry, multi_genus, red_things, mouse_parts, terms_model):
+    # a genus chain's intensions are dense: they are written from the
+    # numbering through compress, not by walking their bits
+    chain = build("concept C0\n" + "".join(f"concept C{i} := C{i - 1} + d{i}\n" for i in range(1, 300)))
+    models = (build(""), sparse, mouse, porphyry, multi_genus, red_things, mouse_parts, terms_model, chain)
+    for model in models:
         text = to_json(model)
         assert text == stdlib_layout(text)
+        assert from_json(text) == model
 
 
 _AWKWARD = st.text(alphabet='"\\\n\t\x00\x7f\u2028é€𝄞 a', max_size=6) | st.text(max_size=4)

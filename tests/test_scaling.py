@@ -16,7 +16,8 @@ a shared machine.  Each gate checks two ratios of one stage:
 A stage linear in its input doubles (gate 2.5).  On the genus chain the
 intensions and superiors are bitsets of n bits per concept: their memory
 doubles with n at these sizes, but the operations on them do O(n) work
-each, so the chain's time gate is 4.5.
+each, so the chain's time gate is 4.5.  Its JSON document lists every
+concept's intension, n²/2 names, so the JSON round trip's gates are 4.5.
 """
 
 import gc
@@ -25,7 +26,7 @@ import time
 import tracemalloc
 from functools import partial
 
-from otl import has_errors, parse, print_dsl, validate
+from otl import from_json, has_errors, parse, print_dsl, to_json, validate
 
 PAIRS = 9
 
@@ -106,6 +107,24 @@ def test_genus_chain_validate_grows_with_its_bitsets():
     assert memory_ratio <= 2.5
 
 
+def validated(source):
+    model = parse(source).model
+    assert validate(model) == []
+    return model
+
+
+def json_round_trip_call(source):
+    model = validated(source)
+    return lambda: from_json(to_json(model))
+
+
+def test_genus_chain_json_round_trip_grows_with_its_output():
+    time_ratio, memory_ratio, rebuilt = doubling_ratios(json_round_trip_call, chain_source, 128)
+    assert rebuilt == validated(chain_source(256))
+    assert time_ratio <= 4.5
+    assert memory_ratio <= 4.5
+
+
 def test_long_genus_chain_validate_retains_little_memory():
     # 4000 concepts hold 8 million (concept, difference) and (concept,
     # superior) pairs: as sets of ids they took about 660 MB, as bitsets 4 MB
@@ -141,9 +160,7 @@ def child_first_chain_source(n):
 
 
 def print_dsl_call(source):
-    model = parse(source).model
-    assert validate(model) == []
-    return partial(print_dsl, model)
+    return partial(print_dsl, validated(source))
 
 
 def test_child_first_chain_print_dsl_is_linear():

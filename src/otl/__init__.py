@@ -11,77 +11,86 @@ __version__ = "0.1.0"
 
 from importlib import import_module
 
-from .classes import (
-    And,
-    AttrEquals,
-    ClassExpression,
-    Contradiction,
-    HasAttr,
-    InConcept,
-    Not,
-    Or,
-    concept_conjunction,
-    concept_disjunction,
-    evaluate_class,
-)
-from .model import (
-    AmbiguousIdentifierError,
-    AssociativeLink,
-    AttributeDecl,
-    Axis,
-    ClassDef,
-    Concept,
-    Diagnostic,
-    Difference,
-    GenusCycleError,
-    InvalidModelError,
-    Model,
-    NotValidatedError,
-    ObjectInstance,
-    OtlError,
-    PartLink,
-    RelationKind,
-    Resolved,
-    Severity,
-    SourceSpan,
-    Term,
-    TermStatus,
-    UnknownIdentifierError,
-    Value,
-    ValueKind,
-    extension,
-    has_errors,
-    intension,
-    relation_kind_is_a,
-    resolve,
-)
-from .parser import ParseError, ParseResult, parse, parse_class_expr
-from .reasoner import (
-    Hierarchy,
-    classify_object,
-    compute_hierarchy,
-    coordinates,
-    subsumes,
-    validate,
-    validate_or_raise,
-)
+from . import classes, model, parser, reasoner
 
-# The definitions and exporters names load with their module on first access
-# (PEP 562), so a command that never uses them does not import them.
-_LAZY = {
-    "DefinitionError": "definitions",
-    "GeneratedDefinition": "definitions",
-    "describe_object": "definitions",
-    "extensional_definition": "definitions",
-    "intensional_definition": "definitions",
-    "lexicon": "definitions",
-    "ExportOptions": "dot",
-    "JsonSchemaError": "exporters",
-    "from_json": "exporters",
-    "print_dsl": "exporters",
-    "to_dot": "dot",
-    "to_json": "exporters",
+# Each public name, listed once under the module that defines it.  The four
+# modules imported above load with the package.  The others are named by a
+# string: their names load with their module on first access (PEP 562), so a
+# command that never uses them does not import them.
+_PUBLIC = {
+    classes: (
+        "And",
+        "AttrEquals",
+        "ClassExpression",
+        "Contradiction",
+        "HasAttr",
+        "InConcept",
+        "Not",
+        "Or",
+        "concept_conjunction",
+        "concept_disjunction",
+        "evaluate_class",
+    ),
+    model: (
+        "AmbiguousIdentifierError",
+        "AssociativeLink",
+        "AttributeDecl",
+        "Axis",
+        "ClassDef",
+        "Concept",
+        "Diagnostic",
+        "Difference",
+        "GenusCycleError",
+        "InvalidModelError",
+        "Model",
+        "NotValidatedError",
+        "ObjectInstance",
+        "OtlError",
+        "PartLink",
+        "RelationKind",
+        "Resolved",
+        "Severity",
+        "SourceSpan",
+        "Term",
+        "TermStatus",
+        "UnknownIdentifierError",
+        "Value",
+        "ValueKind",
+        "extension",
+        "has_errors",
+        "intension",
+        "relation_kind_is_a",
+        "resolve",
+    ),
+    parser: ("ParseError", "ParseResult", "parse", "parse_class_expr"),
+    reasoner: (
+        "Hierarchy",
+        "classify_object",
+        "compute_hierarchy",
+        "coordinates",
+        "subsumes",
+        "validate",
+        "validate_or_raise",
+    ),
+    "definitions": (
+        "DefinitionError",
+        "GeneratedDefinition",
+        "describe_object",
+        "extensional_definition",
+        "intensional_definition",
+        "lexicon",
+    ),
+    "dot": ("ExportOptions", "to_dot"),
+    "exporters": ("JsonSchemaError", "from_json", "print_dsl", "to_json"),
 }
+_LAZY: dict[str, str] = {}
+for _module, _names in _PUBLIC.items():
+    if isinstance(_module, str):
+        _LAZY.update(dict.fromkeys(_names, _module))
+    else:
+        globals().update((name, getattr(_module, name)) for name in _names)
+del _module, _names
+__all__ = ["__version__", *(name for names in _PUBLIC.values() for name in names)]
 
 
 def __getattr__(name: str):
@@ -91,78 +100,3 @@ def __getattr__(name: str):
     value = getattr(import_module(f".{module}", __name__), name)
     globals()[name] = value
     return value
-
-
-__all__ = [
-    "__version__",
-    # model
-    "Model",
-    "Concept",
-    "Difference",
-    "Axis",
-    "AttributeDecl",
-    "ObjectInstance",
-    "PartLink",
-    "AssociativeLink",
-    "Term",
-    "ClassDef",
-    "Value",
-    "ValueKind",
-    "TermStatus",
-    "RelationKind",
-    "relation_kind_is_a",
-    "Severity",
-    "Diagnostic",
-    "SourceSpan",
-    "Resolved",
-    "intension",
-    "extension",
-    "resolve",
-    "has_errors",
-    # errors
-    "OtlError",
-    "UnknownIdentifierError",
-    "AmbiguousIdentifierError",
-    "GenusCycleError",
-    "NotValidatedError",
-    "InvalidModelError",
-    "ParseError",
-    "JsonSchemaError",
-    "DefinitionError",
-    # parser
-    "parse",
-    "parse_class_expr",
-    "ParseResult",
-    # reasoner
-    "validate",
-    "validate_or_raise",
-    "Hierarchy",
-    "subsumes",
-    "compute_hierarchy",
-    "coordinates",
-    "classify_object",
-    # classes
-    "ClassExpression",
-    "InConcept",
-    "AttrEquals",
-    "HasAttr",
-    "And",
-    "Or",
-    "Not",
-    "Contradiction",
-    "evaluate_class",
-    "concept_conjunction",
-    "concept_disjunction",
-    # definitions
-    "GeneratedDefinition",
-    "intensional_definition",
-    "extensional_definition",
-    "describe_object",
-    "lexicon",
-    # exporters
-    "ExportOptions",
-    "to_json",
-    "from_json",
-    "print_dsl",
-    "to_dot",
-]

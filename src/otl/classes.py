@@ -169,10 +169,7 @@ def concept_conjunction(
 
     The result is a class: conjunction never mints a new concept.
     """
-    model.require_validated("concept_conjunction")
-    for cid in (c1, c2):
-        if cid not in model.concepts:
-            raise m.UnknownIdentifierError(f"unknown concept '{cid}'")
+    model.require_validated("concept_conjunction", c1, c2)
     intensions = model.intensions
     combined = intensions.bits[c1] | intensions.bits[c2]
     for axis in model.axes.values():
@@ -190,13 +187,8 @@ def concept_disjunction(model: m.Model, concepts: Iterable[str]) -> ClassExpress
     Requires at least two distinct concepts; no generic concept is created,
     the union stays a class.
     """
-    model.require_validated("concept_disjunction")
-    distinct: list[str] = []
-    for cid in concepts:
-        if cid not in model.concepts:
-            raise m.UnknownIdentifierError(f"unknown concept '{cid}'")
-        if cid not in distinct:
-            distinct.append(cid)
+    distinct = list(dict.fromkeys(concepts))
+    model.require_validated("concept_disjunction", *distinct)
     if len(distinct) < 2:
         raise ValueError("concept_disjunction requires at least two distinct concepts")
     return Or(tuple(InConcept(cid) for cid in distinct))

@@ -8,6 +8,7 @@ only the command payload so output can be piped.
 from __future__ import annotations
 
 import argparse
+import codecs
 import gc
 import sys
 from typing import Callable, Optional
@@ -51,10 +52,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def _load(path: str, stderr) -> Optional[m.Model]:
     try:
-        with open(path, encoding="utf-8-sig", newline="") as handle:
-            source = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
+        source = data.decode("utf-8-sig")  # newlines kept as they are, as parse sees them
     except OSError as exc:
         print(f"error: cannot read {path}: {exc.strerror}", file=stderr)
+        return None
+    except UnicodeDecodeError as exc:  # its offset counts from after a byte order mark
+        bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+        print(f"error: cannot read {path}: invalid UTF-8 at byte {exc.start + bom}", file=stderr)
         return None
     result = parse(source, path)
     diagnostics = list(result.diagnostics)

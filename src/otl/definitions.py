@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import model as m
-from .reasoner import compute_hierarchy
 
 
 class DefinitionError(m.OtlError):
@@ -45,10 +44,8 @@ class GeneratedDefinition:
 
 def intensional_definition(model: m.Model, concept_id: str) -> GeneratedDefinition:
     """Genus-and-differences definition of a non-root concept."""
-    model.require_validated("intensional_definition")
-    concept = model.concepts.get(concept_id)
-    if concept is None:
-        raise m.UnknownIdentifierError(f"unknown concept '{concept_id}'")
+    model.require_validated("intensional_definition", concept_id)
+    concept = model.concepts[concept_id]
     if concept.genus is None:
         raise DefinitionError(
             "E_ROOT_NO_INTENSIONAL",
@@ -69,11 +66,9 @@ def intensional_definition(model: m.Model, concept_id: str) -> GeneratedDefiniti
 def extensional_definition(model: m.Model, concept_id: str) -> GeneratedDefinition:
     """Enumerational definition: the direct subordinates in the derived
     hierarchy, so poly-hierarchy children count too."""
-    hierarchy = compute_hierarchy(model)
-    concept = model.concepts.get(concept_id)
-    if concept is None:
-        raise m.UnknownIdentifierError(f"unknown concept '{concept_id}'")
-    subordinates = sorted(hierarchy.direct_sub[concept_id])
+    model.require_validated("extensional_definition", concept_id)
+    concept = model.concepts[concept_id]
+    subordinates = sorted(model.hierarchy.direct_sub[concept_id])
     if not subordinates:
         raise DefinitionError(
             "E_NO_SUBORDINATES",
@@ -116,7 +111,7 @@ def lexicon(model: m.Model, language: str) -> str:
     after the table, as are concepts documented only by part links.
     """
     model.require_validated("lexicon")
-    hierarchy = compute_hierarchy(model)
+    hierarchy = model.hierarchy
     intensions = model.intensions.bits
     ordered = sorted(model.concepts, key=lambda cid: (intensions[cid].bit_count(), cid))
     status_rank = {

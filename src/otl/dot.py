@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import model as m
-from .reasoner import compute_hierarchy
 
 
 @dataclass
@@ -41,7 +40,8 @@ def to_dot(model: m.Model, opts: ExportOptions | None = None) -> str:
     with ``include_objects`` objects hang off their concept on dotted edges.
     """
     opts = opts or ExportOptions()
-    hierarchy = compute_hierarchy(model)
+    model.require_validated("to_dot")
+    hierarchy = model.hierarchy
     lines = [
         "digraph concept_system {",
         f"  rankdir={opts.rankdir};",

@@ -504,9 +504,14 @@ class Model:
     superiors: BitSets = field(default_factory=BitSets, compare=False, repr=False)
     hierarchy: Optional["Hierarchy"] = field(default=None, compare=False, repr=False)
 
-    def require_validated(self, operation: str) -> None:
+    def require_validated(self, operation: str, *concepts: str) -> None:
+        """The precondition of every read operation: the model is validated
+        and names each of `concepts`."""
         if not self.validated:
             raise NotValidatedError(operation)
+        for cid in concepts:
+            if cid not in self.concepts:
+                raise UnknownIdentifierError(f"unknown concept '{cid}'")
 
     def span_for(self, kind: str, entity_id: str) -> Union[SourceSpan, str]:
         """Best available diagnostic location for an entity: the span of its
@@ -578,9 +583,7 @@ def intension(model: Model, concept_id: str) -> frozenset[str]:
 
 def extension(model: Model, concept_id: str) -> frozenset[str]:
     """All objects whose concept is `concept_id` or subsumed by it."""
-    model.require_validated("extension")
-    if concept_id not in model.concepts:
-        raise UnknownIdentifierError(f"unknown concept '{concept_id}'")
+    model.require_validated("extension", concept_id)
     superiors = model.superiors
     bit = 1 << superiors.index[concept_id]
     below = {c for c, up in superiors.bits.items() if up & bit}  # each concept tested once

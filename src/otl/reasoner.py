@@ -664,10 +664,7 @@ def subsumes(model: m.Model, c1: str, c2: str) -> bool:
     so it holds between concepts with no genus path between them.
     Irreflexive by construction.
     """
-    model.require_validated("subsumes")
-    for cid in (c1, c2):
-        if cid not in model.concepts:
-            raise m.UnknownIdentifierError(f"unknown concept '{cid}'")
+    model.require_validated("subsumes", c1, c2)
     superiors = model.superiors
     return superiors.bits[c2] >> superiors.index[c1] & 1 == 1
 
@@ -681,9 +678,8 @@ def compute_hierarchy(model: m.Model) -> Hierarchy:
 def coordinates(model: m.Model, concept_id: str) -> frozenset[str]:
     """Concepts sharing at least one direct superordinate with the given
     concept, excluding the concept itself."""
-    hierarchy = compute_hierarchy(model)
-    if concept_id not in model.concepts:
-        raise m.UnknownIdentifierError(f"unknown concept '{concept_id}'")
+    model.require_validated("coordinates", concept_id)
+    hierarchy = model.hierarchy
     result: set[str] = set()
     for genus in hierarchy.direct_super[concept_id]:
         result.update(hierarchy.direct_sub[genus])

@@ -193,6 +193,15 @@ def test_check_accepts_a_utf8_byte_order_mark(tmp_path):
     assert invoke(["check", str(path)]) == (0, "", "")
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_check_reports_invalid_utf8_with_its_file_offset(tmp_path, bom):
+    path = tmp_path / "latin1.otl"
+    path.write_bytes(bom + b"concept A\nconcept B := A + \xff\n")
+    offset = len(bom) + 27  # the 0xff byte
+    message = f"error: cannot read {path}: invalid UTF-8 at byte {offset}\n"
+    assert invoke(["check", str(path)]) == (1, "", message)
+
+
 @pytest.mark.parametrize(
     "source",
     [
@@ -289,6 +298,81 @@ def test_commands_import_only_the_modules_they_use(command, loaded):
     }
     assert "otl.parser" in imported
     assert imported & DEFERRED == loaded
+
+
+PUBLIC_API = {
+    "__version__",
+    "AmbiguousIdentifierError",
+    "And",
+    "AssociativeLink",
+    "AttrEquals",
+    "AttributeDecl",
+    "Axis",
+    "ClassDef",
+    "ClassExpression",
+    "Concept",
+    "Contradiction",
+    "DefinitionError",
+    "Diagnostic",
+    "Difference",
+    "ExportOptions",
+    "GeneratedDefinition",
+    "GenusCycleError",
+    "HasAttr",
+    "Hierarchy",
+    "InConcept",
+    "InvalidModelError",
+    "JsonSchemaError",
+    "Model",
+    "Not",
+    "NotValidatedError",
+    "ObjectInstance",
+    "Or",
+    "OtlError",
+    "ParseError",
+    "ParseResult",
+    "PartLink",
+    "RelationKind",
+    "Resolved",
+    "Severity",
+    "SourceSpan",
+    "Term",
+    "TermStatus",
+    "UnknownIdentifierError",
+    "Value",
+    "ValueKind",
+    "classify_object",
+    "compute_hierarchy",
+    "concept_conjunction",
+    "concept_disjunction",
+    "coordinates",
+    "describe_object",
+    "evaluate_class",
+    "extension",
+    "extensional_definition",
+    "from_json",
+    "has_errors",
+    "intension",
+    "intensional_definition",
+    "lexicon",
+    "parse",
+    "parse_class_expr",
+    "print_dsl",
+    "relation_kind_is_a",
+    "resolve",
+    "subsumes",
+    "to_dot",
+    "to_json",
+    "validate",
+    "validate_or_raise",
+}
+
+
+def test_public_api_is_pinned():
+    import otl
+
+    assert len(otl.__all__) == len(set(otl.__all__))
+    assert set(otl.__all__) == PUBLIC_API
 
 
 def test_library_api_is_complete_after_lazy_imports():

@@ -25,7 +25,6 @@ from otl import (
     JsonSchemaError,
     Model,
     Not,
-    NotValidatedError,
     ObjectInstance,
     Or,
     PartLink,
@@ -110,11 +109,6 @@ def test_json_preserves_part_notes():
     rebuilt = from_json(to_json(model))
     assert rebuilt.parts[0].note == "a structural note"
     assert rebuilt == model
-
-
-def test_json_requires_validated_model():
-    with pytest.raises(NotValidatedError):
-        to_json(Model())
 
 
 @pytest.mark.parametrize(

@@ -10,20 +10,36 @@ from otl import (
     AmbiguousIdentifierError,
     Concept,
     GenusCycleError,
+    InConcept,
     Model,
     NotValidatedError,
     RelationKind,
     UnknownIdentifierError,
+    classify_object,
+    compute_hierarchy,
+    concept_conjunction,
+    concept_disjunction,
+    coordinates,
+    describe_object,
+    evaluate_class,
     extension,
+    extensional_definition,
     intension,
+    intensional_definition,
+    lexicon,
     parse,
+    print_dsl,
     relation_kind_is_a,
     resolve,
+    subsumes,
+    to_dot,
+    to_json,
     validate,
     validate_or_raise,
 )
 from otl.model import value_kind_of, values_equal, ValueKind
 
+from conftest import load_fixture
 from gen import valid_random_model
 from oracles import oracle_extension, oracle_intension
 
@@ -77,11 +93,46 @@ def test_extension_matches_oracle_on_fixture(mouse):
         assert extension(mouse, cid) == oracle_extension(mouse, cid)
 
 
-def test_extension_requires_validated_model():
-    model = Model()
-    model.concepts["A"] = Concept("A", "A")
-    with pytest.raises(NotValidatedError):
-        extension(model, "A")
+# Every public read operation, called on the mouse fixture with `cid` in one
+# place where it takes a concept id; those in TAKE_CONCEPTS take one.
+READS = {
+    "extension": lambda model, cid: extension(model, cid),
+    "subsumes": lambda model, cid: subsumes(model, "PointingDevice", cid),
+    "coordinates": lambda model, cid: coordinates(model, cid),
+    "classify_object": lambda model, cid: classify_object(model, "thisOpticalMouse"),
+    "evaluate_class": lambda model, cid: evaluate_class(model, InConcept(cid)),
+    "concept_conjunction": lambda model, cid: concept_conjunction(model, cid, "OpticalMouse"),
+    "concept_disjunction": lambda model, cid: concept_disjunction(model, ["OpticalMouse", cid]),
+    "intensional_definition": lambda model, cid: intensional_definition(model, cid),
+    "extensional_definition": lambda model, cid: extensional_definition(model, cid),
+    "describe_object": lambda model, cid: describe_object(model, "thisOpticalMouse"),
+    "lexicon": lambda model, cid: lexicon(model, "en"),
+    "to_json": lambda model, cid: to_json(model),
+    "print_dsl": lambda model, cid: print_dsl(model),
+    "to_dot": lambda model, cid: to_dot(model),
+    "compute_hierarchy": lambda model, cid: compute_hierarchy(model),
+}
+TAKE_CONCEPTS = {
+    "extension",
+    "subsumes",
+    "coordinates",
+    "evaluate_class",
+    "concept_conjunction",
+    "concept_disjunction",
+    "intensional_definition",
+    "extensional_definition",
+}
+
+
+@pytest.mark.parametrize("operation", READS)
+def test_read_operations_name_themselves_and_reject_unknown_concepts(operation):
+    model = parse(load_fixture("mouse.otl")).model
+    with pytest.raises(NotValidatedError, match=f"^{operation} requires a validated model$"):
+        READS[operation](model, "OpticalMouse")
+    validate_or_raise(model)
+    if operation in TAKE_CONCEPTS:
+        with pytest.raises(UnknownIdentifierError, match="^unknown concept 'Ghost'$"):
+            READS[operation](model, "Ghost")
 
 
 def test_resolve_finds_concept(mouse):

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the golden files under tests/golden from the fixtures.
+"""Regenerate the golden files under tests/golden from the fixtures and,
+for recovery.txt, from the seeded malformed sources of tests/gen.py.
 
 Run from the repository root after an intentional output-format change, then
 review the diff by hand before committing: the goldens pin byte-exact
@@ -13,6 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from otl import (  # noqa: E402
     ExportOptions,
@@ -24,6 +26,7 @@ from otl import (  # noqa: E402
     to_json,
     validate_or_raise,
 )
+from gen import recovery_golden  # noqa: E402
 
 FIXTURES = ROOT / "tests" / "fixtures"
 GOLDEN = ROOT / "tests" / "golden"
@@ -56,6 +59,7 @@ def main() -> None:
         extensional_definition(mouse, "PointingDevice").render() + "\n",
     )
     write("lexicon_mouse_en.txt", lexicon(mouse, "en"))
+    write("recovery.txt", recovery_golden())
 
 
 if __name__ == "__main__":

@@ -80,31 +80,38 @@ class Contradiction:
 
 
 _T = TypeVar("_T")
+_Clash = tuple[str, list[str]]
 
 
 def fold(expr: ClassExpression, combine: Callable[[ClassExpression, list[_T]], _T]) -> _T:
     """Combine an expression bottom-up: `combine(node, results)` gets each
     node with the results of its children, in order, and the root's result is
     returned.  Children are visited left to right, and an explicit stack
-    keeps the walk clear of the interpreter recursion limit at any depth."""
-    results: list[_T] = []
-    stack: list[tuple[ClassExpression, bool]] = [(expr, False)]
+    keeps the walk clear of the interpreter recursion limit at any depth:
+    the nodes are listed in preorder, last child first, with their arities,
+    and the reverse of that list is the left-to-right postorder."""
+    nodes: list[ClassExpression] = []
+    arities: list[int] = []
+    stack = [expr]
     while stack:
-        node, expanded = stack.pop()
+        node = stack.pop()
+        nodes.append(node)
         if isinstance(node, (And, Or)):
-            children: tuple[ClassExpression, ...] = node.children
+            stack.extend(node.children)
+            arities.append(len(node.children))
         elif isinstance(node, Not):
-            children = (node.child,)
+            stack.append(node.child)
+            arities.append(1)
         else:
-            children = ()
-        if expanded or not children:
-            cut = len(results) - len(children)
-            value = combine(node, results[cut:])
-            del results[cut:]
+            arities.append(0)
+    results: list[_T] = []
+    for node, arity in zip(reversed(nodes), reversed(arities)):
+        if arity:
+            value = combine(node, results[-arity:])
+            del results[-arity:]
             results.append(value)
         else:
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(children))
+            results.append(combine(node, []))
     return results[0]
 
 
@@ -112,17 +119,14 @@ def expression_references(expr: ClassExpression) -> tuple[set[str], set[str]]:
     """Concept and attribute identifiers referenced by an expression."""
     concepts: set[str] = set()
     attributes: set[str] = set()
-    stack: list[ClassExpression] = [expr]
-    while stack:
-        node = stack.pop()
+
+    def note(node: ClassExpression, _: list[None]) -> None:
         if isinstance(node, InConcept):
             concepts.add(node.concept)
         elif isinstance(node, (AttrEquals, HasAttr)):
             attributes.add(node.attribute)
-        elif isinstance(node, (And, Or)):
-            stack.extend(node.children)
-        else:
-            stack.append(node.child)
+
+    fold(expr, note)
     return concepts, attributes
 
 
@@ -161,6 +165,23 @@ def _check_attribute(model: m.Model, attribute_id: str) -> None:
         raise m.UnknownIdentifierError(f"unknown attribute '{attribute_id}'")
 
 
+def axis_clashes(model: m.Model, numbering: m.BitSets) -> Callable[[int], list[_Clash]]:
+    """The exclusive-axis rule, as a function from a set of differences (bits
+    of `numbering`) to its clashes: (axis, members) for each exclusive axis
+    holding two or more, axes in declaration order, members sorted."""
+    exclusive = numbering.mask(d for ax in model.axes.values() if ax.exclusive for d in ax.members)
+
+    def clashes(bits: int) -> list[_Clash]:
+        on, by_axis = bits & exclusive, {}
+        if on.bit_count() > 1:  # a clash takes two members, and each is on one axis
+            for diff in numbering.members(on):  # in sorted order
+                by_axis.setdefault(model.differences[diff].axis, []).append(diff)
+        found = [(axis, diffs) for axis, diffs in by_axis.items() if len(diffs) > 1]
+        return sorted(found, key=lambda c: list(model.axes).index(c[0])) if len(found) > 1 else found
+
+    return clashes
+
+
 def concept_conjunction(
     model: m.Model, c1: str, c2: str
 ) -> Union[ClassExpression, Contradiction]:
@@ -170,14 +191,10 @@ def concept_conjunction(
     The result is a class: conjunction never mints a new concept.
     """
     model.require_validated("concept_conjunction", c1, c2)
-    intensions = model.intensions
-    combined = intensions.bits[c1] | intensions.bits[c2]
-    for axis in model.axes.values():
-        if not axis.exclusive:
-            continue
-        clash = intensions.members(combined & intensions.mask(axis.members))  # in sorted order
-        if len(clash) >= 2:
-            return Contradiction(axis.id, tuple(clash), (c1, c2))
+    bits = model.intensions.bits
+    clashes = axis_clashes(model, model.intensions)(bits[c1] | bits[c2])
+    if clashes:
+        return Contradiction(clashes[0][0], tuple(clashes[0][1]), (c1, c2))
     return And((InConcept(c1), InConcept(c2)))
 
 

@@ -19,8 +19,7 @@ Three exchange formats:
   intension to the derived one as given, sorting it only when they differ.
 * DSL text (``.otl``): ``print_dsl`` is the round-trip partner of the
   parser; declarations are emitted in dependency order.
-* DOT (``.dot``): ``to_dot`` and ``ExportOptions`` live in ``otl.dot`` and
-  are re-exported here.
+* DOT (``.dot``): ``to_dot`` and ``ExportOptions`` live in ``otl.dot``.
 
 The JSON schema is documented in docs/schema.md.
 """
@@ -35,7 +34,6 @@ from typing import Any, Callable, Container, Iterable, Iterator, NamedTuple, Opt
 
 from . import model as m
 from .classes import And, AttrEquals, ClassExpression, HasAttr, InConcept, Not, Or, fold
-from .dot import ExportOptions, to_dot  # noqa: F401 - re-exported
 from .reasoner import validate_or_raise
 
 JSON_VERSION = "otl-json/1"

@@ -31,6 +31,9 @@ free-standing difference during validation.
 
 Parsing is total: it never raises on bad input, always returning a
 ParseResult whose model is present iff no error diagnostics were produced.
+A syntax error is reported where it is found and abandons its statement by
+raising a private exception; `_Parser.run`, the one recovery point, catches
+it and resumes at the next statement boundary (panic mode).
 The parser checks syntax and that declaration ids are unique (an object's
 values too, as they are keyed by attribute), and nothing else: it keeps
 every name as read, repeated axis members, differentiae and term triples
@@ -56,7 +59,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .classes import And, AttrEquals, ClassExpression, HasAttr, InConcept, Not, Or
 from .model import (
@@ -127,6 +130,11 @@ class ParseError(OtlError):
     def __init__(self, diagnostic: Diagnostic):
         self.diagnostic = diagnostic
         super().__init__(diagnostic.render())
+
+
+class _Abandon(Exception):
+    """Abandons the statement being read once its syntax error is reported;
+    `_Parser.run` and `parse_class_expr` catch it."""
 
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
@@ -271,51 +279,40 @@ class _Parser:
             Diagnostic(Severity.ERROR, code, message, self.source.span(offset, length))
         )
 
-    def fail(self, expected: str) -> None:
+    def abandon(self, message: str) -> NoReturn:
+        """Report a syntax error at the lookahead and abandon the statement."""
+        self.error(message, self.m, value=self.value)
+        raise _Abandon
+
+    def fail(self, expected: str) -> NoReturn:
         """Report that the lookahead is not the `expected` token."""
-        self.error(f"expected {expected}, found {self.describe()}", self.m, value=self.value)
+        self.abandon(f"expected {expected}, found {self.describe()}")
 
-    def expect(self, kind: str, expected: str) -> bool:
-        if self.kind == kind:
-            self.advance()
-            return True
-        self.fail(expected)
-        return False
+    def expect(self, kind: str, expected: str) -> None:
+        if self.kind != kind:
+            self.fail(expected)
+        self.advance()
 
-    def expect_word(self, word: str) -> bool:
-        if self.at_word(word):
-            self.advance()
-            return True
-        self.fail(f"'{word}'")
-        return False
+    def expect_word(self, word: str) -> None:
+        if not self.at_word(word):
+            self.fail(f"'{word}'")
+        self.advance()
 
-    def ident(self, expected: str) -> Optional[str]:
+    def ident(self, expected: str) -> str:
         """Take an identifier and return its text, or report `expected`."""
-        if self.kind == "WORD":
-            word = self.m[1]
-            if word not in KEYWORDS:
-                self.advance()
-                return word
-        self.fail(expected)
-        return None
+        word = self.m[1] if self.kind == "WORD" else None
+        if word is None or word in KEYWORDS:
+            self.fail(expected)
+        self.advance()
+        return word
 
-    def one_of(self, words: tuple[str, ...]) -> Optional[str]:
+    def one_of(self, words: tuple[str, ...]) -> str:
         """Take an identifier among `words` and return it, or report them."""
-        if self.kind == "WORD" and self.m[1] in words:
-            word = self.m[1]
-            self.advance()
-            return word
-        expected = ", ".join(words)
-        self.error(f"expected one of {expected}, found {self.text()!r}", self.m, value=self.value)
-        return None
-
-    def recover(self) -> None:
-        """Skip to the next statement boundary after a syntax error.  Brackets
-        the failed statement left open are closed first, so its newline ends
-        it."""
-        self.depth = 0
-        while self.kind != "SEP" and self.kind != "EOF":
-            self.advance()
+        word = self.m[1] if self.kind == "WORD" else None
+        if word not in words:
+            self.abandon(f"expected one of {', '.join(words)}, found {self.text()!r}")
+        self.advance()
+        return word
 
     def declare(self, kind: str, name: str, at: re.Match) -> bool:
         """Record a declaration; returns False (and diagnoses) on duplicates."""
@@ -333,52 +330,48 @@ class _Parser:
     # -- statements --------------------------------------------------------
 
     def run(self) -> None:
+        """Read statements to the end.  A syntax error abandons its statement
+        here, the one recovery point: the brackets it left open are closed,
+        so its newline ends it, and the input is skipped to that end."""
         while True:
             while self.kind == "SEP":
                 self.advance()
             if self.kind == "EOF":
                 break
             statement = _STATEMENTS.get(self.m[1]) if self.kind == "WORD" else None
-            if statement is None:
-                self.fail(f"one of {', '.join(STATEMENT_KEYWORDS)}")
-                self.recover()
-                continue
-            statement(self)
-            if self.kind != "SEP" and self.kind != "EOF":
-                self.fail("end of statement")
-                self.recover()
+            try:
+                if statement is None:
+                    self.fail(f"one of {', '.join(STATEMENT_KEYWORDS)}")
+                statement(self)
+                if self.kind != "SEP" and self.kind != "EOF":
+                    self.fail("end of statement")
+            except _Abandon:
+                self.depth = 0
+                while self.kind != "SEP" and self.kind != "EOF":
+                    self.advance()
 
-    def _ident_list(self, expected: str, first: Optional[str] = None) -> Optional[list[str]]:
+    def _ident_list(self, expected: str, first: str = "") -> list[str]:
         """Identifiers separated by commas; `first` says what the first one
         is, when it is more than `expected`."""
-        items: list[str] = []
-        while True:
-            name = self.ident(first if first and not items else expected)
-            if name is None:
-                return None
-            items.append(name)
-            if self.kind != "COMMA":
-                return items
+        items = [self.ident(first or expected)]
+        while self.kind == "COMMA":
             self.advance()
+            items.append(self.ident(expected))
+        return items
 
     def _stmt_concept(self) -> None:
         self.advance()  # 'concept'
         at = self.m
         name = self.ident("concept identifier")
-        if name is None:
-            return self.recover()
         genus: Optional[str] = None
         differentiae: list[str] = []
         if self.kind == "ASSIGN":
             self.advance()
-            diffs = self._ident_list("difference identifier", "genus or difference identifier")
-            if diffs is not None and len(diffs) == 1 and self.kind == "PLUS":
+            differentiae = self._ident_list("difference identifier", "genus or difference identifier")
+            if len(differentiae) == 1 and self.kind == "PLUS":
                 self.advance()
-                genus = diffs[0]
-                diffs = self._ident_list("difference identifier")
-            if diffs is None:
-                return self.recover()
-            differentiae = diffs
+                genus = differentiae[0]
+                differentiae = self._ident_list("difference identifier")
         if self.declare("concept", name, at):
             self.model.concepts[name] = Concept(name, name, genus, tuple(differentiae))
 
@@ -386,19 +379,14 @@ class _Parser:
         self.advance()  # 'axis'
         at = self.m
         name = self.ident("axis identifier")
-        if name is None or not self.expect_word("of"):
-            return self.recover()
+        self.expect_word("of")
         scope = self.ident("concept identifier")
-        if scope is None:
-            return self.recover()
         exclusive = not self.at_word("nonexclusive")
         if not exclusive:
             self.advance()
-        if not self.expect("LBRACE", "'{'"):
-            return self.recover()
+        self.expect("LBRACE", "'{'")
         members = self._ident_list("difference identifier")
-        if members is None or not self.expect("RBRACE", "'}'"):
-            return self.recover()
+        self.expect("RBRACE", "'}'")
         if self.declare("axis", name, at):
             self.model.axes[name] = Axis(name, name, scope, tuple(members), exclusive)
 
@@ -406,18 +394,14 @@ class _Parser:
         self.advance()  # 'attribute'
         at = self.m
         name = self.ident("attribute identifier")
-        if name is None or not self.expect("COLON", "':'"):
-            return self.recover()
+        self.expect("COLON", "':'")
         value_kind = self.one_of(("text", "number", "boolean"))
-        if value_kind is None or not self.expect_word("on"):
-            return self.recover()
+        self.expect_word("on")
         domain = self.ident("concept identifier")
-        if domain is None:
-            return self.recover()
         if self.declare("attribute", name, at):
             self.model.attributes[name] = AttributeDecl(name, name, domain, ValueKind(value_kind))
 
-    def _value(self) -> Optional[Value]:
+    def _value(self) -> Value:
         kind = self.kind
         if kind == "STRING":
             value: Value = self.value
@@ -427,7 +411,6 @@ class _Parser:
             value = self.m[1] == "true"
         else:
             self.fail("string, number, true or false")
-            return None
         self.advance()
         return value
 
@@ -435,11 +418,8 @@ class _Parser:
         self.advance()  # 'object'
         at = self.m
         name = self.ident("object identifier")
-        if name is None or not self.expect("COLON", "':'"):
-            return self.recover()
+        self.expect("COLON", "':'")
         concept = self.ident("concept identifier")
-        if concept is None:
-            return self.recover()
         values: dict[str, Value] = {}
         value_spans: list[tuple[str, re.Match]] = []
         if self.kind == "LBRACE":
@@ -447,11 +427,8 @@ class _Parser:
             while True:
                 attr_at = self.m
                 attr = self.ident("attribute identifier")
-                if attr is None or not self.expect("EQUALS", "'='"):
-                    return self.recover()
+                self.expect("EQUALS", "'='")
                 value = self._value()
-                if value is None:
-                    return self.recover()
                 if attr in values:
                     self.error(
                         f"duplicate value for attribute '{attr}'", attr_at, code="E_DUP_DECL"
@@ -462,8 +439,7 @@ class _Parser:
                 if self.kind != "COMMA":
                     break
                 self.advance()
-            if not self.expect("RBRACE", "'}'"):
-                return self.recover()
+            self.expect("RBRACE", "'}'")
         if not self.declare("object", name, at):
             return
         self.model.objects[name] = ObjectInstance(name, name, concept, values)
@@ -475,11 +451,8 @@ class _Parser:
         at = self.m
         self.advance()  # 'part'
         whole = self.ident("concept identifier")
-        if whole is None or not self.expect_word("has"):
-            return self.recover()
+        self.expect_word("has")
         part = self.ident("concept identifier")
-        if part is None:
-            return self.recover()
         self.model.spans[("part", str(len(self.model.parts)))] = _token(at)[1:]
         self.model.parts.append(PartLink(whole, part))
 
@@ -488,40 +461,32 @@ class _Parser:
         self.advance()  # 'relation'
         # Links are anonymous in the model; the name is required by the
         # syntax but only aids readability of the source.
-        if self.ident("relation identifier") is None or not self.expect("LPAREN", "'('"):
-            return self.recover()
+        self.ident("relation identifier")
+        self.expect("LPAREN", "'('")
         rel = self.one_of(_RELTYPE_WORDS)
-        if rel is None or not self.expect("RPAREN", "')'"):
-            return self.recover()
+        self.expect("RPAREN", "')'")
         source = self.ident("concept identifier")
-        if source is None or not self.expect("ARROW", "'->'"):
-            return self.recover()
+        self.expect("ARROW", "'->'")
         target = self.ident("concept identifier")
-        if target is None:
-            return self.recover()
         self.model.spans[("relation", str(len(self.model.relations)))] = _token(at)[1:]
         self.model.relations.append(AssociativeLink(parse_relation_kind(rel), source, target))
 
     def _stmt_term(self) -> None:
         self.advance()  # 'term'
         at, designation = self.m, self.value
-        if not (self.expect("STRING", "term designation string") and self.expect("LPAREN", "'('")):
-            return self.recover()
+        self.expect("STRING", "term designation string")
+        self.expect("LPAREN", "'('")
         lang = self.ident("language tag")
-        if lang is None or not self.expect("COMMA", "','"):
-            return self.recover()
+        self.expect("COMMA", "','")
         status = self.one_of(_STATUS_WORDS)
-        if status is None or not self.expect("RPAREN", "')'") or not self.expect_word("for"):
-            return self.recover()
+        self.expect("RPAREN", "')'")
+        self.expect_word("for")
         concept = self.ident("concept identifier")
-        if concept is None:
-            return self.recover()
         nl_definition: Optional[str] = None
         if self.at_word("definition"):
             self.advance()
             nl_definition = self.value
-            if not self.expect("STRING", "definition string"):
-                return self.recover()
+            self.expect("STRING", "definition string")
         self.model.spans[("term", str(len(self.model.terms)))] = _token(at, designation)[1:]
         self.model.terms.append(
             Term(designation, lang, TermStatus(status), concept, nl_definition)
@@ -531,52 +496,34 @@ class _Parser:
         self.advance()  # 'class'
         at = self.m
         name = self.ident("class identifier")
-        if (
-            name is None
-            or not self.expect("ASSIGN", "':='")
-            or not self.expect("LBRACE", "'{'")
-            or not self.expect_word("x")
-            or not self.expect("PIPE", "'|'")
-        ):
-            return self.recover()
+        self.expect("ASSIGN", "':='")
+        self.expect("LBRACE", "'{'")
+        self.expect_word("x")
+        self.expect("PIPE", "'|'")
         expr = self._class_expr(0)
-        if expr is None or not self.expect("RBRACE", "'}'"):
-            return self.recover()
+        self.expect("RBRACE", "'}'")
         if self.declare("class", name, at):
             self.model.classes[name] = ClassDef(name, expr)
 
     # -- class expressions ---------------------------------------------------
 
-    def _class_expr(self, depth: int) -> Optional[ClassExpression]:
+    def _class_expr(self, depth: int) -> ClassExpression:
         if depth > MAX_EXPR_DEPTH:
-            self.error("class expression too deeply nested", self.m, value=self.value)
-            return None
-        left = self._and_expr(depth)
-        if left is None:
-            return None
-        children = [left]
+            self.abandon("class expression too deeply nested")
+        children = [self._and_expr(depth)]
         while self.at_word("or"):
             self.advance()
-            nxt = self._and_expr(depth)
-            if nxt is None:
-                return None
-            children.append(nxt)
+            children.append(self._and_expr(depth))
         return children[0] if len(children) == 1 else Or(tuple(children))
 
-    def _and_expr(self, depth: int) -> Optional[ClassExpression]:
-        left = self._unary(depth)
-        if left is None:
-            return None
-        children = [left]
+    def _and_expr(self, depth: int) -> ClassExpression:
+        children = [self._unary(depth)]
         while self.at_word("and"):
             self.advance()
-            nxt = self._unary(depth)
-            if nxt is None:
-                return None
-            children.append(nxt)
+            children.append(self._unary(depth))
         return children[0] if len(children) == 1 else And(tuple(children))
 
-    def _unary(self, depth: int) -> Optional[ClassExpression]:
+    def _unary(self, depth: int) -> ClassExpression:
         # leading 'not's are counted iteratively so pathological chains can't
         # exhaust the interpreter stack
         negations = 0
@@ -586,32 +533,24 @@ class _Parser:
         if self.kind == "LPAREN":
             self.advance()
             expr = self._class_expr(depth + 1)
-            if expr is None or not self.expect("RPAREN", "')'"):
-                return None
+            self.expect("RPAREN", "')'")
         else:
             expr = self._atom()
-            if expr is None:
-                return None
         for _ in range(negations):
             expr = Not(expr)
         return expr
 
-    def _atom(self) -> Optional[ClassExpression]:
+    def _atom(self) -> ClassExpression:
         word = self.m[1] if self.kind == "WORD" else None
         if word == "in" or word == "has":
             self.advance()
             name = self.ident("concept identifier" if word == "in" else "attribute identifier")
-            if name is None:
-                return None
             return InConcept(name) if word == "in" else HasAttr(name)
-        if word is not None and word not in KEYWORDS:
-            self.advance()
-            if not self.expect("EQUALS", "'='"):
-                return None
-            value = self._value()
-            return None if value is None else AttrEquals(word, value)
-        self.fail("'in', 'has', attribute comparison, 'not' or '('")
-        return None
+        if word is None or word in KEYWORDS:
+            self.fail("'in', 'has', attribute comparison, 'not' or '('")
+        self.advance()
+        self.expect("EQUALS", "'='")
+        return AttrEquals(word, self._value())
 
 
 _STATEMENTS = {word: getattr(_Parser, f"_stmt_{word}") for word in STATEMENT_KEYWORDS}
@@ -636,27 +575,16 @@ def parse_class_expr(source: str, file_name: str = "<expr>") -> ClassExpression:
     A lexical error anywhere in the input is reported before a syntax error.
     """
     parser = _Parser(SourceText(file_name, source))
-    expr = parser._class_expr(0)
-    trailing = None
-    if expr is not None:
+    try:
+        expr = parser._class_expr(0)
         while parser.kind == "SEP":
             parser.advance()
         if parser.kind != "EOF":
-            trailing = (parser.m, parser.value)
-    while parser.kind != "EOF":
-        parser.advance()
-    if parser.lex_errors:
-        raise ParseError(parser.lex_errors[0])
-    if expr is None:
-        raise ParseError(parser.diagnostics[0])
-    if trailing is not None:
-        text, offset, length = _token(*trailing)
-        raise ParseError(
-            Diagnostic(
-                Severity.ERROR,
-                "E_SYN",
-                f"unexpected trailing input {text!r}",
-                parser.source.span(offset, length),
-            )
-        )
+            parser.abandon(f"unexpected trailing input {parser.text()!r}")
+    except _Abandon:
+        while parser.kind != "EOF":
+            parser.advance()
+    errors = parser.lex_errors + parser.diagnostics
+    if errors:
+        raise ParseError(errors[0])
     return expr

@@ -42,7 +42,7 @@ from functools import reduce
 from operator import or_
 
 from . import model as m
-from .classes import expression_references
+from .classes import axis_clashes, expression_references
 
 
 @dataclass
@@ -480,29 +480,17 @@ class _Validator:
                     cid,
                 )
 
-        # Resolution left each member on exactly one axis, so a concept can
-        # only clash on the exclusive axes of its own differences.
-        rank = {axis_id: i for i, axis_id in enumerate(model.axes)}
-        exclusive = self.intensions.mask(
-            member for axis in model.axes.values() if axis.exclusive for member in axis.members
-        )
+        clashes = axis_clashes(model, self.intensions)
         for concept in model.concepts.values():
             intension = intensions[concept.id]
-            on_exclusive = intension & exclusive
-            clashes: dict[str, list[str]] = {}
-            if on_exclusive.bit_count() > 1:  # a clash takes two members
-                for diff_id in self.intensions.members(on_exclusive):  # in sorted order
-                    clashes.setdefault(model.differences[diff_id].axis, []).append(diff_id)
-            for axis_id in sorted(clashes, key=rank.__getitem__):
-                clash = clashes[axis_id]
-                if len(clash) >= 2:
-                    listing = ", ".join(clash)
-                    self.error(
-                        "E_AXIS_CONTRADICTION",
-                        f"concept '{concept.id}' combines {listing}, exclusive on axis '{axis_id}'",
-                        "concept",
-                        concept.id,
-                    )
+            for axis_id, clash in clashes(intension):
+                listing = ", ".join(clash)
+                self.error(
+                    "E_AXIS_CONTRADICTION",
+                    f"concept '{concept.id}' combines {listing}, exclusive on axis '{axis_id}'",
+                    "concept",
+                    concept.id,
+                )
             # Axis scope: a member difference is only available to concepts
             # at or under the axis's scope concept.
             for diff_id in concept.differentiae:

@@ -11,6 +11,7 @@ import copy
 import random
 import re
 from decimal import Decimal
+from pathlib import Path
 
 from otl import (
     And,
@@ -32,9 +33,10 @@ from otl import (
     AssociativeLink,
     ValueKind,
     has_errors,
+    parse,
     validate,
 )
-from otl.parser import KEYWORDS
+from otl.parser import KEYWORDS, STATEMENT_KEYWORDS
 
 TEXT_POOL = ("red", "blue", "green", "matte", "glossy", "compact", "heavy")
 LANG_POOL = ("en", "fr", "de")
@@ -261,3 +263,93 @@ def mutated_document(rng: random.Random, doc: dict, max_edits: int = 3) -> dict:
             other_key = rng.randrange(len(container))
             container[key], container[other_key] = container[other_key], container[key]
     return doc
+
+
+# -- malformed DSL sources ------------------------------------------------------
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+# The DSL's tokens, a few of each kind: every keyword and enum word, some
+# names, each punctuation mark, literals good and bad, and the separators.
+DSL_VOCABULARY = (
+    *sorted(KEYWORDS), "x", "text", "number", "boolean", "associative", "causal",
+    "preferred", "admitted", "en", "A", "B", "d1", "d2", "a1", "K", "Q",
+    ":=", ":", ",", "{", "}", "(", ")", "->", "|", "+", "=", ";", "\n", "\n",
+    '"s"', '"t\\n"', '"open', '"bad\\q"', "1", "2.5", "-3", "007", "$", "# note\n",
+)
+
+_SOURCE_TOKEN = re.compile(r'("(?:[^"\\\n]|\\.)*"?|[A-Za-z][A-Za-z0-9_]*|-?[0-9.]+|:=|->|\S)')
+
+
+def token_soup(rng: random.Random, max_tokens: int = 40) -> str:
+    """A random sequence of DSL tokens, mostly statement-shaped: each run
+    starts at a statement keyword more often than chance would."""
+    tokens = []
+    for _ in range(rng.randint(1, max_tokens)):
+        if rng.random() < 0.15:
+            tokens.append(rng.choice(("\n", ";")))
+            tokens.append(rng.choice(STATEMENT_KEYWORDS))
+        else:
+            tokens.append(rng.choice(DSL_VOCABULARY))
+    return " ".join(tokens)
+
+
+def edited_source(rng: random.Random, text: str, max_edits: int = 3) -> str:
+    """A copy of DSL `text` with one to `max_edits` random token edits: a
+    token dropped, doubled, swapped with the next or replaced by a
+    vocabulary token, a vocabulary token inserted, the text cut short, or a
+    line of `text` declared again at the end."""
+    parts = _SOURCE_TOKEN.split(text)  # blanks, token, blanks, ..., token, blanks
+    words, gaps = parts[1::2], parts[2::2]
+    again = ""
+    for _ in range(rng.randint(1, max_edits)):
+        if not words:
+            break
+        i = rng.randrange(len(words))
+        edit = rng.choice(("drop", "double", "swap", "replace", "insert", "cut", "again"))
+        if edit == "again":
+            again += rng.choice(text.splitlines(True))
+        elif edit == "drop":
+            words[i] = ""
+        elif edit == "double":
+            words[i] += " " + words[i]
+        elif edit == "swap" and i + 1 < len(words):
+            words[i], words[i + 1] = words[i + 1], words[i]
+        elif edit == "replace":
+            words[i] = rng.choice(DSL_VOCABULARY)
+        elif edit == "insert":
+            words[i] = rng.choice(DSL_VOCABULARY) + " " + words[i]
+        elif edit == "cut":
+            del words[i:], gaps[i:]
+    return parts[0] + "".join(w + g for w, g in zip(words, gaps)) + again
+
+
+def malformed_sources(seed: int, count: int) -> list[tuple[str, str]]:
+    """`count` labelled DSL sources from `seed`, alternately a token soup and
+    an edit of one of the fixtures under tests/fixtures, comment lines cut."""
+    rng = random.Random(seed)
+    fixtures = sorted(FIXTURES.glob("*.otl"))
+    cases = []
+    for i in range(count):
+        if i % 2 == 0:
+            cases.append((f"soup {i}", token_soup(rng)))
+        else:
+            path = rng.choice(fixtures)
+            text = re.sub(r"(?m)^#.*\n", "", path.read_text("utf-8"))
+            cases.append((f"edit {i} of {path.name}", edited_source(rng, text)))
+    return cases
+
+
+RECOVERY_SEED = 12
+RECOVERY_CASES = 200
+
+
+def recovery_golden() -> str:
+    """The text of golden/recovery.txt: each malformed source of the seeded
+    corpus and the diagnostics `parse` gives for it, with span lengths."""
+    out = []
+    for label, source in malformed_sources(RECOVERY_SEED, RECOVERY_CASES):
+        out.append(f"# {label}: {source!r}")
+        for d in parse(source, "t.otl").diagnostics:
+            out.append(f"{d.render()}  [{d.location.length}]")
+    return "\n".join(out) + "\n"

@@ -9,7 +9,19 @@ import sys
 
 import pytest
 
-from otl import __version__, from_json, parse, to_json, validate
+from otl import (
+    Concept,
+    Model,
+    OtlError,
+    __version__,
+    describe_object,
+    from_json,
+    intension,
+    parse,
+    to_json,
+    validate,
+    validate_or_raise,
+)
 from otl.cli import main, run
 
 from conftest import FIXTURES, ROOT
@@ -276,14 +288,14 @@ def test_main_runs_without_the_cyclic_collector(monkeypatch, capsys):
         (gc.enable if was else gc.disable)()
 
 
-DEFERRED = {"json", "otl.definitions", "otl.exporters"}
+DEFERRED = {"json", "otl.definitions", "otl.dot", "otl.exporters"}
 
 
 @pytest.mark.parametrize(
     "command, loaded",
     [
         (["check", MOUSE], set()),
-        (["tree", MOUSE, "--derived", "--objects"], set()),
+        (["tree", MOUSE, "--derived", "--objects"], {"otl.dot"}),
         (["export", MOUSE, "--format", "json"], {"json", "otl.exporters"}),
         (["define", MOUSE, "OpticalMouse"], {"otl.definitions"}),
     ],
@@ -403,3 +415,65 @@ def test_export_dsl_of_a_class_deeper_than_the_recursion_limit(tmp_path):
     assert (done.returncode, done.stdout) == (0, source)
     reparsed = parse(done.stdout)
     assert reparsed.diagnostics == [] and validate(reparsed.model) == []
+
+
+def _diagnostics(source):
+    """Renders and span lengths of validating `source` as t.otl."""
+    return [(d.render(), d.location.length) for d in validate(parse(source, "t.otl").model)]
+
+
+def _raised(call, *args):
+    with pytest.raises(OtlError) as exc:
+        call(*args)
+    return type(exc.value).__name__, str(exc.value)
+
+
+def _unknown_genus():
+    model = Model()
+    model.concepts["B"] = Concept("B", "B", "Ghost", ("d",))
+    return _raised(intension, model, "B")
+
+
+def _unwritable(tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = invoke(["export", MOUSE, "--format", "json", "-o", str(target)])
+    return code, out, err.replace(str(target), "<target>")
+
+
+# Error paths that only unusual input reaches, each with its exact report.
+RARE_ERRORS = {
+    "axis_scoped_at_unknown_concept": (
+        lambda _: _diagnostics("concept A\naxis K of Ghost { p, q }\n"),
+        [("ERROR E_UNRESOLVED t.otl:2:6 axis 'K' scoped at unknown concept 'Ghost'", 1)],
+    ),
+    "object_values_undeclared_attribute": (
+        lambda _: _diagnostics('concept A\nobject o : A { colour = "red" }\n'),
+        [("ERROR E_UNRESOLVED t.otl:2:16 object 'o' values undeclared attribute 'colour'", 6)],
+    ),
+    "relation_endpoint_unknown": (
+        lambda _: _diagnostics("concept A\nrelation r (causal) A -> Ghost\n"),
+        [("ERROR E_UNRESOLVED t.otl:2:1 relation names unknown concept 'Ghost'", 8)],
+    ),
+    "class_references_unknown_attribute": (
+        lambda _: _diagnostics("concept A\nclass Q := { x | has colour }\n"),
+        [("ERROR E_UNRESOLVED t.otl:2:7 class 'Q' references unknown attribute 'colour'", 1)],
+    ),
+    "describe_unknown_object": (
+        lambda _: _raised(describe_object, validate_or_raise(parse("concept A\n").model), "ghost"),
+        ("UnknownIdentifierError", "unknown object 'ghost'"),
+    ),
+    "intension_of_unvalidated_model_with_unknown_genus": (
+        lambda _: _unknown_genus(),
+        ("UnknownIdentifierError", "unknown concept 'Ghost'"),
+    ),
+    "output_to_unwritable_path": (
+        _unwritable,
+        (1, "", "error: cannot write <target>: No such file or directory\n"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RARE_ERRORS))
+def test_rare_error_paths_report_exactly(name, tmp_path):
+    observe, expected = RARE_ERRORS[name]
+    assert observe(tmp_path) == expected

@@ -25,9 +25,10 @@ from otl import (
     print_dsl,
 )
 from otl.model import dsl_quote
+from otl.parser import STATEMENT_KEYWORDS
 
-from conftest import load_fixture
-from gen import valid_random_model
+from conftest import GOLDEN, load_fixture
+from gen import DSL_VOCABULARY, recovery_golden, valid_random_model
 
 
 def errors(result):
@@ -881,6 +882,32 @@ def test_parse_is_total_and_spans_stay_in_bounds(source):
         assert 1 <= span.line <= max(1, len(lines))
         line_text = lines[span.line - 1] if span.line <= len(lines) else ""
         assert 1 <= span.column <= len(line_text) + 1
+
+
+# Token soups over the DSL's vocabulary, with statement keywords after a
+# separator often enough that most inputs reach the statement recovery.
+_SOUPS = st.lists(
+    st.sampled_from(DSL_VOCABULARY) | st.sampled_from([f";{k}" for k in STATEMENT_KEYWORDS]),
+    max_size=40,
+).map(" ".join)
+
+
+@given(_SOUPS)
+@settings(max_examples=300)
+def test_parse_is_total_on_token_soups(source):
+    result = parse(source, "soup.otl")
+    assert (result.model is not None) == (not errors(result))
+    assert {d.code for d in result.diagnostics} <= {"E_LEX", "E_SYN", "E_DUP_DECL"}
+    try:
+        parse_class_expr(source)
+    except ParseError:
+        pass
+
+
+def test_malformed_sources_give_the_pinned_diagnostics():
+    # a seeded corpus of token soups and fixture edits; rebuild the golden
+    # with scripts/regen_goldens.py
+    assert recovery_golden() == (GOLDEN / "recovery.txt").read_text(encoding="utf-8")
 
 
 def test_parse_runtime_stays_linear_on_large_input():

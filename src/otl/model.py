@@ -44,6 +44,17 @@ Value = Union[str, bool, Decimal, int]
 # was read from.
 NUMBER_LITERAL = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?")
 
+# The one spelling of a name, shared by the DSL lexer and the validator: an
+# ASCII letter, then ASCII letters, digits and underscores, and not a
+# keyword.  `validate` holds every declared id and term language to it, so
+# whatever parse or from_json loads prints as DSL that parses again.
+IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+STATEMENT_KEYWORDS = ("concept", "axis", "attribute", "object", "part", "relation", "term", "class")
+KEYWORDS = frozenset(STATEMENT_KEYWORDS).union(
+    ("of", "on", "has", "for", "definition", "nonexclusive"),
+    ("in", "and", "or", "not", "true", "false"),
+)
+
 
 class ValueKind(str, Enum):
     TEXT = "text"
@@ -156,6 +167,7 @@ DIAGNOSTIC_CODES = frozenset(
         "E_SYN",
         "E_DUP_DECL",
         # reference resolution and structure
+        "E_NAME",
         "E_UNRESOLVED",
         "E_GENUS_CYCLE",
         "E_AXIS_ARITY",

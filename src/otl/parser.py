@@ -40,18 +40,23 @@ every name as read, repeated axis members, differentiae and term triples
 included.  otl.reasoner resolves the cross-references, left symbolic here,
 and checks every other rule, the same for DSL, JSON and API input.
 
-Cost.  Lexing is one scan of a compiled master regex with a named group per
-token class (the "Writing a Tokenizer" recipe of the ``re`` docs), so it is
-O(input length), and it is the parser's own token step: `_Parser.advance`
-pulls the next match, keeps the match itself as the lookahead and its group
-name as the token kind, and does more only for the few kinds that need it
-(bracket depth, string escapes, lexical errors).  No token object or list is
-built, so the match the scan returns is all a token costs; a statement reads
-an identifier's text or offset from the match when it needs one.  Positions are resolved only when a diagnostic needs one:
-SourceText collects the newline offsets on first use and maps an offset to
-its line and column with one bisect.  The parser is recursive descent with
-that one token of lookahead, O(tokens).  Class-expression nesting is bounded
-by MAX_EXPR_DEPTH and chains of ``not`` are counted iteratively.
+Cost.  Each statement is read by one of two readers.  The regex reader
+takes a well-formed concept, object, term or part statement on one line,
+the kinds that make up nearly all of a large model, with one match of
+_DECLARATION, separators included, and builds its entity from the match
+groups: a few C-level regex and set operations per statement.  The token
+reader, seated at the statement, reads every other one: axis, attribute,
+relation and class statements and whatever the regex rejects, so it is the
+only reader of malformed input and the only place a syntax error is
+worded.  Its lexing is one scan of a master regex with a named group per
+token class (the "Writing a Tokenizer" recipe of the ``re`` docs), whose
+match is all a token costs: `_Parser.advance` keeps it as the one token of
+lookahead of a recursive descent, O(tokens).  Both readers build entities
+with the same `add_*` methods, so declarations, spans and the duplicate
+checks have one home.  Positions are resolved only when a diagnostic needs
+one: SourceText collects the newline offsets on first use and maps an
+offset to its line and column with one bisect.  Class-expression nesting
+is bounded by MAX_EXPR_DEPTH and chains of ``not`` are counted iteratively.
 """
 
 from __future__ import annotations
@@ -63,53 +68,16 @@ from typing import NoReturn, Optional
 
 from .classes import And, AttrEquals, ClassExpression, HasAttr, InConcept, Not, Or
 from .model import (
-    NUMBER_LITERAL,
-    AssociativeLink,
-    Axis,
-    AttributeDecl,
-    ClassDef,
-    Concept,
-    Diagnostic,
-    Model,
-    ObjectInstance,
-    OtlError,
-    PartLink,
-    Severity,
-    SourceText,
-    Term,
-    TermStatus,
-    Value,
-    ValueKind,
-    parse_relation_kind,
+    IDENTIFIER, KEYWORDS, NUMBER_LITERAL, STATEMENT_KEYWORDS, AssociativeLink, Axis,
+    AttributeDecl, ClassDef, Concept, Diagnostic, Model, ObjectInstance, OtlError, PartLink,
+    Severity, SourceText, Term, TermStatus, Value, ValueKind, parse_relation_kind,
     sorted_diagnostics,
 )
 
-STATEMENT_KEYWORDS = (
-    "concept",
-    "axis",
-    "attribute",
-    "object",
-    "part",
-    "relation",
-    "term",
-    "class",
-)
+_RELTYPE_WORDS = ("associative", "sequential", "temporal", "causal", "cause_effect", "producer_product")
 
-KEYWORDS = frozenset(STATEMENT_KEYWORDS).union(
-    ("of", "on", "has", "for", "definition", "nonexclusive"),
-    ("in", "and", "or", "not", "true", "false"),
-)
-
-_RELTYPE_WORDS = (
-    "associative",
-    "sequential",
-    "temporal",
-    "causal",
-    "cause_effect",
-    "producer_product",
-)
-
-_STATUS_WORDS = tuple(s.value for s in TermStatus)
+_STATUSES = {status.value: status for status in TermStatus}
+_STATUS_WORDS = tuple(_STATUSES)
 
 # Nesting bound for class expressions; keeps parsing and evaluation clear of
 # the interpreter recursion limit while staying far beyond sane inputs.
@@ -151,7 +119,7 @@ _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 # newline included.
 _TOKEN = re.compile(
     r"[ \t\r]*(?:#[^\n]*)?"
-    r"(?:(?P<WORD>[A-Za-z][A-Za-z0-9_]*)"
+    r"(?:(?P<WORD>" + IDENTIFIER.pattern + ")"
     r"|(?P<EQUALS>=)|(?P<NEWLINE>\n)|(?P<COMMA>,)"
     r'|(?P<STRING>"(?P<body>[^"\\\n]*(?:\\[\s\S]?[^"\\\n]*)*)(?P<close>"?))'
     r"|(?P<LBRACE>\{)|(?P<RBRACE>\})|(?P<ASSIGN>:=)|(?P<COLON>:)"
@@ -163,6 +131,33 @@ _TOKEN = re.compile(
 _ESCAPE = re.compile(r"\\([\s\S]?)")
 # kinds the token step passes on as they are
 _PLAIN = frozenset({"WORD", "ASSIGN", "ARROW", "COLON", "COMMA", "EQUALS", "PLUS", "PIPE"})
+
+# The regex reader's statement: one well-formed concept, object, term or
+# part statement on one line, with the separators before it and the one
+# that ends it.  It takes only what the token reader takes without a
+# lexical error: words by maximal munch (a blank between two words, so no
+# word splits), closed strings without a backslash, NUMBER_LITERAL numbers,
+# blanks and a final comment.  Each token takes the blanks after it, so no
+# two blank runs are adjacent and a line that fails at its end backtracks
+# over it once.  `read` rejects a keyword in a name slot by a set lookup.
+# The statement's group closes last, so `lastgroup` names its kind.
+_B = r"[ \t\r]*"
+_W = IDENTIFIER.pattern
+_VALUE = rf'(?:"[^"\\\n]*"|{NUMBER_LITERAL.pattern}|true|false)'
+_DECLARATION = re.compile(
+    rf"(?:{_B}(?:#[^\n]*\n|[\n;]))*{_B}"
+    rf"(?:(?P<concept>concept[ \t\r]+(?P<name>{_W}){_B}"
+    rf"(?::={_B}(?:(?P<genus>{_W}){_B}\+{_B})?(?P<differentiae>(?:{_W}{_B},{_B})*{_W}){_B})?)"
+    rf"|(?P<object>object[ \t\r]+(?P<object_id>{_W}){_B}:{_B}(?P<object_concept>{_W}){_B}"
+    rf"(?:\{{{_B}(?P<values>(?:{_W}{_B}={_B}{_VALUE}{_B},{_B})*{_W}{_B}={_B}{_VALUE}){_B}\}}{_B})?)"
+    rf'|(?P<term>term{_B}"(?P<designation>[^"\\\n]*)"{_B}\({_B}(?P<language>{_W}){_B},{_B}'
+    rf"(?P<status>{'|'.join(_STATUS_WORDS)}){_B}\){_B}for[ \t\r]+(?P<term_concept>{_W})"
+    rf'(?:[ \t\r]+definition{_B}"(?P<definition>[^"\\\n]*)")?{_B})'
+    rf"|(?P<part>part[ \t\r]+(?P<whole>{_W})[ \t\r]+has[ \t\r]+(?P<piece>{_W}){_B}))"
+    r"(?:#[^\n]*)?(?:\n|;|\Z)"
+)
+# one attribute value of a block _DECLARATION took, and its raw value
+_ASSIGNMENT = re.compile(rf'({_W}){_B}={_B}("[^"\\\n]*"|[-.0-9]+|true|false)')
 
 
 def _token(match: re.Match, value: str = "") -> tuple[str, int, int]:
@@ -179,20 +174,23 @@ def _token(match: re.Match, value: str = "") -> tuple[str, int, int]:
 class _Parser:
     def __init__(self, source: SourceText):
         self.source = source
-        self.scan = _TOKEN.finditer(source.text).__next__
-        self.depth = 0  # open brackets; a newline inside them ends nothing
         self.lex_errors: list[Diagnostic] = []
         self.diagnostics: list[Diagnostic] = []
         # model.spans also tracks duplicates: (kind, id) -> first declaration
         self.model = Model(source=source)
         # the one token of lookahead: its match, its kind and, for a STRING,
-        # its decoded value
+        # its decoded value; `seat` starts the scan
         self.m: re.Match
         self.kind = ""
         self.value = ""
-        self.advance()
 
     # -- the token step ------------------------------------------------------
+
+    def seat(self, offset: int) -> None:
+        """Start the token scan at `offset`, outside any bracket."""
+        self.scan = _TOKEN.finditer(self.source.text, offset).__next__
+        self.depth = 0  # open brackets; a newline inside them ends nothing
+        self.advance()
 
     def advance(self) -> None:
         """Step to the next token.  Kinds are the group names of _TOKEN, but
@@ -263,25 +261,21 @@ class _Parser:
     def at_word(self, word: str) -> bool:
         return self.kind == "WORD" and self.m[1] == word
 
-    def text(self) -> str:
-        return _token(self.m, self.value)[0]
-
     def describe(self) -> str:
         if self.kind == "EOF":
             return "end of input"
         if self.kind == "SEP":
             return "';'" if self.m.lastgroup == "SEMI" else "end of line"
-        return repr(self.text())
+        return repr(_token(self.m, self.value)[0])
 
-    def error(self, message: str, m: re.Match, code: str = "E_SYN", value: str = "") -> None:
-        _, offset, length = _token(m, value)
+    def error(self, message: str, offset: int, length: int, code: str = "E_SYN") -> None:
         self.diagnostics.append(
             Diagnostic(Severity.ERROR, code, message, self.source.span(offset, length))
         )
 
     def abandon(self, message: str) -> NoReturn:
         """Report a syntax error at the lookahead and abandon the statement."""
-        self.error(message, self.m, value=self.value)
+        self.error(message, *_token(self.m, self.value)[1:])
         raise _Abandon
 
     def fail(self, expected: str) -> NoReturn:
@@ -310,45 +304,130 @@ class _Parser:
         """Take an identifier among `words` and return it, or report them."""
         word = self.m[1] if self.kind == "WORD" else None
         if word not in words:
-            self.abandon(f"expected one of {', '.join(words)}, found {self.text()!r}")
+            self.fail(f"one of {', '.join(words)}")
         self.advance()
         return word
 
-    def declare(self, kind: str, name: str, at: re.Match) -> bool:
-        """Record a declaration; returns False (and diagnoses) on duplicates."""
+    # -- building entities: both readers end here ----------------------------
+
+    def declare(self, kind: str, name: str, at: int) -> bool:
+        """Record a declaration whose name is at offset `at`; returns False
+        (and diagnoses) on duplicates."""
         if (kind, name) in self.model.spans:
             prior = self.model.span_for(kind, name)
-            self.error(
-                f"{kind} '{name}' already declared at {prior.line}:{prior.column}",
-                at,
-                code="E_DUP_DECL",
-            )
+            message = f"{kind} '{name}' already declared at {prior.line}:{prior.column}"
+            self.error(message, at, len(name), "E_DUP_DECL")
             return False
-        self.model.spans[(kind, name)] = (at.start(1), len(name))
+        self.model.spans[(kind, name)] = (at, len(name))
+        return True
+
+    def add_concept(self, at: int, name: str, genus: Optional[str], differentiae: list[str]) -> None:
+        if self.declare("concept", name, at):
+            self.model.concepts[name] = Concept(name, name, genus, tuple(differentiae))
+
+    def add_object(self, at: int, name: str, concept: str, values: list[tuple[str, int, Value]]) -> None:
+        """`values` holds each (attribute, its offset, value) as written."""
+        kept: dict[str, Value] = {}
+        for attr, attr_at, value in values:
+            if attr in kept:
+                self.error(f"duplicate value for attribute '{attr}'", attr_at, len(attr), "E_DUP_DECL")
+            else:
+                kept[attr] = value
+        if not self.declare("object", name, at):
+            return
+        self.model.objects[name] = ObjectInstance(name, name, concept, kept)
+        spans = self.model.spans
+        for attr, attr_at, _ in values:  # a repeated attribute keeps its first span
+            spans.setdefault(("value", f"{name}.{attr}"), (attr_at, len(attr)))
+
+    def add_part(self, at: int, whole: str, part: str) -> None:
+        self.model.spans[("part", str(len(self.model.parts)))] = (at, len("part"))
+        self.model.parts.append(PartLink(whole, part))
+
+    def add_term(self, at: tuple[int, int], designation: str, lang: str, status: str, concept: str,
+                 nl_definition: Optional[str]) -> None:
+        """`at` is the offset and length of the designation as written."""
+        self.model.spans[("term", str(len(self.model.terms)))] = at
+        self.model.terms.append(Term(designation, lang, _STATUSES[status], concept, nl_definition))
+
+    # -- the regex reader ------------------------------------------------------
+
+    def read(self, m: re.Match) -> bool:
+        """Build the statement a _DECLARATION match holds; returns False,
+        building nothing, when a name slot holds a keyword."""
+        kind = m.lastgroup
+        if kind == "concept":
+            name, genus, listed = m.group("name", "genus", "differentiae")
+            differentiae = IDENTIFIER.findall(listed) if listed else []
+            if not KEYWORDS.isdisjoint((name, genus, *differentiae)):
+                return False
+            self.add_concept(m.start("name"), name, genus, differentiae)
+        elif kind == "object":
+            name, concept, block = m.group("object_id", "object_concept", "values")
+            values: list[tuple[str, int, Value]] = []
+            for a in _ASSIGNMENT.finditer(self.source.text, *m.span("values")) if block else ():
+                raw = a[2]
+                value = raw[1:-1] if raw[0] == '"' else raw == "true" if raw[0] in "tf" else Decimal(raw)
+                values.append((a[1], a.start(), value))
+            if not KEYWORDS.isdisjoint((name, concept, *[attr for attr, _, _ in values])):
+                return False
+            self.add_object(m.start("object_id"), name, concept, values)
+        elif kind == "term":
+            designation, lang, concept = m.group("designation", "language", "term_concept")
+            if not KEYWORDS.isdisjoint((lang, concept)):
+                return False
+            at = (m.start("designation") - 1, len(designation) + 2)
+            self.add_term(at, designation, lang, m["status"], concept, m["definition"])
+        elif KEYWORDS.isdisjoint(m.group("whole", "piece")):
+            self.add_part(m.start("part"), *m.group("whole", "piece"))
+        else:
+            return False
         return True
 
     # -- statements --------------------------------------------------------
 
     def run(self) -> None:
-        """Read statements to the end.  A syntax error abandons its statement
-        here, the one recovery point: the brackets it left open are closed,
-        so its newline ends it, and the input is skipped to that end."""
+        """Read statements to the end: each with one _DECLARATION match,
+        separators included, where the regex reader takes it, else with the
+        token reader, seated at the statement and run to the separator that
+        ends it outside brackets."""
+        text = self.source.text
+        offset = 0
         while True:
-            while self.kind == "SEP":
-                self.advance()
-            if self.kind == "EOF":
-                break
-            statement = _STATEMENTS.get(self.m[1]) if self.kind == "WORD" else None
-            try:
-                if statement is None:
-                    self.fail(f"one of {', '.join(STATEMENT_KEYWORDS)}")
-                statement(self)
-                if self.kind != "SEP" and self.kind != "EOF":
-                    self.fail("end of statement")
-            except _Abandon:
-                self.depth = 0
-                while self.kind != "SEP" and self.kind != "EOF":
+            m = _DECLARATION.match(text, offset)
+            if m is not None and self.read(m):
+                offset = m.end()
+                continue
+            self.seat(offset)
+            while True:
+                while self.kind == "SEP":
                     self.advance()
+                if self.kind == "EOF":
+                    return
+                self.statement()
+                if self.kind == "EOF":
+                    return
+                if not self.depth:
+                    break
+                # a ';' ended a statement whose skipped rest opened a bracket:
+                # the newlines up to its close end nothing
+            offset = self.m.end()
+
+    def statement(self) -> None:
+        """Read one statement with the token reader.  A syntax error abandons
+        it here, the one recovery point: the brackets it left open are
+        closed, so its newline ends it, and the input is skipped to that end."""
+        statement = _STATEMENTS.get(self.m[1]) if self.kind == "WORD" else None
+        try:
+            if statement is None:
+                self.fail(f"one of {', '.join(STATEMENT_KEYWORDS)}")
+            statement(self)
+            if self.kind != "SEP" and self.kind != "EOF":
+                self.fail("end of statement")
+        except _Abandon:
+            self.depth = 0
+            while self.kind != "SEP" and self.kind != "EOF":
+                self.advance()
 
     def _ident_list(self, expected: str, first: str = "") -> list[str]:
         """Identifiers separated by commas; `first` says what the first one
@@ -361,7 +440,7 @@ class _Parser:
 
     def _stmt_concept(self) -> None:
         self.advance()  # 'concept'
-        at = self.m
+        at = self.m.start(1)
         name = self.ident("concept identifier")
         genus: Optional[str] = None
         differentiae: list[str] = []
@@ -372,12 +451,11 @@ class _Parser:
                 self.advance()
                 genus = differentiae[0]
                 differentiae = self._ident_list("difference identifier")
-        if self.declare("concept", name, at):
-            self.model.concepts[name] = Concept(name, name, genus, tuple(differentiae))
+        self.add_concept(at, name, genus, differentiae)
 
     def _stmt_axis(self) -> None:
         self.advance()  # 'axis'
-        at = self.m
+        at = self.m.start(1)
         name = self.ident("axis identifier")
         self.expect_word("of")
         scope = self.ident("concept identifier")
@@ -392,7 +470,7 @@ class _Parser:
 
     def _stmt_attribute(self) -> None:
         self.advance()  # 'attribute'
-        at = self.m
+        at = self.m.start(1)
         name = self.ident("attribute identifier")
         self.expect("COLON", "':'")
         value_kind = self.one_of(("text", "number", "boolean"))
@@ -416,45 +494,30 @@ class _Parser:
 
     def _stmt_object(self) -> None:
         self.advance()  # 'object'
-        at = self.m
+        at = self.m.start(1)
         name = self.ident("object identifier")
         self.expect("COLON", "':'")
         concept = self.ident("concept identifier")
-        values: dict[str, Value] = {}
-        value_spans: list[tuple[str, re.Match]] = []
+        values: list[tuple[str, int, Value]] = []
         if self.kind == "LBRACE":
             self.advance()
             while True:
-                attr_at = self.m
+                attr_at = self.m.start(1)
                 attr = self.ident("attribute identifier")
                 self.expect("EQUALS", "'='")
-                value = self._value()
-                if attr in values:
-                    self.error(
-                        f"duplicate value for attribute '{attr}'", attr_at, code="E_DUP_DECL"
-                    )
-                else:
-                    values[attr] = value
-                    value_spans.append((attr, attr_at))
+                values.append((attr, attr_at, self._value()))
                 if self.kind != "COMMA":
                     break
                 self.advance()
             self.expect("RBRACE", "'}'")
-        if not self.declare("object", name, at):
-            return
-        self.model.objects[name] = ObjectInstance(name, name, concept, values)
-        spans = self.model.spans
-        for attr, attr_at in value_spans:
-            spans[("value", f"{name}.{attr}")] = (attr_at.start(1), len(attr))
+        self.add_object(at, name, concept, values)
 
     def _stmt_part(self) -> None:
-        at = self.m
+        at = self.m.start(1)
         self.advance()  # 'part'
         whole = self.ident("concept identifier")
         self.expect_word("has")
-        part = self.ident("concept identifier")
-        self.model.spans[("part", str(len(self.model.parts)))] = _token(at)[1:]
-        self.model.parts.append(PartLink(whole, part))
+        self.add_part(at, whole, self.ident("concept identifier"))
 
     def _stmt_relation(self) -> None:
         at = self.m
@@ -487,14 +550,11 @@ class _Parser:
             self.advance()
             nl_definition = self.value
             self.expect("STRING", "definition string")
-        self.model.spans[("term", str(len(self.model.terms)))] = _token(at, designation)[1:]
-        self.model.terms.append(
-            Term(designation, lang, TermStatus(status), concept, nl_definition)
-        )
+        self.add_term(_token(at, designation)[1:], designation, lang, status, concept, nl_definition)
 
     def _stmt_class(self) -> None:
         self.advance()  # 'class'
-        at = self.m
+        at = self.m.start(1)
         name = self.ident("class identifier")
         self.expect("ASSIGN", "':='")
         self.expect("LBRACE", "'{'")
@@ -575,12 +635,13 @@ def parse_class_expr(source: str, file_name: str = "<expr>") -> ClassExpression:
     A lexical error anywhere in the input is reported before a syntax error.
     """
     parser = _Parser(SourceText(file_name, source))
+    parser.seat(0)
     try:
         expr = parser._class_expr(0)
         while parser.kind == "SEP":
             parser.advance()
         if parser.kind != "EOF":
-            parser.abandon(f"unexpected trailing input {parser.text()!r}")
+            parser.abandon(f"unexpected trailing input {parser.describe()}")
     except _Abandon:
         while parser.kind != "EOF":
             parser.advance()

@@ -37,12 +37,17 @@ of O(D) or O(C) bits:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import or_
 
 from . import model as m
 from .classes import axis_clashes, expression_references
+
+# one or more identifiers, one blank between two
+_NAMES = re.compile(rf"(?:{m.IDENTIFIER.pattern} )*{m.IDENTIFIER.pattern}")
 
 
 @dataclass
@@ -376,6 +381,29 @@ class _Validator:
                         cdef.id,
                     )
 
+    def check_names(self) -> None:
+        """Every declared id and term language is a name the DSL can spell.
+        In bulk: one match over the names joined by blanks (a name holding a
+        blank adds to their count), and the keywords looked up in each set."""
+        model = self.model
+        declared = (
+            ("concept", model.concepts), ("difference", model.differences), ("axis", model.axes),
+            ("attribute", model.attributes), ("object", model.objects), ("class", model.classes),
+            ("term language", {term.language: None for term in model.terms}),
+        )
+        names = list(chain(*(ids for _, ids in declared)))
+        joined = " ".join(names)
+        if joined.count(" ") == len(names) - 1 and _NAMES.fullmatch(joined):
+            if all(ids.keys().isdisjoint(m.KEYWORDS) for _, ids in declared):
+                return
+        located = [(what, name, what, name) for what, ids in declared[:-1] for name in ids]
+        located += [("term language", t.language, "term", str(i)) for i, t in enumerate(model.terms)]
+        for what, name, kind, entity_id in located:
+            if m.IDENTIFIER.fullmatch(name) is None:
+                self.error("E_NAME", f"{what} {name!r} is not a DSL identifier", kind, entity_id)
+            elif name in m.KEYWORDS:
+                self.error("E_NAME", f"{what} {name!r} is a DSL keyword", kind, entity_id)
+
     # -- stage 2: genus cycles ----------------------------------------------
 
     def detect_genus_cycles(self) -> None:
@@ -606,7 +634,7 @@ class _Validator:
 
     def run(self) -> list[m.Diagnostic]:
         stages = (
-            self.resolve_references,
+            lambda: (self.resolve_references(), self.check_names()),
             self.detect_genus_cycles,
             self.compute_intensions,
             self.check_intensions,

@@ -36,7 +36,7 @@ from otl import (
     parse,
     validate,
 )
-from otl.parser import KEYWORDS, STATEMENT_KEYWORDS
+from otl.model import IDENTIFIER, KEYWORDS, STATEMENT_KEYWORDS
 
 TEXT_POOL = ("red", "blue", "green", "matte", "glossy", "compact", "heavy")
 LANG_POOL = ("en", "fr", "de")
@@ -219,7 +219,7 @@ ODD_VALUES = (
 def dsl_identifier(text: str) -> bool:
     """Whether the DSL can spell `text` as a name: an ASCII word that is
     not a keyword."""
-    return re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", text) is not None and text not in KEYWORDS
+    return IDENTIFIER.fullmatch(text) is not None and text not in KEYWORDS
 
 
 def _slots(node):
@@ -278,7 +278,7 @@ DSL_VOCABULARY = (
     '"s"', '"t\\n"', '"open', '"bad\\q"', "1", "2.5", "-3", "007", "$", "# note\n",
 )
 
-_SOURCE_TOKEN = re.compile(r'("(?:[^"\\\n]|\\.)*"?|[A-Za-z][A-Za-z0-9_]*|-?[0-9.]+|:=|->|\S)')
+_SOURCE_TOKEN = re.compile(r'("(?:[^"\\\n]|\\.)*"?|' + IDENTIFIER.pattern + r'|-?[0-9.]+|:=|->|\S)')
 
 
 def token_soup(rng: random.Random, max_tokens: int = 40) -> str:

@@ -707,8 +707,7 @@ def test_edited_documents_are_rejected_or_round_trip(seed):
         return
     text = to_json(loaded)
     assert to_json(from_json(text)) == text
-    if not all(map(dsl_identifier, _declared_names(loaded))):
-        return  # the DSL cannot spell such a name: see the xfail test below
+    assert all(map(dsl_identifier, _declared_names(loaded)))
     dsl = print_dsl(loaded)
     reparsed = parse(dsl, "rt.otl")
     assert reparsed.model is not None, [d.render() for d in reparsed.diagnostics]
@@ -716,10 +715,17 @@ def test_edited_documents_are_rejected_or_round_trip(seed):
     assert print_dsl(reparsed.model) == dsl
 
 
-@pytest.mark.xfail(strict=True, reason="from_json takes any string as a name; print_dsl writes it unquoted")
-def test_names_from_json_that_are_not_dsl_identifiers_print_as_dsl(mouse):
+def test_names_from_json_that_are_not_dsl_identifiers_are_rejected(mouse):
+    # print_dsl writes names unquoted, so a name the DSL cannot spell would
+    # print as DSL that does not parse
     doc = json.loads(to_json(mouse))
     doc["concepts"][1]["id"] = "Mechanical Mouse"
+    doc["objects"][0]["id"] = "class"
     doc["terms"][0]["language"] = "007"
-    dsl = print_dsl(from_json(json.dumps(doc)))
-    assert parse(dsl).diagnostics == []
+    with pytest.raises(InvalidModelError) as raised:
+        from_json(json.dumps(doc))
+    assert [d.render() for d in raised.value.diagnostics] == [
+        "ERROR E_NAME Mechanical Mouse concept 'Mechanical Mouse' is not a DSL identifier",
+        "ERROR E_NAME class object 'class' is a DSL keyword",
+        "ERROR E_NAME 0 term language '007' is not a DSL identifier",
+    ]

@@ -4,6 +4,7 @@ import random
 import re
 import time
 from decimal import Decimal
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,11 +25,19 @@ from otl import (
     parse_class_expr,
     print_dsl,
 )
+from otl import parser as parser_module
 from otl.model import dsl_quote
 from otl.parser import STATEMENT_KEYWORDS
 
-from conftest import GOLDEN, load_fixture
-from gen import DSL_VOCABULARY, recovery_golden, valid_random_model
+from conftest import FIXTURES, GOLDEN, load_fixture
+from gen import (
+    DSL_VOCABULARY,
+    edited_source,
+    malformed_sources,
+    recovery_golden,
+    token_soup,
+    valid_random_model,
+)
 
 
 def errors(result):
@@ -388,7 +397,7 @@ SYNTAX_ERRORS = {
     "attribute_kind_at_end_of_line": (
         "attribute a :",
         [
-            ("ERROR E_SYN t.otl:2:14 expected one of text, number, boolean, found '\\n'", 1),
+            ("ERROR E_SYN t.otl:2:14 expected one of text, number, boolean, found end of line", 1),
             RECOVERED,
         ],
     ),
@@ -657,6 +666,14 @@ def test_syntax_errors_render_exact_diagnostics_and_recover(name):
     result = parse("concept A\n" + bad + "\nconcept A\n", "t.otl")
     assert result.model is None
     assert [(d.render(), d.location.length) for d in result.diagnostics] == expected
+
+
+
+def test_a_missing_word_of_a_fixed_set_names_the_end_of_input():
+    result = parse("attribute a :", "t.otl")
+    assert [(d.render(), d.location.length) for d in result.diagnostics] == [
+        ("ERROR E_SYN t.otl:1:14 expected one of text, number, boolean, found end of input", 0)
+    ]
 
 
 CLASS_EXPR_ERRORS = {
@@ -930,3 +947,117 @@ def test_parse_runtime_stays_linear_on_large_input():
     assert isinstance(expr, Or)
     assert len(expr.children) == 20_000
     assert elapsed < 10.0
+
+
+# -- the regex reader against the token reader --------------------------------
+#
+# parse reads a well-formed concept, object, term or part statement with one
+# _DECLARATION match and leaves every other statement to the token reader.
+# Patching _DECLARATION to a regex that never matches leaves every
+# statement to the token reader, which must give the same model, spans and
+# diagnostics.
+
+_NEVER = re.compile(r"(?!)")
+
+
+def _parsed(source):
+    result = parse(source, "d.otl")
+    model = result.model
+    return (
+        [(d.render(), d.location.length) for d in result.diagnostics],
+        repr(model),
+        model and sorted(model.spans.items()),
+    )
+
+
+def _assert_readers_agree(sources):
+    with_regex = [_parsed(source) for source in sources]
+    with mock.patch.object(parser_module, "_DECLARATION", _NEVER):
+        assert [_parsed(source) for source in sources] == with_regex
+
+
+def _printed(seeds):
+    return [print_dsl(valid_random_model(seed, with_extras=True)) for seed in seeds]
+
+
+def test_readers_agree_on_fixtures_and_printed_models():
+    sources = [path.read_text("utf-8") for path in sorted(FIXTURES.glob("*.otl"))]
+    printed = _printed(range(40))
+    rng = random.Random(7)
+    sources += printed + [_respace(rng, source) for source in printed]
+    _assert_readers_agree(sources)
+
+
+def test_readers_agree_on_malformed_sources():
+    rng = random.Random(13)
+    sources = [edited_source(rng, source, rng.choice((1, 3, 8))) for source in _printed(range(150))]
+    sources += [token_soup(rng, 60) for _ in range(300)]
+    sources += [source for _, source in malformed_sources(29, 600)]
+    _assert_readers_agree(sources)
+
+
+# Statement templates whose slots are filled with good and bad names, blanks
+# (a newline among them), values and statement ends, so that most lines are
+# well formed and the rest fail at one slot: a keyword or a stray character
+# as a name, a missing blank, an escape, an open string, a leading zero, a
+# newline inside braces, a comment inside a statement.
+_TEMPLATES = (
+    "concept<G><N><E>",
+    "concept <N><G>:=<G><N><G>+<G><N><E>",
+    "concept <N> := <N><G>,<G><N>,<G><N><E>",
+    "object <N><G>:<G><N><E>",
+    "object <N> : <N><G>{<G><N><G>=<G><V><G>,<G><N> = <V><G>}<E>",
+    'term<G>"t"<G>(<G><N><G>,<G><S><G>)<G>for <N><E>',
+    'term "t" (<N>, <S>) for <N><G>definition<G><V><E>',
+    "part <N><G>has<G><N><E>",
+    "axis <N> of <N> { <N>, <N> }<E>",
+    "class <N> := { x | in <N> }<E>",
+)
+# each slot's (good, bad) fillings; one slot in ten takes a bad one
+_SLOTS = {
+    "N": (("A", "B2", "d_1", "x", "of_"), ("class", "has", "true", "1a", "é", "")),
+    "G": ((" ", "", "\t", " \r"), ("\n", " # c\n")),
+    "V": (('"s"', '"a;b#c"', "1", "-2.5", "0", "true", "false"), ('"e\\n"', '"open', "007", "1.", "x")),
+    "S": (("preferred", "admitted"), ("favourite",)),
+    "E": (("\n", ";", " # c;concept Z\n", "\n# c;concept Z\n", "\r\n", "\n\n"), ("", " @\n", "\n#;concept Z")),
+}
+
+
+def _statement_lines(rng):
+    def fill(slot):
+        good, bad = _SLOTS[slot[1]]
+        return rng.choice(bad if rng.random() < 0.1 else good)
+
+    lines = [rng.choice(_TEMPLATES) for _ in range(rng.randint(1, 8))]
+    return "".join(re.sub("<(.)>", fill, line) for line in lines)
+
+
+def test_readers_agree_on_statement_lines():
+    rng = random.Random(17)
+    _assert_readers_agree([_statement_lines(rng) for _ in range(3000)])
+
+
+@given(st.integers(min_value=0))
+@settings(max_examples=300)
+def test_readers_agree_on_random_statement_lines(seed):
+    _assert_readers_agree([_statement_lines(random.Random(seed))])
+
+
+def test_regex_reader_takes_the_statements_printed_as_dsl():
+    taken = []
+    read = parser_module._Parser.read
+
+    def counted(self, m):
+        ok = read(self, m)
+        taken.append((m.lastgroup, ok))
+        return ok
+
+    sources = _printed(range(40))
+    with mock.patch.object(parser_module._Parser, "read", counted):
+        for source in sources:
+            assert parse(source).diagnostics == []
+    statements = [line.split(" ", 1)[0] for s in sources for line in s.splitlines()]
+    for_regex = [kind for kind in statements if kind in ("concept", "object", "term", "part")]
+    # all of them: every statement but the axis, attribute, relation and
+    # class ones, which are for the token reader
+    assert taken == [(kind, True) for kind in for_regex]

@@ -142,6 +142,28 @@ def test_axis_arity():
     assert "E_AXIS_ARITY" in codes(diagnostics)
 
 
+def test_names_the_dsl_cannot_spell_are_rejected():
+    from otl import AttributeDecl, Axis, ClassDef, InConcept, ObjectInstance, Term, TermStatus, ValueKind
+
+    model = parse_ok("concept A\nconcept B := A + b\n")
+    model.concepts["2nd"] = Concept("2nd", "2nd", "A", ("ö",))
+    model.axes["or"] = Axis("or", "or", "A", ("x1", "x2"), True)
+    model.attributes["size kg"] = AttributeDecl("size kg", "size kg", "A", ValueKind.NUMBER)
+    model.objects["_o"] = ObjectInstance("_o", "_o", "A", {})
+    model.classes[""] = ClassDef("", InConcept("A"))
+    model.terms.append(Term("a", "en-GB", TermStatus.PREFERRED, "A", None))
+    assert [d.render() for d in validate(model)] == [
+        "ERROR E_NAME 2nd concept '2nd' is not a DSL identifier",
+        "ERROR E_NAME ö difference 'ö' is not a DSL identifier",
+        "ERROR E_NAME or axis 'or' is a DSL keyword",
+        "ERROR E_NAME size kg attribute 'size kg' is not a DSL identifier",
+        "ERROR E_NAME _o object '_o' is not a DSL identifier",
+        "ERROR E_NAME  class '' is not a DSL identifier",
+        "ERROR E_NAME 0 term language 'en-GB' is not a DSL identifier",
+    ]
+    assert not model.validated
+
+
 def test_axis_arity_from_dsl():
     model = parse_ok("concept G\naxis K of G { only }\n")
     assert "E_AXIS_ARITY" in codes(validate(model))

@@ -26,6 +26,8 @@ import time
 import tracemalloc
 from functools import partial
 
+import pytest
+
 from otl import from_json, has_errors, parse, print_dsl, to_json, validate
 
 PAIRS = 9
@@ -149,6 +151,40 @@ def test_part_cycle_validate_is_linear():
 def test_wide_tree_parse_is_linear():
     time_ratio, memory_ratio, result = doubling_ratios(parse_call, wide_tree_source, 1000)
     assert not has_errors(result.diagnostics)
+    assert time_ratio <= 2.5
+    assert memory_ratio <= 2.5
+
+
+# Lines the regex reader takes up to their last character and then
+# rejects, so the token reader reads them again: each must still cost time
+# and memory linear in its length.
+
+
+def differentiae_then_plus_source(n):
+    """A concept listing n differentiae, then a '+'."""
+    return "concept A := " + ", ".join(f"d{i}" for i in range(n)) + " +\n"
+
+
+def unclosed_block_source(n):
+    """An object block of n values without its '}'."""
+    return "object o : A { " + ", ".join(f"a{i} = {i}" for i in range(n)) + "\n"
+
+
+def blanks_then_stray_source(n):
+    return " " * n + "@\n"
+
+
+@pytest.mark.parametrize(
+    "make_source, n, diagnostic",
+    [
+        (differentiae_then_plus_source, 2000, ("E_SYN", "expected end of statement, found '+'")),
+        (unclosed_block_source, 1000, ("E_SYN", "expected '}', found end of input")),
+        (blanks_then_stray_source, 5000, ("E_LEX", "unexpected character '@'")),
+    ],
+)
+def test_lines_rejected_at_their_end_parse_in_linear_time(make_source, n, diagnostic):
+    time_ratio, memory_ratio, result = doubling_ratios(parse_call, make_source, n)
+    assert [(d.code, d.message) for d in result.diagnostics] == [diagnostic]
     assert time_ratio <= 2.5
     assert memory_ratio <= 2.5
 

@@ -68,13 +68,38 @@ from typing import NoReturn, Optional
 
 from .classes import And, AttrEquals, ClassExpression, HasAttr, InConcept, Not, Or
 from .model import (
-    IDENTIFIER, KEYWORDS, NUMBER_LITERAL, STATEMENT_KEYWORDS, AssociativeLink, Axis,
-    AttributeDecl, ClassDef, Concept, Diagnostic, Model, ObjectInstance, OtlError, PartLink,
-    Severity, SourceText, Term, TermStatus, Value, ValueKind, parse_relation_kind,
+    IDENTIFIER,
+    KEYWORDS,
+    NUMBER_LITERAL,
+    STATEMENT_KEYWORDS,
+    AssociativeLink,
+    Axis,
+    AttributeDecl,
+    ClassDef,
+    Concept,
+    Diagnostic,
+    Model,
+    ObjectInstance,
+    OtlError,
+    PartLink,
+    Severity,
+    SourceText,
+    Term,
+    TermStatus,
+    Value,
+    ValueKind,
+    parse_relation_kind,
     sorted_diagnostics,
 )
 
-_RELTYPE_WORDS = ("associative", "sequential", "temporal", "causal", "cause_effect", "producer_product")
+_RELTYPE_WORDS = (
+    "associative",
+    "sequential",
+    "temporal",
+    "causal",
+    "cause_effect",
+    "producer_product",
+)
 
 _STATUSES = {status.value: status for status in TermStatus}
 _STATUS_WORDS = tuple(_STATUSES)

@@ -2,10 +2,10 @@
 
 Validation runs in stages, each assuming the previous one succeeded:
 reference resolution (including materializing implicitly declared
-differences), genus-cycle detection, intension computation, intension
-uniqueness and axis checks, the derived hierarchy, then attribute/part/term
-checks.  Diagnostics report the earliest failing stage; later stages are
-skipped once a stage produced errors.
+differences) with the spelling of names, genus-cycle detection, intension
+computation, intension uniqueness and axis checks, the derived hierarchy,
+then attribute/part/term checks.  Diagnostics report the earliest failing
+stage; later stages are skipped once a stage produced errors.
 
 Subsumption is derived, never asserted: a concept subsumes another exactly
 when its intension is a strict subset of the other's.  Because any subset of
@@ -20,6 +20,7 @@ stage, for a model of size M (all its declarations), in operations on ints
 of O(D) or O(C) bits:
 
 * resolution and genus cycles: O(M); each genus chain is walked once;
+* names: one regex match over all declared names joined, O(their length);
 * intensions: memoized genus walk, one OR per concept and one shift per
   stated differentia, O(M);
 * uniqueness and axis checks: each intension hashed once, O(C + M); axis
@@ -389,14 +390,18 @@ class _Validator:
         declared = (
             ("concept", model.concepts), ("difference", model.differences), ("axis", model.axes),
             ("attribute", model.attributes), ("object", model.objects), ("class", model.classes),
-            ("term language", {term.language: None for term in model.terms}),
         )
-        names = list(chain(*(ids for _, ids in declared)))
+        languages = {term.language: None for term in model.terms}
+        collections = [ids for _, ids in declared] + [languages]
+        names = list(chain(*collections))
         joined = " ".join(names)
-        if joined.count(" ") == len(names) - 1 and _NAMES.fullmatch(joined):
-            if all(ids.keys().isdisjoint(m.KEYWORDS) for _, ids in declared):
-                return
-        located = [(what, name, what, name) for what, ids in declared[:-1] for name in ids]
+        if (
+            joined.count(" ") == len(names) - 1
+            and _NAMES.fullmatch(joined)
+            and all(ids.keys().isdisjoint(m.KEYWORDS) for ids in collections)
+        ):
+            return
+        located = [(kind, name, kind, name) for kind, ids in declared for name in ids]
         located += [("term language", t.language, "term", str(i)) for i, t in enumerate(model.terms)]
         for what, name, kind, entity_id in located:
             if m.IDENTIFIER.fullmatch(name) is None:

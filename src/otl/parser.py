@@ -43,7 +43,7 @@ and checks every other rule, the same for DSL, JSON and API input.
 Cost.  Each statement is read by one of two readers.  The regex reader
 takes a well-formed concept, object, term or part statement on one line,
 the kinds that make up nearly all of a large model, with one match of
-_DECLARATION, separators included, and builds its entity from the match
+_declaration(), separators included, and builds its entity from the match
 groups: a few C-level regex and set operations per statement.  The token
 reader, seated at the statement, reads every other one: axis, attribute,
 relation and class statements and whatever the regex rejects, so it is the
@@ -64,6 +64,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cache
 from typing import NoReturn, Optional
 
 from .classes import And, AttrEquals, ClassExpression, HasAttr, InConcept, Not, Or
@@ -169,19 +170,27 @@ _PLAIN = frozenset({"WORD", "ASSIGN", "ARROW", "COLON", "COMMA", "EQUALS", "PLUS
 _B = r"[ \t\r]*"
 _W = IDENTIFIER.pattern
 _VALUE = rf'(?:"[^"\\\n]*"|{NUMBER_LITERAL.pattern}|true|false)'
-_DECLARATION = re.compile(
-    rf"(?:{_B}(?:#[^\n]*\n|[\n;]))*{_B}"
-    rf"(?:(?P<concept>concept[ \t\r]+(?P<name>{_W}){_B}"
-    rf"(?::={_B}(?:(?P<genus>{_W}){_B}\+{_B})?(?P<differentiae>(?:{_W}{_B},{_B})*{_W}){_B})?)"
-    rf"|(?P<object>object[ \t\r]+(?P<object_id>{_W}){_B}:{_B}(?P<object_concept>{_W}){_B}"
-    rf"(?:\{{{_B}(?P<values>(?:{_W}{_B}={_B}{_VALUE}{_B},{_B})*{_W}{_B}={_B}{_VALUE}){_B}\}}{_B})?)"
-    rf'|(?P<term>term{_B}"(?P<designation>[^"\\\n]*)"{_B}\({_B}(?P<language>{_W}){_B},{_B}'
-    rf"(?P<status>{'|'.join(_STATUS_WORDS)}){_B}\){_B}for[ \t\r]+(?P<term_concept>{_W})"
-    rf'(?:[ \t\r]+definition{_B}"(?P<definition>[^"\\\n]*)")?{_B})'
-    rf"|(?P<part>part[ \t\r]+(?P<whole>{_W})[ \t\r]+has[ \t\r]+(?P<piece>{_W}){_B}))"
-    r"(?:#[^\n]*)?(?:\n|;|\Z)"
-)
-# one attribute value of a block _DECLARATION took, and its raw value
+
+
+@cache
+def _declaration() -> re.Pattern:
+    """The statement regex, compiled on the first parse: a program that
+    imports otl and never parses need not pay the few milliseconds."""
+    return re.compile(
+        rf"(?:{_B}(?:#[^\n]*\n|[\n;]))*{_B}"
+        rf"(?:(?P<concept>concept[ \t\r]+(?P<name>{_W}){_B}"
+        rf"(?::={_B}(?:(?P<genus>{_W}){_B}\+{_B})?(?P<differentiae>(?:{_W}{_B},{_B})*{_W}){_B})?)"
+        rf"|(?P<object>object[ \t\r]+(?P<object_id>{_W}){_B}:{_B}(?P<object_concept>{_W}){_B}"
+        rf"(?:\{{{_B}(?P<values>(?:{_W}{_B}={_B}{_VALUE}{_B},{_B})*{_W}{_B}={_B}{_VALUE}){_B}\}}{_B})?)"
+        rf'|(?P<term>term{_B}"(?P<designation>[^"\\\n]*)"{_B}\({_B}(?P<language>{_W}){_B},{_B}'
+        rf"(?P<status>{'|'.join(_STATUS_WORDS)}){_B}\){_B}for[ \t\r]+(?P<term_concept>{_W})"
+        rf'(?:[ \t\r]+definition{_B}"(?P<definition>[^"\\\n]*)")?{_B})'
+        rf"|(?P<part>part[ \t\r]+(?P<whole>{_W})[ \t\r]+has[ \t\r]+(?P<piece>{_W}){_B}))"
+        r"(?:#[^\n]*)?(?:\n|;|\Z)"
+    )
+
+
+# one attribute value of a block _declaration() took, and its raw value
 _ASSIGNMENT = re.compile(rf'({_W}){_B}={_B}("[^"\\\n]*"|[-.0-9]+|true|false)')
 
 
@@ -378,7 +387,7 @@ class _Parser:
     # -- the regex reader ------------------------------------------------------
 
     def read(self, m: re.Match) -> bool:
-        """Build the statement a _DECLARATION match holds; returns False,
+        """Build the statement a _declaration() match holds; returns False,
         building nothing, when a name slot holds a keyword."""
         kind = m.lastgroup
         if kind == "concept":
@@ -412,14 +421,15 @@ class _Parser:
     # -- statements --------------------------------------------------------
 
     def run(self) -> None:
-        """Read statements to the end: each with one _DECLARATION match,
+        """Read statements to the end: each with one _declaration() match,
         separators included, where the regex reader takes it, else with the
         token reader, seated at the statement and run to the separator that
         ends it outside brackets."""
         text = self.source.text
+        declaration = _declaration().match
         offset = 0
         while True:
-            m = _DECLARATION.match(text, offset)
+            m = declaration(text, offset)
             if m is not None and self.read(m):
                 offset = m.end()
                 continue

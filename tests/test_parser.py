@@ -952,8 +952,8 @@ def test_parse_runtime_stays_linear_on_large_input():
 # -- the regex reader against the token reader --------------------------------
 #
 # parse reads a well-formed concept, object, term or part statement with one
-# _DECLARATION match and leaves every other statement to the token reader.
-# Patching _DECLARATION to a regex that never matches leaves every
+# match of parser._declaration() and leaves every other statement to the token
+# reader.  Patching it to a regex that never matches leaves every
 # statement to the token reader, which must give the same model, spans and
 # diagnostics.
 
@@ -972,7 +972,7 @@ def _parsed(source):
 
 def _assert_readers_agree(sources):
     with_regex = [_parsed(source) for source in sources]
-    with mock.patch.object(parser_module, "_DECLARATION", _NEVER):
+    with mock.patch.object(parser_module, "_declaration", lambda: _NEVER):
         assert [_parsed(source) for source in sources] == with_regex
 
 

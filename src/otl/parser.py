@@ -190,8 +190,10 @@ def _declaration() -> re.Pattern:
     )
 
 
-# one attribute value of a block _declaration() took, and its raw value
-_ASSIGNMENT = re.compile(rf'({_W}){_B}={_B}("[^"\\\n]*"|[-.0-9]+|true|false)')
+@cache
+def _assignment() -> re.Pattern:
+    """One attribute value of a block _declaration() took, and its raw value."""
+    return re.compile(rf'({_W}){_B}={_B}("[^"\\\n]*"|[-.0-9]+|true|false)')
 
 
 def _token(match: re.Match, value: str = "") -> tuple[str, int, int]:
@@ -399,7 +401,7 @@ class _Parser:
         elif kind == "object":
             name, concept, block = m.group("object_id", "object_concept", "values")
             values: list[tuple[str, int, Value]] = []
-            for a in _ASSIGNMENT.finditer(self.source.text, *m.span("values")) if block else ():
+            for a in _assignment().finditer(self.source.text, *m.span("values")) if block else ():
                 raw = a[2]
                 value = raw[1:-1] if raw[0] == '"' else raw == "true" if raw[0] in "tf" else Decimal(raw)
                 values.append((a[1], a.start(), value))

@@ -414,10 +414,11 @@ class _Parser:
                 return False
             at = (m.start("designation") - 1, len(designation) + 2)
             self.add_term(at, designation, lang, m["status"], concept, m["definition"])
-        elif KEYWORDS.isdisjoint(m.group("whole", "piece")):
-            self.add_part(m.start("part"), *m.group("whole", "piece"))
         else:
-            return False
+            whole, piece = m.group("whole", "piece")
+            if not KEYWORDS.isdisjoint((whole, piece)):
+                return False
+            self.add_part(m.start("part"), whole, piece)
         return True
 
     # -- statements --------------------------------------------------------
@@ -444,10 +445,10 @@ class _Parser:
                 self.statement()
                 if self.kind == "EOF":
                     return
+                # a ';' can end a statement whose skipped rest opened a
+                # bracket; the newlines up to its close end no statement
                 if not self.depth:
                     break
-                # a ';' ended a statement whose skipped rest opened a bracket:
-                # the newlines up to its close end nothing
             offset = self.m.end()
 
     def statement(self) -> None:

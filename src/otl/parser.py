@@ -177,7 +177,7 @@ def _declaration() -> re.Pattern:
     """The statement regex, compiled on the first parse: a program that
     imports otl and never parses need not pay the few milliseconds."""
     return re.compile(
-        rf"(?:{_B}(?:#[^\n]*\n|[\n;]))*{_B}"
+        rf"{_B}(?:(?:#[^\n]*\n|[\n;]){_B})*"
         rf"(?:(?P<concept>concept[ \t\r]+(?P<name>{_W}){_B}"
         rf"(?::={_B}(?:(?P<genus>{_W}){_B}\+{_B})?(?P<differentiae>(?:{_W}{_B},{_B})*{_W}){_B})?)"
         rf"|(?P<object>object[ \t\r]+(?P<object_id>{_W}){_B}:{_B}(?P<object_concept>{_W}){_B}"

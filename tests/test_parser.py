@@ -668,7 +668,6 @@ def test_syntax_errors_render_exact_diagnostics_and_recover(name):
     assert [(d.render(), d.location.length) for d in result.diagnostics] == expected
 
 
-
 def test_a_missing_word_of_a_fixed_set_names_the_end_of_input():
     result = parse("attribute a :", "t.otl")
     assert [(d.render(), d.location.length) for d in result.diagnostics] == [

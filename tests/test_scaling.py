@@ -179,7 +179,7 @@ def blanks_then_stray_source(n):
     [
         (differentiae_then_plus_source, 2000, ("E_SYN", "expected end of statement, found '+'")),
         (unclosed_block_source, 1000, ("E_SYN", "expected '}', found end of input")),
-        (blanks_then_stray_source, 5000, ("E_LEX", "unexpected character '@'")),
+        (blanks_then_stray_source, 20_000, ("E_LEX", "unexpected character '@'")),
     ],
 )
 def test_lines_rejected_at_their_end_parse_in_linear_time(make_source, n, diagnostic):

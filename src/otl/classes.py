@@ -13,62 +13,66 @@ axis is reported as a ``Contradiction`` instead of an expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, TypeVar, Union
 
 from . import model as m
 
-
-@dataclass(frozen=True)
-class InConcept:
-    concept: str
+_set = object.__setattr__  # bound once: a Frozen __init__ sets each slot with it
 
 
-@dataclass(frozen=True)
-class AttrEquals:
-    attribute: str
-    value: m.Value
+class InConcept(m.Frozen):
+    __slots__ = ("concept",)
+    def __init__(self, concept: str):
+        _set(self, "concept", concept)
 
 
-@dataclass(frozen=True)
-class HasAttr:
-    attribute: str
+class AttrEquals(m.Frozen):
+    __slots__ = ("attribute", "value")
+    def __init__(self, attribute: str, value: m.Value):
+        _set(self, "attribute", attribute)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class And:
-    children: tuple["ClassExpression", ...]
+class HasAttr(m.Frozen):
+    __slots__ = ("attribute",)
+    def __init__(self, attribute: str):
+        _set(self, "attribute", attribute)
 
-    def __post_init__(self) -> None:
-        if len(self.children) < 2:
+
+class And(m.Frozen):
+    __slots__ = ("children",)
+    def __init__(self, children: tuple[ClassExpression, ...]):
+        if len(children) < 2:
             raise ValueError("And requires at least two children")
+        _set(self, "children", children)
 
 
-@dataclass(frozen=True)
-class Or:
-    children: tuple["ClassExpression", ...]
-
-    def __post_init__(self) -> None:
-        if len(self.children) < 2:
+class Or(m.Frozen):
+    __slots__ = ("children",)
+    def __init__(self, children: tuple[ClassExpression, ...]):
+        if len(children) < 2:
             raise ValueError("Or requires at least two children")
+        _set(self, "children", children)
 
 
-@dataclass(frozen=True)
-class Not:
-    child: "ClassExpression"
+class Not(m.Frozen):
+    __slots__ = ("child",)
+    def __init__(self, child: ClassExpression):
+        _set(self, "child", child)
 
 
 ClassExpression = Union[InConcept, AttrEquals, HasAttr, And, Or, Not]
 
 
-@dataclass(frozen=True)
-class Contradiction:
+class Contradiction(m.Frozen):
     """Report that two concepts cannot be conjoined: an exclusive axis
     forbids combining the clashing differences."""
 
-    axis: str
-    differences: tuple[str, ...]
-    concepts: tuple[str, str]
+    __slots__ = ("axis", "differences", "concepts")
+    def __init__(self, axis: str, differences: tuple[str, ...], concepts: tuple[str, str]):
+        _set(self, "axis", axis)
+        _set(self, "differences", differences)
+        _set(self, "concepts", concepts)
 
     def describe(self) -> str:
         c1, c2 = self.concepts

@@ -14,9 +14,6 @@ definitions; those are authored by people and carried on terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
 from . import model as m
 
 
@@ -26,14 +23,15 @@ class DefinitionError(m.OtlError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class GeneratedDefinition:
-    concept: str
-    kind: str  # "intensional" | "extensional"
-    # intensional: (genus id, differentia ids in declaration order)
-    # extensional: ids of direct subordinates, sorted
-    formal: Union[tuple[str, tuple[str, ...]], tuple[str, ...]]
-    gloss: str
+class GeneratedDefinition(m.Frozen):
+    __slots__ = ("concept", "kind", "formal", "gloss")
+    # `formal` is (genus id, differentia ids in declaration order) when `kind` is
+    # "intensional", the ids of the direct subordinates, sorted, when "extensional"
+    def __init__(self, concept: str, kind: str, formal: tuple[str, tuple[str, ...]] | tuple[str, ...], gloss: str):
+        object.__setattr__(self, "concept", concept)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "formal", formal)
+        object.__setattr__(self, "gloss", gloss)
 
     def render(self) -> str:
         if self.kind == "intensional":

@@ -8,20 +8,17 @@ them nor ``json``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import model as m
 
 
-@dataclass
-class ExportOptions:
-    include_objects: bool = False
-    include_derived_edges: bool = False
-    rankdir: str = "TB"  # TB = top-down, LR = left-right
-
-    def __post_init__(self) -> None:
-        if self.rankdir not in ("TB", "LR"):
-            raise ValueError(f"rankdir must be 'TB' or 'LR', got {self.rankdir!r}")
+class ExportOptions(m.Record):
+    __slots__ = ("include_objects", "include_derived_edges", "rankdir")
+    def __init__(self, include_objects: bool = False, include_derived_edges: bool = False, rankdir: str = "TB"):
+        if rankdir not in ("TB", "LR"):  # top-down or left-right
+            raise ValueError(f"rankdir must be 'TB' or 'LR', got {rankdir!r}")
+        self.include_objects = include_objects
+        self.include_derived_edges = include_derived_edges
+        self.rankdir = rankdir
 
 
 def _dot_escape(text: str) -> str:

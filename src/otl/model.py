@@ -13,6 +13,14 @@ derived indexes are empty.  ``otl.reasoner.validate`` resolves and checks
 everything; afterwards the model is treated as immutable and the read-only
 operations here (``intension``, ``extension``, ``resolve``) are safe to call
 from multiple threads.
+
+The package's entity, expression and result types are records: classes with
+``__slots__`` and a written-out ``__init__``.  Their base ``Record`` compares
+two of the same class by the tuple of their ``_fields`` (by default the
+slots) and shows those in its repr, matches the slots positionally, copies
+and pickles through the constructor, and is unhashable.  ``Frozen`` hashes
+the field tuple and refuses assignment and deletion; its ``__init__`` sets
+each slot with ``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from functools import reduce
@@ -31,6 +38,51 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .classes import ClassExpression
     from .reasoner import Hierarchy
+
+
+class Record:
+    """Base of the record types (see the module docstring)."""
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init_subclass__(cls) -> None:
+        if "__slots__" in cls.__dict__:  # a subclass without slots keeps its base's fields
+            cls.__match_args__ = cls.__slots__
+            cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple([getattr(self, name) for name in self.__slots__])
+
+
+class Frozen(Record):
+    """A record whose fields cannot change once set, hashed as their tuple."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_set = object.__setattr__  # bound once: a Frozen __init__ sets each slot with it
 
 # Attribute values are typed: text, number (exact decimal), or boolean.
 # Plain ints are accepted anywhere a number is (convenient for hand-built
@@ -193,14 +245,15 @@ DIAGNOSTIC_CODES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Frozen):
     """Location of a token or declaration in DSL source (1-based)."""
 
-    file: str
-    line: int
-    column: int
-    length: int = 1
+    __slots__ = ("file", "line", "column", "length")
+    def __init__(self, file: str, line: int, column: int, length: int = 1):
+        _set(self, "file", file)
+        _set(self, "line", line)
+        _set(self, "column", column)
+        _set(self, "length", length)
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
@@ -234,13 +287,14 @@ class SourceText:
         return SourceSpan(self.file, line + 1, offset - line_start + 1, length)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: Severity
-    code: str
-    message: str
-    # Either a source span (DSL input) or an entity identifier (built models).
-    location: Union[SourceSpan, str, None] = None
+class Diagnostic(Frozen):
+    __slots__ = ("severity", "code", "message", "location")
+    # `location` is a source span (DSL input) or an entity identifier (built models)
+    def __init__(self, severity: Severity, code: str, message: str, location: Union[SourceSpan, str, None] = None):
+        _set(self, "severity", severity)
+        _set(self, "code", code)
+        _set(self, "message", message)
+        _set(self, "location", location)
 
     @property
     def is_error(self) -> bool:
@@ -315,21 +369,21 @@ class InvalidModelError(OtlError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Difference:
+class Difference(Record):
     """Essential characteristic: a unary predicate that defines concepts.
 
     The ``axis`` back-reference is derived from axis membership during
     validation; a difference belonging to no axis is free-standing.
     """
 
-    id: str
-    label: str
-    axis: Optional[str] = None
+    __slots__ = ("id", "label", "axis")
+    def __init__(self, id: str, label: str, axis: Optional[str] = None):
+        self.id = id
+        self.label = label
+        self.axis = axis
 
 
-@dataclass
-class Axis:
+class Axis(Record):
     """Subdivision criterion: a named group of at least two differences.
 
     ``scope`` names the concept whose subdivision the axis governs; only
@@ -337,15 +391,16 @@ class Axis:
     ``exclusive`` (the default) no concept may combine two members.
     """
 
-    id: str
-    label: str
-    scope: str
-    members: tuple[str, ...]
-    exclusive: bool = True
+    __slots__ = ("id", "label", "scope", "members", "exclusive")
+    def __init__(self, id: str, label: str, scope: str, members: tuple[str, ...], exclusive: bool = True):
+        self.id = id
+        self.label = label
+        self.scope = scope
+        self.members = members
+        self.exclusive = exclusive
 
 
-@dataclass
-class Concept:
+class Concept(Record):
     """Unit of knowledge identified by a unique combination of differences.
 
     ``genus`` is the declared superordinate (None for roots); ``differentiae``
@@ -353,73 +408,82 @@ class Concept:
     intension is derived: intension(genus) plus the differentiae.
     """
 
-    id: str
-    label: str
-    genus: Optional[str] = None
-    differentiae: tuple[str, ...] = ()
+    __slots__ = ("id", "label", "genus", "differentiae")
+    def __init__(self, id: str, label: str, genus: Optional[str] = None, differentiae: tuple[str, ...] = ()):
+        self.id = id
+        self.label = label
+        self.genus = genus
+        self.differentiae = differentiae
 
 
-@dataclass
-class AttributeDecl:
+class AttributeDecl(Record):
     """Descriptive characteristic: a typed attribute objects may carry."""
 
-    id: str
-    label: str
-    domain: str
-    value_kind: ValueKind
+    __slots__ = ("id", "label", "domain", "value_kind")
+    def __init__(self, id: str, label: str, domain: str, value_kind: ValueKind):
+        self.id = id
+        self.label = label
+        self.domain = domain
+        self.value_kind = value_kind
 
 
-@dataclass
-class ObjectInstance:
+class ObjectInstance(Record):
     """Reification of exactly one concept, carrying valuated attributes.
 
     Missing attribute values are permitted; an object is then merely
     incompletely described.
     """
 
-    id: str
-    label: str
-    concept: str
-    values: dict[str, Value] = field(default_factory=dict)
+    __slots__ = ("id", "label", "concept", "values")
+    def __init__(self, id: str, label: str, concept: str, values: Optional[dict[str, Value]] = None):
+        self.id = id
+        self.label = label
+        self.concept = concept
+        self.values = {} if values is None else values
 
 
-@dataclass(frozen=True)
-class PartLink:
+class PartLink(Frozen):
     """Whole/part link between concepts.  Descriptive, not an order: no
     transitive closure is ever computed, but cycles are rejected."""
 
-    whole: str
-    part: str
-    note: Optional[str] = None
+    __slots__ = ("whole", "part", "note")
+    def __init__(self, whole: str, part: str, note: Optional[str] = None):
+        _set(self, "whole", whole)
+        _set(self, "part", part)
+        _set(self, "note", note)
 
 
-@dataclass(frozen=True)
-class AssociativeLink:
+class AssociativeLink(Frozen):
     """Non-hierarchical link between concepts, typed by the built-in
     relation taxonomy."""
 
-    relation_type: RelationKind
-    source: str
-    target: str
+    __slots__ = ("relation_type", "source", "target")
+    def __init__(self, relation_type: RelationKind, source: str, target: str):
+        _set(self, "relation_type", relation_type)
+        _set(self, "source", source)
+        _set(self, "target", target)
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Frozen):
     """Designation of a concept in a natural language."""
 
-    designation: str
-    language: str
-    status: TermStatus
-    concept: str
-    nl_definition: Optional[str] = None
+    __slots__ = ("designation", "language", "status", "concept", "nl_definition")
+    def __init__(self, designation: str, language: str, status: TermStatus, concept: str,
+                 nl_definition: Optional[str] = None):
+        _set(self, "designation", designation)
+        _set(self, "language", language)
+        _set(self, "status", status)
+        _set(self, "concept", concept)
+        _set(self, "nl_definition", nl_definition)
 
 
-@dataclass
-class ClassDef:
+class ClassDef(Record):
     """Named class: a logical formula gathering objects of any concept."""
 
-    id: str
-    expr: "ClassExpression"
+    __slots__ = ("id", "expr")
+    def __init__(self, id: str, expr: ClassExpression):
+        self.id = id
+        self.expr = expr
 
 
 class BitSets(Mapping[str, frozenset[str]]):
@@ -478,43 +542,52 @@ class BitSets(Mapping[str, frozenset[str]]):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Model:
+class Model(Record):
     """Complete conceptual system plus derived indexes.
 
     Entity collections are keyed by identifier and preserve declaration
-    order (except parts/relations/terms, which are plain ordered lists).
-    The derived fields (``intensions``, ``superiors``, ``hierarchy``) are
-    filled by ``otl.reasoner.validate`` and excluded from equality, as are
-    the source positions kept for diagnostics.
+    order (except parts/relations/terms, which are plain ordered lists); one
+    not given starts empty.  The derived fields (``intensions``,
+    ``superiors``, ``hierarchy``) are filled by ``otl.reasoner.validate``.
+    Only the nine collections are compared; the repr shows them and
+    ``validated``.
     """
 
-    differences: dict[str, Difference] = field(default_factory=dict)
-    axes: dict[str, Axis] = field(default_factory=dict)
-    concepts: dict[str, Concept] = field(default_factory=dict)
-    attributes: dict[str, AttributeDecl] = field(default_factory=dict)
-    objects: dict[str, ObjectInstance] = field(default_factory=dict)
-    parts: list[PartLink] = field(default_factory=list)
-    relations: list[AssociativeLink] = field(default_factory=list)
-    terms: list[Term] = field(default_factory=list)
-    classes: dict[str, ClassDef] = field(default_factory=dict)
+    __slots__ = ("differences", "axes", "concepts", "attributes", "objects", "parts", "relations", "terms",
+                 "classes", "spans", "source", "validated", "intensions", "superiors", "hierarchy")
+    _fields = __slots__[:9]
 
-    # (entity kind, identifier) -> (offset, length) of the declaring token in
-    # ``source``, for models built by the parser.  Only ``span_for`` turns one
-    # into a SourceSpan, when a diagnostic points at the entity.
-    spans: dict[tuple[str, str], tuple[int, int]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-    source: Optional[SourceText] = field(default=None, compare=False, repr=False)
+    def __init__(self, differences: Optional[dict[str, Difference]] = None, axes: Optional[dict[str, Axis]] = None,
+                 concepts: Optional[dict[str, Concept]] = None, attributes: Optional[dict[str, AttributeDecl]] = None,
+                 objects: Optional[dict[str, ObjectInstance]] = None, parts: Optional[list[PartLink]] = None,
+                 relations: Optional[list[AssociativeLink]] = None, terms: Optional[list[Term]] = None,
+                 classes: Optional[dict[str, ClassDef]] = None,
+                 spans: Optional[dict[tuple[str, str], tuple[int, int]]] = None, source: Optional[SourceText] = None,
+                 validated: bool = False, intensions: Optional[BitSets] = None, superiors: Optional[BitSets] = None,
+                 hierarchy: Optional[Hierarchy] = None):
+        self.differences = {} if differences is None else differences
+        self.axes = {} if axes is None else axes
+        self.concepts = {} if concepts is None else concepts
+        self.attributes = {} if attributes is None else attributes
+        self.objects = {} if objects is None else objects
+        self.parts = [] if parts is None else parts
+        self.relations = [] if relations is None else relations
+        self.terms = [] if terms is None else terms
+        self.classes = {} if classes is None else classes
+        # (entity kind, identifier) -> (offset, length) of the declaring token in
+        # ``source``; ``span_for`` makes a SourceSpan when a diagnostic needs one
+        self.spans = {} if spans is None else spans
+        self.source = source
+        self.validated = validated
+        # concept id -> its intension, as bits over the differences in sorted-id order
+        self.intensions = BitSets() if intensions is None else intensions
+        # concept id -> all strict subsumers, as bits over the concepts in
+        # increasing intension size; the same object as ``hierarchy.superiors``
+        self.superiors = BitSets() if superiors is None else superiors
+        self.hierarchy = hierarchy
 
-    validated: bool = field(default=False, compare=False)
-    # concept id -> full set of differences (genus intension + differentiae),
-    # as bits over the differences in sorted-id order
-    intensions: BitSets = field(default_factory=BitSets, compare=False, repr=False)
-    # concept id -> all strict subsumers, as bits over the concepts in
-    # increasing intension size; the same object as ``hierarchy.superiors``
-    superiors: BitSets = field(default_factory=BitSets, compare=False, repr=False)
-    hierarchy: Optional["Hierarchy"] = field(default=None, compare=False, repr=False)
+    def __repr__(self) -> str:
+        return f"{super().__repr__()[:-1]}, validated={self.validated!r})"
 
     def require_validated(self, operation: str, *concepts: str) -> None:
         """The precondition of every read operation: the model is validated

@@ -62,7 +62,6 @@ is bounded by MAX_EXPR_DEPTH and chains of ``not`` are counted iteratively.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from functools import cache
 from typing import NoReturn, Optional
@@ -83,6 +82,7 @@ from .model import (
     ObjectInstance,
     OtlError,
     PartLink,
+    Record,
     Severity,
     SourceText,
     Term,
@@ -110,12 +110,13 @@ _STATUS_WORDS = tuple(_STATUSES)
 MAX_EXPR_DEPTH = 200
 
 
-@dataclass
-class ParseResult:
+class ParseResult(Record):
     """Outcome of a parse; `model` is present iff there were no errors."""
 
-    model: Optional[Model]
-    diagnostics: list[Diagnostic]
+    __slots__ = ("model", "diagnostics")
+    def __init__(self, model: Optional[Model], diagnostics: list[Diagnostic]):
+        self.model = model
+        self.diagnostics = diagnostics
 
 
 class ParseError(OtlError):
@@ -254,6 +255,7 @@ class _Parser:
                 self.depth = max(0, self.depth - 1)
             elif kind == "SEMI":
                 kind = "SEP"
+                self.depth = 0  # it ends the statement, open brackets and all
             elif kind == "OTHER":
                 self.lex_error(f"unexpected character {m[kind]!r}", m.start(kind), 1)
                 continue
@@ -427,7 +429,7 @@ class _Parser:
         """Read statements to the end: each with one _declaration() match,
         separators included, where the regex reader takes it, else with the
         token reader, seated at the statement and run to the separator that
-        ends it outside brackets."""
+        ends it, after which no bracket is open."""
         text = self.source.text
         declaration = _declaration().match
         offset = 0
@@ -437,18 +439,13 @@ class _Parser:
                 offset = m.end()
                 continue
             self.seat(offset)
-            while True:
-                while self.kind == "SEP":
-                    self.advance()
-                if self.kind == "EOF":
-                    return
-                self.statement()
-                if self.kind == "EOF":
-                    return
-                # a ';' can end a statement whose skipped rest opened a
-                # bracket; the newlines up to its close end no statement
-                if not self.depth:
-                    break
+            while self.kind == "SEP":
+                self.advance()
+            if self.kind == "EOF":
+                return
+            self.statement()
+            if self.kind == "EOF":
+                return
             offset = self.m.end()
 
     def statement(self) -> None:

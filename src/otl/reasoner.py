@@ -39,7 +39,6 @@ of O(D) or O(C) bits:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import or_
@@ -51,8 +50,7 @@ from .classes import axis_clashes, expression_references
 _NAMES = re.compile(rf"(?:{m.IDENTIFIER.pattern} )*{m.IDENTIFIER.pattern}")
 
 
-@dataclass
-class Hierarchy:
+class Hierarchy(m.Record):
     """Materialized generic structure of a validated model.
 
     ``superiors`` maps each concept to all concepts that strictly subsume it,
@@ -66,10 +64,13 @@ class Hierarchy:
     stay those ints: one per concept, no set of ids.
     """
 
-    superiors: m.BitSets
-    direct_super: dict[str, frozenset[str]]
-    direct_sub: dict[str, frozenset[str]]
-    roots: frozenset[str]
+    __slots__ = ("superiors", "direct_super", "direct_sub", "roots")
+    def __init__(self, superiors: m.BitSets, direct_super: dict[str, frozenset[str]],
+                 direct_sub: dict[str, frozenset[str]], roots: frozenset[str]):
+        self.superiors = superiors
+        self.direct_super = direct_super
+        self.direct_sub = direct_sub
+        self.roots = roots
 
     def subsumes(self, c1: str, c2: str) -> bool:
         superiors = self.superiors

@@ -301,15 +301,23 @@ DEFERRED = {"json", "otl.definitions", "otl.dot", "otl.exporters"}
     ],
 )
 def test_commands_import_only_the_modules_they_use(command, loaded):
-    done = otl_process("-X", "importtime", "-m", "otl.cli", *command)
+    done, imported = imports("-m", "otl.cli", *command)
     assert done.returncode == 0
-    imported = {
+    assert "otl.parser" in imported
+    assert imported & DEFERRED == loaded
+    # the record types are plain classes: no command imports dataclasses
+    # (nor inspect, which it brings) unless the interpreter itself does
+    assert {"dataclasses", "inspect"} & imported <= imports("-c", "pass")[1]
+
+
+def imports(*args):
+    """The finished `python -X importtime [args]` and the modules it imported."""
+    done = otl_process("-X", "importtime", *args)
+    return done, {
         line.rsplit("|", 1)[1].strip()
         for line in done.stderr.splitlines()
         if line.startswith("import time:")
     }
-    assert "otl.parser" in imported
-    assert imported & DEFERRED == loaded
 
 
 PUBLIC_API = {

@@ -657,6 +657,14 @@ SYNTAX_ERRORS = {
             ("ERROR E_DUP_DECL t.otl:4:9 concept 'A' already declared at 1:9", 1),
         ],
     ),
+    "semicolon_closes_the_brackets_of_an_abandoned_statement": (
+        "object class of + { ; term\nconcept K",
+        [
+            ("ERROR E_SYN t.otl:2:8 expected object identifier, found 'class'", 5),
+            ("ERROR E_SYN t.otl:2:27 expected term designation string, found end of line", 1),
+            ("ERROR E_DUP_DECL t.otl:4:9 concept 'A' already declared at 1:9", 1),
+        ],
+    ),
 }
 
 

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from otl import (
+    Axis,
     Concept,
     InvalidModelError,
     Model,
@@ -123,6 +124,91 @@ def test_genus_cycle_located_at_its_first_declared_member():
     assert [d.render() for d in validate(result.model)] == [
         "ERROR E_GENUS_CYCLE cyc.otl:2:9 generic cycle: A -> C -> B -> A",
         "ERROR E_GENUS_CYCLE cyc.otl:5:9 generic cycle: Q -> Z -> Q",
+    ]
+
+
+def both_ways(concepts, axes=(), emptied=()):
+    """One model as DSL source (diagnostics at spans) and through the API
+    (at identifiers, so found order breaks ties).  `concepts` are (id,
+    genus, differentiae), `axes` (id, scope, members).  The DSL cannot state
+    a genus without differentiae, so a concept in `emptied` is emptied after
+    parsing."""
+    lines = [f"concept {cid} := {genus} + {', '.join(diffs)}" if genus else
+             f"concept {cid} := {', '.join(diffs)}" if diffs else f"concept {cid}"
+             for cid, genus, diffs in concepts]
+    lines += [f"axis {aid} of {scope} {{ {', '.join(members)} }}" for aid, scope, members in axes]
+    result = parse("\n".join(lines) + "\n", "order.otl")
+    assert not result.diagnostics
+    api = Model()
+    for cid, genus, diffs in concepts:
+        for model in (result.model, api):
+            model.concepts[cid] = Concept(cid, cid, genus, () if cid in emptied else tuple(diffs))
+    for aid, scope, members in axes:
+        api.axes[aid] = Axis(aid, aid, scope, tuple(members))
+    return result.model, api
+
+
+def test_genus_cycles_are_reported_once_each_in_a_fixed_order():
+    # each cycle is entered from a chain declared before it, then again from
+    # a concept declared after it
+    dsl, api = both_ways([
+        ("Leaf", "Mid", ["l"]), ("Mid", "Y", ["m"]), ("Y", "X", ["y"]), ("Z", "Y", ["z"]),
+        ("X", "Z", ["x"]), ("Tail", "Q", ["t"]), ("Q", "P", ["q"]), ("P", "Q", ["p"]),
+        ("Late", "X", ["w"]), ("Later", "P", ["v"]),
+    ])
+    assert [d.render() for d in validate(dsl)] == [
+        "ERROR E_GENUS_CYCLE order.otl:3:9 generic cycle: X -> Z -> Y -> X",
+        "ERROR E_GENUS_CYCLE order.otl:7:9 generic cycle: P -> Q -> P",
+    ]
+    assert [d.render() for d in validate(api)] == [
+        "ERROR E_GENUS_CYCLE Y generic cycle: X -> Z -> Y -> X",
+        "ERROR E_GENUS_CYCLE Q generic cycle: P -> Q -> P",
+    ]
+
+
+def test_intension_checks_are_reported_in_a_fixed_order():
+    dsl, api = both_ways(
+        [
+            ("Root", None, []), ("Thing", "Root", ["thing"]), ("Other", "Root", ["other"]),
+            ("N1", "Root", ["n1"]), ("N2", "Thing", ["n2"]),
+            ("R1", "Thing", ["thing"]), ("R2", "Thing", ["red", "thing", "blue"]),
+            ("X1", "Other", ["red", "blue", "big", "small"]),
+            ("U1", "Root", ["p", "q"]), ("P", "Root", ["p"]), ("U2", "Root", ["q", "p"]),
+            ("U3", "P", ["q"]), ("S1", "Other", ["big"]),
+        ],
+        axes=[("Colour", "Root", ["red", "blue"]), ("Size", "Thing", ["big", "small"])],
+        emptied={"N1", "N2"},
+    )
+    assert [d.render() for d in validate(dsl)] == [
+        "ERROR E_NO_DELIMITING order.otl:4:9 concept 'N1' adds no delimiting difference to genus 'Root'",
+        "ERROR E_NO_DELIMITING order.otl:5:9 concept 'N2' adds no delimiting difference to genus 'Thing'",
+        "ERROR E_REDUNDANT_DIFFERENTIA order.otl:6:9 concept 'R1' restates thing already in the intension of 'Thing'",
+        "ERROR E_AXIS_CONTRADICTION order.otl:7:9 concept 'R2' combines blue, red, exclusive on axis 'Colour'",
+        "ERROR E_REDUNDANT_DIFFERENTIA order.otl:7:9 concept 'R2' restates thing already in the intension of 'Thing'",
+        "ERROR E_AXIS_CONTRADICTION order.otl:8:9 concept 'X1' combines blue, red, exclusive on axis 'Colour'",
+        "ERROR E_AXIS_CONTRADICTION order.otl:8:9 concept 'X1' combines big, small, exclusive on axis 'Size'",
+        "ERROR E_AXIS_SCOPE order.otl:8:9 concept 'X1' uses 'big' of axis 'Size' scoped at 'Thing', "
+        "but is not under 'Thing'",
+        "ERROR E_AXIS_SCOPE order.otl:8:9 concept 'X1' uses 'small' of axis 'Size' scoped at 'Thing', "
+        "but is not under 'Thing'",
+        "ERROR E_DUP_INTENSION order.otl:11:9 concept 'U2' has the same combination of differences as 'U1'",
+        "ERROR E_DUP_INTENSION order.otl:12:9 concept 'U3' has the same combination of differences as 'U1'",
+        "ERROR E_AXIS_SCOPE order.otl:13:9 concept 'S1' uses 'big' of axis 'Size' scoped at 'Thing', "
+        "but is not under 'Thing'",
+    ]
+    assert [d.render() for d in validate(api)] == [
+        "ERROR E_AXIS_CONTRADICTION R2 concept 'R2' combines blue, red, exclusive on axis 'Colour'",
+        "ERROR E_AXIS_CONTRADICTION X1 concept 'X1' combines blue, red, exclusive on axis 'Colour'",
+        "ERROR E_AXIS_CONTRADICTION X1 concept 'X1' combines big, small, exclusive on axis 'Size'",
+        "ERROR E_AXIS_SCOPE X1 concept 'X1' uses 'big' of axis 'Size' scoped at 'Thing', but is not under 'Thing'",
+        "ERROR E_AXIS_SCOPE X1 concept 'X1' uses 'small' of axis 'Size' scoped at 'Thing', but is not under 'Thing'",
+        "ERROR E_AXIS_SCOPE S1 concept 'S1' uses 'big' of axis 'Size' scoped at 'Thing', but is not under 'Thing'",
+        "ERROR E_DUP_INTENSION U2 concept 'U2' has the same combination of differences as 'U1'",
+        "ERROR E_DUP_INTENSION U3 concept 'U3' has the same combination of differences as 'U1'",
+        "ERROR E_NO_DELIMITING N1 concept 'N1' adds no delimiting difference to genus 'Root'",
+        "ERROR E_NO_DELIMITING N2 concept 'N2' adds no delimiting difference to genus 'Thing'",
+        "ERROR E_REDUNDANT_DIFFERENTIA R1 concept 'R1' restates thing already in the intension of 'Thing'",
+        "ERROR E_REDUNDANT_DIFFERENTIA R2 concept 'R2' restates thing already in the intension of 'Thing'",
     ]
 
 

@@ -16,8 +16,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, TypeVar, Union
 
 from . import model as m
-
-_set = object.__setattr__  # bound once: a Frozen __init__ sets each slot with it
+from .model import _set
 
 
 class InConcept(m.Frozen):

@@ -426,22 +426,18 @@ def _dsl_node(node: ClassExpression, texts: list[str]) -> str:
     return (" and " if isinstance(node, And) else " or ").join(texts)
 
 
-def _emission_order(concepts: dict[str, m.Concept]) -> list[m.Concept]:
+def _emission_order(model: m.Model) -> list[m.Concept]:
     """Concepts in the order of repeated passes over the declarations that
     each emit, in declaration order, every concept whose genus is out:
     pass(root) = 0 and pass(c) = pass(genus) + (c declared before its
-    genus), computed once along each genus chain."""
+    genus).  Computed in the superiors' numbering, which lists each genus
+    before its children, so each pass is one lookup of the genus's."""
+    concepts = model.concepts
     position = {cid: i for i, cid in enumerate(concepts)}
     passes: dict[str, int] = {}
-    for cid in concepts:
-        chain = []
-        while cid not in passes and (genus := concepts[cid].genus) is not None:
-            chain.append(cid)
-            cid = genus
-        p = passes.setdefault(cid, 0)  # cid is a root or already numbered
-        for child in reversed(chain):
-            p += position[child] < position[concepts[child].genus]  # type: ignore[index]
-            passes[child] = p
+    for cid in model.superiors.names:
+        genus = concepts[cid].genus
+        passes[cid] = 0 if genus is None else passes[genus] + (position[cid] < position[genus])
     return sorted(concepts.values(), key=lambda c: passes[c.id])  # stable: declaration order within a pass
 
 
@@ -456,7 +452,7 @@ def print_dsl(model: m.Model) -> str:
     for axis in model.axes.values():
         axes_by_scope.setdefault(axis.scope, []).append(axis)
 
-    for concept in _emission_order(model.concepts):
+    for concept in _emission_order(model):
         if concept.genus is not None:
             lines.append(f"concept {concept.id} := {concept.genus} + " + ", ".join(concept.differentiae))
         elif concept.differentiae:

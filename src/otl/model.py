@@ -286,6 +286,9 @@ class SourceText:
         line_start = newlines[line - 1] + 1 if line else 0
         return SourceSpan(self.file, line + 1, offset - line_start + 1, length)
 
+    def __reduce__(self) -> tuple:
+        return SourceText, (self.file, self.text)  # the newline table is rebuilt on demand
+
 
 class Diagnostic(Frozen):
     __slots__ = ("severity", "code", "message", "location")
@@ -514,6 +517,12 @@ class BitSets(Mapping[str, frozenset[str]]):
     def __contains__(self, key: object) -> bool:
         return key in self.bits
 
+    def __repr__(self) -> str:
+        return f"BitSets({dict(zip(self.bits, map(self.members, self.bits.values())))!r})"
+
+    def __reduce__(self) -> tuple:
+        return BitSets, (self.bits, self.names)
+
     def mask(self, names: Iterable[str]) -> int:
         """The bits of `names`, which must all be numbered."""
         return reduce(or_, map((1).__lshift__, map(self.index.__getitem__, names)), 0)
@@ -582,7 +591,9 @@ class Model(Record):
         # concept id -> its intension, as bits over the differences in sorted-id order
         self.intensions = BitSets() if intensions is None else intensions
         # concept id -> all strict subsumers, as bits over the concepts in
-        # increasing intension size; the same object as ``hierarchy.superiors``
+        # increasing intension size, so every genus is numbered before its
+        # children (print_dsl relies on it); the same object as
+        # ``hierarchy.superiors``
         self.superiors = BitSets() if superiors is None else superiors
         self.hierarchy = hierarchy
 

@@ -2,10 +2,11 @@
 
 Validation runs in stages, each assuming the previous one succeeded:
 reference resolution (including materializing implicitly declared
-differences) with the spelling of names, genus-cycle detection, intension
-computation, intension uniqueness and axis checks, the derived hierarchy,
-then attribute/part/term checks.  Diagnostics report the earliest failing
-stage; later stages are skipped once a stage produced errors.
+differences) with the spelling of names, one walk of the genus chains that
+finds genus cycles and computes intensions, intension uniqueness and axis
+checks, the derived hierarchy, then attribute/part/term checks.
+Diagnostics report the earliest failing stage; later stages are skipped
+once a stage produced errors.
 
 Subsumption is derived, never asserted: a concept subsumes another exactly
 when its intension is a strict subset of the other's.  Because any subset of
@@ -19,12 +20,14 @@ differences, a superior set one int over the C concepts.  Cost of each
 stage, for a model of size M (all its declarations), in operations on ints
 of O(D) or O(C) bits:
 
-* resolution and genus cycles: O(M); each genus chain is walked once;
+* resolution: O(M);
 * names: one regex match over all declared names joined, O(their length);
-* intensions: memoized genus walk, one OR per concept and one shift per
-  stated differentia, O(M);
-* uniqueness and axis checks: each intension hashed once, O(C + M); axis
-  clashes from each intension's exclusive-axis bits only;
+* genus cycles and intensions: each concept is walked once, on the one
+  path that reaches it, then gets one OR and one shift per stated
+  differentia, O(M);
+* uniqueness and axis checks: one pass over the concepts, each intension
+  hashed once, O(C + M); axis clashes from each intension's exclusive-axis
+  bits only;
 * hierarchy, derived only from intensions that passed those checks, in
   increasing intension size.  Each concept inherits its genus's superiors
   and the genus itself, and looks for further superiors only among the
@@ -388,10 +391,7 @@ class _Validator:
         In bulk: one match over the names joined by blanks (a name holding a
         blank adds to their count), and the keywords looked up in each set."""
         model = self.model
-        declared = (
-            ("concept", model.concepts), ("difference", model.differences), ("axis", model.axes),
-            ("attribute", model.attributes), ("object", model.objects), ("class", model.classes),
-        )
+        declared = [(kind, getattr(model, attr)) for kind, attr in m._RESOLVE_ORDER]
         languages = {term.language: None for term in model.terms}
         collections = [ids for _, ids in declared] + [languages]
         names = list(chain(*collections))
@@ -410,121 +410,71 @@ class _Validator:
             elif name in m.KEYWORDS:
                 self.error("E_NAME", f"{what} {name!r} is a DSL keyword", kind, entity_id)
 
-    # -- stage 2: genus cycles ----------------------------------------------
+    # -- stage 2: genus cycles and intensions ---------------------------------
 
-    def detect_genus_cycles(self) -> None:
-        model = self.model
-        declared = {c: i for i, c in enumerate(model.concepts)}
-        done: set[str] = set()
-        reported: set[frozenset[str]] = set()
-        for start in model.concepts:
-            path: list[str] = []
-            on_path: set[str] = set()
-            cur: str | None = start
-            while cur is not None and cur not in done:
-                if cur in on_path:
-                    cycle = path[path.index(cur) :]
-                    key = frozenset(cycle)
-                    if key not in reported:
-                        reported.add(key)
-                        pivot = min(range(len(cycle)), key=lambda i: cycle[i])
-                        ordered = cycle[pivot:] + cycle[:pivot]
-                        first = min(ordered, key=declared.__getitem__)
-                        self.error(
-                            "E_GENUS_CYCLE",
-                            "generic cycle: " + " -> ".join(ordered + [ordered[0]]),
-                            "concept",
-                            first,
-                        )
-                    break
-                path.append(cur)
-                on_path.add(cur)
-                cur = model.concepts[cur].genus
-            done.update(path)
-
-    # -- stage 3: intensions --------------------------------------------------
-
-    def compute_intensions(self) -> None:
-        model = self.model
+    def walk_genus_chains(self) -> None:
+        """Walk each genus chain once, up to a concept already walked or to a
+        root, and OR the differentiae down the path.  A concept met twice on
+        one path closes a genus cycle; its path is then marked walked, so no
+        later walk finds that cycle again."""
+        concepts = self.model.concepts
         # differences numbered in sorted-id order, the order to_json lists
-        intensions = m.BitSets({}, sorted(model.differences))
+        intensions = m.BitSets({}, sorted(self.model.differences))
         index = intensions.index
         memo: dict[str, int] = {}
-        for cid in model.concepts:
-            chain: list[str] = []
+        declared: dict[str, int] = {}
+        for cid in concepts:
+            path: dict[str, int] = {}  # the walk so far: concept -> its step
             cur: str | None = cid
             while cur is not None and cur not in memo:
-                chain.append(cur)
-                cur = model.concepts[cur].genus
-            acc = memo[cur] if cur is not None else 0
-            for key in reversed(chain):
-                for diff in model.concepts[key].differentiae:
-                    acc |= 1 << index[diff]
-                memo[key] = acc
-        intensions.bits = {cid: memo[cid] for cid in model.concepts}
+                if cur in path:
+                    cycle = list(path)[path[cur] :]
+                    pivot = min(range(len(cycle)), key=cycle.__getitem__)
+                    ordered = cycle[pivot:] + cycle[:pivot]
+                    declared = declared or {c: i for i, c in enumerate(concepts)}
+                    self.error("E_GENUS_CYCLE", "generic cycle: " + " -> ".join(ordered + [ordered[0]]),
+                               "concept", min(ordered, key=declared.__getitem__))
+                    memo.update(dict.fromkeys(path, 0))
+                    break
+                path[cur] = len(path)
+                cur = concepts[cur].genus
+            else:
+                acc = memo[cur] if cur is not None else 0
+                for key in reversed(path):
+                    for diff in concepts[key].differentiae:
+                        acc |= 1 << index[diff]
+                    memo[key] = acc
+        intensions.bits = {cid: memo[cid] for cid in concepts}
         self.intensions = intensions
 
-    # -- stage 4: uniqueness and axis coherence -------------------------------
+    # -- stage 3: uniqueness and axis coherence -------------------------------
 
     def check_intensions(self) -> None:
+        """One pass over the concepts.  A concept that adds no differentia,
+        or restates one its genus already holds, is not grouped by
+        intension: a duplicate found for it would restate that fault."""
         model = self.model
         intensions, index = self.intensions.bits, self.intensions.index
-        flagged: set[str] = set()
-
-        for concept in model.concepts.values():
-            if concept.genus is None:
-                continue
-            if not concept.differentiae:
-                self.error(
-                    "E_NO_DELIMITING",
-                    f"concept '{concept.id}' adds no delimiting difference to genus '{concept.genus}'",
-                    "concept",
-                    concept.id,
-                )
-                flagged.add(concept.id)
-                continue
-            genus_intension = intensions[concept.genus]
-            redundant = [d for d in concept.differentiae if genus_intension >> index[d] & 1]
-            if redundant:
-                listing = ", ".join(redundant)
-                self.error(
-                    "E_REDUNDANT_DIFFERENTIA",
-                    f"concept '{concept.id}' restates {listing} already in the intension of '{concept.genus}'",
-                    "concept",
-                    concept.id,
-                )
-                flagged.add(concept.id)
-
-        # Intension uniqueness.  Concepts already flagged above necessarily
-        # collide with their genus; the duplicate would only restate the
-        # earlier error, so they are excluded here.
+        clashes = axis_clashes(model, self.intensions)
         # with the top bit: ints hash mod 2**61 - 1, so one-bit keys share 61 hashes
         by_intension: dict[tuple[int, int], list[str]] = {}
-        for cid in model.concepts:
-            if cid in flagged:
-                continue
-            by_intension.setdefault((intensions[cid].bit_length(), intensions[cid]), []).append(cid)
-        for group in by_intension.values():
-            first, *rest = group
-            for cid in rest:
-                self.error(
-                    "E_DUP_INTENSION",
-                    f"concept '{cid}' has the same combination of differences as '{first}'",
-                    "concept",
-                    cid,
-                )
-
-        clashes = axis_clashes(model, self.intensions)
         for concept in model.concepts.values():
-            intension = intensions[concept.id]
+            cid, genus, intension = concept.id, concept.genus, intensions[concept.id]
+            if genus is not None and not concept.differentiae:
+                self.error("E_NO_DELIMITING", f"concept '{cid}' adds no delimiting difference to genus '{genus}'",
+                           "concept", cid)
+            elif genus is not None and (
+                redundant := [d for d in concept.differentiae if intensions[genus] >> index[d] & 1]
+            ):
+                listing = ", ".join(redundant)
+                self.error("E_REDUNDANT_DIFFERENTIA",
+                           f"concept '{cid}' restates {listing} already in the intension of '{genus}'", "concept", cid)
+            else:
+                by_intension.setdefault((intension.bit_length(), intension), []).append(cid)
             for axis_id, clash in clashes(intension):
                 listing = ", ".join(clash)
-                self.error(
-                    "E_AXIS_CONTRADICTION",
-                    f"concept '{concept.id}' combines {listing}, exclusive on axis '{axis_id}'",
-                    "concept",
-                    concept.id,
-                )
+                self.error("E_AXIS_CONTRADICTION", f"concept '{cid}' combines {listing}, exclusive on axis '{axis_id}'",
+                           "concept", cid)
             # Axis scope: a member difference is only available to concepts
             # at or under the axis's scope concept.
             for diff_id in concept.differentiae:
@@ -533,20 +483,19 @@ class _Validator:
                     continue
                 scope = model.axes[axis_id].scope
                 if intensions[scope] | intension != intension:
-                    self.error(
-                        "E_AXIS_SCOPE",
-                        f"concept '{concept.id}' uses '{diff_id}' of axis '{axis_id}' "
-                        f"scoped at '{scope}', but is not under '{scope}'",
-                        "concept",
-                        concept.id,
-                    )
+                    self.error("E_AXIS_SCOPE", f"concept '{cid}' uses '{diff_id}' of axis '{axis_id}' "
+                               f"scoped at '{scope}', but is not under '{scope}'", "concept", cid)
+        for first, *rest in by_intension.values():
+            for cid in rest:
+                self.error("E_DUP_INTENSION", f"concept '{cid}' has the same combination of differences as '{first}'",
+                           "concept", cid)
 
-    # -- stage 5: the derived hierarchy ----------------------------------------
+    # -- stage 4: the derived hierarchy ----------------------------------------
 
     def derive_hierarchy(self) -> None:
         self.hierarchy = _derive_hierarchy(self.model.concepts, self.intensions)
 
-    # -- stage 6: attributes, parts, terms --------------------------------------
+    # -- stage 5: attributes, parts, terms --------------------------------------
 
     def check_attributes(self) -> None:
         model = self.model
@@ -641,8 +590,7 @@ class _Validator:
     def run(self) -> list[m.Diagnostic]:
         stages = (
             lambda: (self.resolve_references(), self.check_names()),
-            self.detect_genus_cycles,
-            self.compute_intensions,
+            self.walk_genus_chains,
             self.check_intensions,
             self.derive_hierarchy,
             lambda: (self.check_attributes(), self.check_parts(), self.check_terms()),

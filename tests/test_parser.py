@@ -325,6 +325,10 @@ SYNTAX_ERRORS = {
             RECOVERED,
         ],
     ),
+    "concept_genus_keyword": (
+        "concept B := of + x",
+        [("ERROR E_SYN t.otl:2:14 expected genus or difference identifier, found 'of'", 2), RECOVERED],
+    ),
     "concept_difference_after_plus": (
         "concept B := A +",
         [
@@ -338,6 +342,10 @@ SYNTAX_ERRORS = {
             ("ERROR E_SYN t.otl:2:20 expected difference identifier, found end of line", 1),
             RECOVERED,
         ],
+    ),
+    "concept_difference_keyword_after_comma": (
+        "concept B := A + x, in",
+        [("ERROR E_SYN t.otl:2:21 expected difference identifier, found 'in'", 2), RECOVERED],
     ),
     "root_difference_after_comma": (
         "concept B := x, 1",
@@ -428,6 +436,10 @@ SYNTAX_ERRORS = {
         "object o : { a = 1 }",
         [("ERROR E_SYN t.otl:2:12 expected concept identifier, found '{'", 1), RECOVERED],
     ),
+    "object_concept_keyword": (
+        "object o : class",
+        [("ERROR E_SYN t.otl:2:12 expected concept identifier, found 'class'", 5), RECOVERED],
+    ),
     "object_attribute": (
         "object o : A { = 1 }",
         [("ERROR E_SYN t.otl:2:16 expected attribute identifier, found '='", 1), RECOVERED],
@@ -435,6 +447,10 @@ SYNTAX_ERRORS = {
     "object_attribute_after_comma": (
         "object o : A { a = 1, }",
         [("ERROR E_SYN t.otl:2:23 expected attribute identifier, found '}'", 1), RECOVERED],
+    ),
+    "object_attribute_keyword": (
+        "object o : A { a = 1, on = 2 }",
+        [("ERROR E_SYN t.otl:2:23 expected attribute identifier, found 'on'", 2), RECOVERED],
     ),
     "object_equals": (
         "object o : A { a 1 }",
@@ -463,6 +479,10 @@ SYNTAX_ERRORS = {
         "part has A",
         [("ERROR E_SYN t.otl:2:6 expected concept identifier, found 'has'", 3), RECOVERED],
     ),
+    "part_whole_keyword": (
+        "part axis has A",
+        [("ERROR E_SYN t.otl:2:6 expected concept identifier, found 'axis'", 4), RECOVERED],
+    ),
     "part_has": (
         "part A of A",
         [("ERROR E_SYN t.otl:2:8 expected 'has', found 'of'", 2), RECOVERED],
@@ -470,6 +490,10 @@ SYNTAX_ERRORS = {
     "part_part": (
         "part A has",
         [("ERROR E_SYN t.otl:2:11 expected concept identifier, found end of line", 1), RECOVERED],
+    ),
+    "part_part_keyword": (
+        "part A has not",
+        [("ERROR E_SYN t.otl:2:12 expected concept identifier, found 'not'", 3), RECOVERED],
     ),
     "relation_name": (
         "relation (causal) A -> A",
@@ -521,6 +545,10 @@ SYNTAX_ERRORS = {
         'term "t" ("en", preferred) for A',
         [('ERROR E_SYN t.otl:2:11 expected language tag, found \'"en"\'', 4), RECOVERED],
     ),
+    "term_language_keyword": (
+        'term "t" (of, preferred) for A',
+        [("ERROR E_SYN t.otl:2:11 expected language tag, found 'of'", 2), RECOVERED],
+    ),
     "term_comma": (
         'term "t" (en preferred) for A',
         [("ERROR E_SYN t.otl:2:14 expected ',', found 'preferred'", 9), RECOVERED],
@@ -550,6 +578,10 @@ SYNTAX_ERRORS = {
     "term_concept": (
         'term "t" (en, preferred) for',
         [("ERROR E_SYN t.otl:2:29 expected concept identifier, found end of line", 1), RECOVERED],
+    ),
+    "term_concept_keyword": (
+        'term "t" (en, preferred) for term',
+        [("ERROR E_SYN t.otl:2:30 expected concept identifier, found 'term'", 4), RECOVERED],
     ),
     "term_definition_string": (
         'term "t" (en, preferred) for A definition x',

@@ -2,19 +2,31 @@
 
 import itertools
 import json
+from decimal import Decimal
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from otl import (
+    And,
+    AssociativeLink,
+    AttributeDecl,
     Axis,
+    ClassDef,
     Concept,
+    HasAttr,
+    InConcept,
     InvalidModelError,
     Model,
+    ObjectInstance,
     PartLink,
+    RelationKind,
     Severity,
+    Term,
+    TermStatus,
     UnknownIdentifierError,
+    ValueKind,
     classify_object,
     compute_hierarchy,
     coordinates,
@@ -210,6 +222,77 @@ def test_intension_checks_are_reported_in_a_fixed_order():
         "ERROR E_REDUNDANT_DIFFERENTIA R1 concept 'R1' restates thing already in the intension of 'Thing'",
         "ERROR E_REDUNDANT_DIFFERENTIA R2 concept 'R2' restates thing already in the intension of 'Thing'",
     ]
+
+
+def test_reference_checks_are_reported_in_a_fixed_order():
+    source = (
+        "concept Root\n"
+        "axis Lone of Nowhere { a }\n"
+        "axis Twice of Root { x, a, x }\n"
+        "concept Odd := Ghost + d, e, d\n"
+        "attribute weight : number on Phantom\n"
+        "object o1 : Spirit { colour = \"red\" }\n"
+        "object o2 : Shade { size = 3 }\n"
+        "part Whole has Piece\n"
+        "relation r (associative) From -> To\n"
+        "term \"thing\" (en, preferred) for Wraith\n"
+        "class K := { x | in Banshee and has height }\n"
+    )
+    result = parse(source, "refs.otl")
+    assert not result.diagnostics
+    api = Model()
+    api.concepts["Root"] = Concept("Root", "Root", None, ())
+    api.axes["Lone"] = Axis("Lone", "Lone", "Nowhere", ("a",))
+    api.axes["Twice"] = Axis("Twice", "Twice", "Root", ("x", "a", "x"))
+    api.concepts["Odd"] = Concept("Odd", "Odd", "Ghost", ("d", "e", "d"))
+    api.attributes["weight"] = AttributeDecl("weight", "weight", "Phantom", ValueKind.NUMBER)
+    api.objects["o1"] = ObjectInstance("o1", "o1", "Spirit", {"colour": "red"})
+    api.objects["o2"] = ObjectInstance("o2", "o2", "Shade", {"size": Decimal(3)})
+    api.parts.append(PartLink("Whole", "Piece"))
+    api.relations.append(AssociativeLink(RelationKind.ASSOCIATIVE, "From", "To"))
+    api.terms.append(Term("thing", "en", TermStatus.PREFERRED, "Wraith"))
+    api.classes["K"] = ClassDef("K", And((InConcept("Banshee"), HasAttr("height"))))
+    assert [d.render() for d in validate(result.model)] == [
+        "ERROR E_AXIS_ARITY refs.otl:2:6 axis 'Lone' needs at least two member differences",
+        "ERROR E_UNRESOLVED refs.otl:2:6 axis 'Lone' scoped at unknown concept 'Nowhere'",
+        "ERROR E_DUP_DECL refs.otl:3:6 difference 'a' belongs to both axis 'Lone' and axis 'Twice'",
+        "ERROR E_DUP_DECL refs.otl:3:6 axis 'Twice' lists difference 'x' twice",
+        "ERROR E_DUP_DECL refs.otl:4:9 concept 'Odd' states differentia 'd' twice",
+        "ERROR E_UNRESOLVED refs.otl:4:9 concept 'Odd' names unknown genus 'Ghost'",
+        "ERROR E_UNRESOLVED refs.otl:5:11 attribute 'weight' declared on unknown concept 'Phantom'",
+        "ERROR E_UNRESOLVED refs.otl:6:8 object 'o1' reifies unknown concept 'Spirit'",
+        "ERROR E_UNRESOLVED refs.otl:6:22 object 'o1' values undeclared attribute 'colour'",
+        "ERROR E_UNRESOLVED refs.otl:7:8 object 'o2' reifies unknown concept 'Shade'",
+        "ERROR E_UNRESOLVED refs.otl:7:21 object 'o2' values undeclared attribute 'size'",
+        "ERROR E_UNRESOLVED refs.otl:8:1 part link names unknown concept 'Whole'",
+        "ERROR E_UNRESOLVED refs.otl:8:1 part link names unknown concept 'Piece'",
+        "ERROR E_UNRESOLVED refs.otl:9:1 relation names unknown concept 'From'",
+        "ERROR E_UNRESOLVED refs.otl:9:1 relation names unknown concept 'To'",
+        "ERROR E_UNRESOLVED refs.otl:10:6 term 'thing' names unknown concept 'Wraith'",
+        "ERROR E_UNRESOLVED refs.otl:11:7 class 'K' references unknown concept 'Banshee'",
+        "ERROR E_UNRESOLVED refs.otl:11:7 class 'K' references unknown attribute 'height'",
+    ]
+    assert [d.render() for d in validate(api)] == [
+        "ERROR E_AXIS_ARITY Lone axis 'Lone' needs at least two member differences",
+        "ERROR E_DUP_DECL Twice difference 'a' belongs to both axis 'Lone' and axis 'Twice'",
+        "ERROR E_DUP_DECL Twice axis 'Twice' lists difference 'x' twice",
+        "ERROR E_DUP_DECL Odd concept 'Odd' states differentia 'd' twice",
+        "ERROR E_UNRESOLVED Lone axis 'Lone' scoped at unknown concept 'Nowhere'",
+        "ERROR E_UNRESOLVED Odd concept 'Odd' names unknown genus 'Ghost'",
+        "ERROR E_UNRESOLVED weight attribute 'weight' declared on unknown concept 'Phantom'",
+        "ERROR E_UNRESOLVED o1 object 'o1' reifies unknown concept 'Spirit'",
+        "ERROR E_UNRESOLVED o1.colour object 'o1' values undeclared attribute 'colour'",
+        "ERROR E_UNRESOLVED o2 object 'o2' reifies unknown concept 'Shade'",
+        "ERROR E_UNRESOLVED o2.size object 'o2' values undeclared attribute 'size'",
+        "ERROR E_UNRESOLVED 0 part link names unknown concept 'Whole'",
+        "ERROR E_UNRESOLVED 0 part link names unknown concept 'Piece'",
+        "ERROR E_UNRESOLVED 0 relation names unknown concept 'From'",
+        "ERROR E_UNRESOLVED 0 relation names unknown concept 'To'",
+        "ERROR E_UNRESOLVED 0 term 'thing' names unknown concept 'Wraith'",
+        "ERROR E_UNRESOLVED K class 'K' references unknown concept 'Banshee'",
+        "ERROR E_UNRESOLVED K class 'K' references unknown attribute 'height'",
+    ]
+    assert list(result.model.differences) == list(api.differences) == ["a", "x", "d", "e"]
 
 
 def test_redundant_differentia():

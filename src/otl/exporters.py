@@ -17,8 +17,9 @@ Three exchange formats:
   numbering of the differences quoted and indented once per call.
   ``from_json`` runs one loop over the same rows, and compares each stated
   intension to the derived one as given, sorting it only when they differ.
-* DSL text (``.otl``): ``print_dsl`` is the round-trip partner of the
-  parser; declarations are emitted in dependency order.
+* DSL text (``.otl``): ``print_dsl`` writes what the parser reads back,
+  less labels, part notes and unnamed differences; declarations are
+  emitted in dependency order.
 * DOT (``.dot``): ``to_dot`` and ``ExportOptions`` live in ``otl.dot``.
 
 The JSON schema is documented in docs/schema.md.
@@ -442,9 +443,12 @@ def _emission_order(model: m.Model) -> list[m.Concept]:
 
 
 def print_dsl(model: m.Model) -> str:
-    """Render a validated model as DSL source; parsing it back yields a
-    structurally equal model.  Declarations come out in dependency order:
-    each concept after its genus, each axis right after its scope concept."""
+    """Render a validated model as DSL source.  Parsing it back yields an
+    equal model but for what the DSL cannot state: every label becomes its
+    id, and part notes and differences that no concept or axis names are
+    dropped; that model prints as the same text.  Declarations come out in
+    dependency order: each concept after its genus, each axis right after
+    its scope concept."""
     model.require_validated("print_dsl")
     lines: list[str] = []
 

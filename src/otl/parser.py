@@ -43,10 +43,11 @@ and checks every other rule, the same for DSL, JSON and API input.
 Cost.  Each statement is read by one of two readers.  The regex reader
 takes a well-formed concept, object, term or part statement on one line,
 the kinds that make up nearly all of a large model, with one match of
-_declaration(), separators included, and builds its entity from the match
-groups: a few C-level regex and set operations per statement.  The token
-reader, seated at the statement, reads every other one: axis, attribute,
-relation and class statements and whatever the regex rejects, so it is the
+_declaration(), separators included.  Its name slots take no keyword, so
+every match is a statement, and `read` builds its entity from the match
+groups: a few C-level regex operations per statement.  The token reader,
+seated at the statement, reads every other one: axis, attribute, relation
+and class statements and whatever the regex rejects, so it is the
 only reader of malformed input and the only place a syntax error is
 worded.  Its lexing is one scan of a master regex with a named group per
 token class (the "Writing a Tokenizer" recipe of the ``re`` docs), whose
@@ -166,10 +167,11 @@ _PLAIN = frozenset({"WORD", "ASSIGN", "ARROW", "COLON", "COMMA", "EQUALS", "PLUS
 # word splits), closed strings without a backslash, NUMBER_LITERAL numbers,
 # blanks and a final comment.  Each token takes the blanks after it, so no
 # two blank runs are adjacent and a line that fails at its end backtracks
-# over it once.  `read` rejects a keyword in a name slot by a set lookup.
-# The statement's group closes last, so `lastgroup` names its kind.
+# over it once.  A name slot takes an identifier that is not a keyword, so a
+# statement with a keyword there is left to the token reader.  The
+# statement's group closes last, so `lastgroup` names its kind.
 _B = r"[ \t\r]*"
-_W = IDENTIFIER.pattern
+_W = rf"(?!(?:{'|'.join(sorted(KEYWORDS))})(?![A-Za-z0-9_])){IDENTIFIER.pattern}"
 _VALUE = rf'(?:"[^"\\\n]*"|{NUMBER_LITERAL.pattern}|true|false)'
 
 
@@ -194,7 +196,7 @@ def _declaration() -> re.Pattern:
 @cache
 def _assignment() -> re.Pattern:
     """One attribute value of a block _declaration() took, and its raw value."""
-    return re.compile(rf'({_W}){_B}={_B}("[^"\\\n]*"|[-.0-9]+|true|false)')
+    return re.compile(rf'({IDENTIFIER.pattern}){_B}={_B}("[^"\\\n]*"|[-.0-9]+|true|false)')
 
 
 def _token(match: re.Match, value: str = "") -> tuple[str, int, int]:
@@ -211,7 +213,6 @@ def _token(match: re.Match, value: str = "") -> tuple[str, int, int]:
 class _Parser:
     def __init__(self, source: SourceText):
         self.source = source
-        self.lex_errors: list[Diagnostic] = []
         self.diagnostics: list[Diagnostic] = []
         # model.spans also tracks duplicates: (kind, id) -> first declaration
         self.model = Model(source=source)
@@ -248,7 +249,7 @@ class _Parser:
                 number = m[kind]
                 if NUMBER_LITERAL.fullmatch(number) is None:
                     message = f"number {number!r} has a leading zero"
-                    self.lex_error(message, m.start(kind), len(number))
+                    self.error(message, m.start(kind), len(number), "E_LEX")
             elif kind == "LBRACE" or kind == "LPAREN":
                 self.depth += 1
             elif kind == "RBRACE" or kind == "RPAREN":
@@ -257,7 +258,7 @@ class _Parser:
                 kind = "SEP"
                 self.depth = 0  # it ends the statement, open brackets and all
             elif kind == "OTHER":
-                self.lex_error(f"unexpected character {m[kind]!r}", m.start(kind), 1)
+                self.error(f"unexpected character {m[kind]!r}", m.start(kind), 1, "E_LEX")
                 continue
             else:
                 kind = "EOF"
@@ -280,19 +281,14 @@ class _Parser:
                 if decoded is not None:
                     chars.append(decoded)
                     continue
-                self.lex_error(f"unknown escape '\\{esc[1]}'", start + 1 + esc.start(), 2)
+                self.error(f"unknown escape '\\{esc[1]}'", start + 1 + esc.start(), 2, "E_LEX")
                 if not esc[1]:
                     length += 1  # a final backslash still counts two
             chars.append(body[last:])
             body = "".join(chars)
         if not m["close"]:
-            self.lex_error("unterminated string literal", start, length)
+            self.error("unterminated string literal", start, length, "E_LEX")
         return body
-
-    def lex_error(self, message: str, offset: int, length: int) -> None:
-        self.lex_errors.append(
-            Diagnostic(Severity.ERROR, "E_LEX", message, self.source.span(offset, length))
-        )
 
     # -- reading tokens --------------------------------------------------------
 
@@ -390,38 +386,26 @@ class _Parser:
 
     # -- the regex reader ------------------------------------------------------
 
-    def read(self, m: re.Match) -> bool:
-        """Build the statement a _declaration() match holds; returns False,
-        building nothing, when a name slot holds a keyword."""
+    def read(self, m: re.Match) -> None:
+        """Build the statement a _declaration() match holds."""
         kind = m.lastgroup
         if kind == "concept":
-            name, genus, listed = m.group("name", "genus", "differentiae")
+            listed = m["differentiae"]
             differentiae = IDENTIFIER.findall(listed) if listed else []
-            if not KEYWORDS.isdisjoint((name, genus, *differentiae)):
-                return False
-            self.add_concept(m.start("name"), name, genus, differentiae)
+            self.add_concept(m.start("name"), m["name"], m["genus"], differentiae)
         elif kind == "object":
-            name, concept, block = m.group("object_id", "object_concept", "values")
             values: list[tuple[str, int, Value]] = []
-            for a in _assignment().finditer(self.source.text, *m.span("values")) if block else ():
+            for a in _assignment().finditer(self.source.text, *m.span("values")) if m["values"] else ():
                 raw = a[2]
                 value = raw[1:-1] if raw[0] == '"' else raw == "true" if raw[0] in "tf" else Decimal(raw)
                 values.append((a[1], a.start(), value))
-            if not KEYWORDS.isdisjoint((name, concept, *[attr for attr, _, _ in values])):
-                return False
-            self.add_object(m.start("object_id"), name, concept, values)
+            self.add_object(m.start("object_id"), m["object_id"], m["object_concept"], values)
         elif kind == "term":
-            designation, lang, concept = m.group("designation", "language", "term_concept")
-            if not KEYWORDS.isdisjoint((lang, concept)):
-                return False
+            designation = m["designation"]
             at = (m.start("designation") - 1, len(designation) + 2)
-            self.add_term(at, designation, lang, m["status"], concept, m["definition"])
+            self.add_term(at, designation, m["language"], m["status"], m["term_concept"], m["definition"])
         else:
-            whole, piece = m.group("whole", "piece")
-            if not KEYWORDS.isdisjoint((whole, piece)):
-                return False
-            self.add_part(m.start("part"), whole, piece)
-        return True
+            self.add_part(m.start("part"), m["whole"], m["piece"])
 
     # -- statements --------------------------------------------------------
 
@@ -434,10 +418,9 @@ class _Parser:
         declaration = _declaration().match
         offset = 0
         while True:
-            m = declaration(text, offset)
-            if m is not None and self.read(m):
+            while m := declaration(text, offset):
+                self.read(m)
                 offset = m.end()
-                continue
             self.seat(offset)
             while self.kind == "SEP":
                 self.advance()
@@ -659,7 +642,7 @@ def parse(source: str, file_name: str = "<input>") -> ParseResult:
     """
     parser = _Parser(SourceText(file_name, source))
     parser.run()
-    diagnostics = sorted_diagnostics(parser.lex_errors + parser.diagnostics)
+    diagnostics = sorted_diagnostics(parser.diagnostics)
     # every diagnostic of the parser is an error
     return ParseResult(None if diagnostics else parser.model, diagnostics)
 
@@ -680,7 +663,7 @@ def parse_class_expr(source: str, file_name: str = "<expr>") -> ClassExpression:
     except _Abandon:
         while parser.kind != "EOF":
             parser.advance()
-    errors = parser.lex_errors + parser.diagnostics
+    errors = parser.diagnostics
     if errors:
-        raise ParseError(errors[0])
+        raise ParseError(next((d for d in errors if d.code == "E_LEX"), errors[0]))
     return expr

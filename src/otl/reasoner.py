@@ -220,171 +220,88 @@ class _Validator:
         self.intensions = m.BitSets()
         self.hierarchy: Hierarchy | None = None
 
-    def report(self, severity: m.Severity, code: str, message: str, kind: str, entity_id: str) -> None:
-        self.diagnostics.append(
-            m.Diagnostic(severity, code, message, self.model.span_for(kind, entity_id))
-        )
-
-    def error(self, code: str, message: str, kind: str, entity_id: str) -> None:
-        self.report(m.Severity.ERROR, code, message, kind, entity_id)
-
-    def warn(self, code: str, message: str, kind: str, entity_id: str) -> None:
-        self.report(m.Severity.WARNING, code, message, kind, entity_id)
-
-    @property
-    def failed(self) -> bool:
-        return any(d.is_error for d in self.diagnostics)
+    def error(self, code: str, message: str, kind: str, entity_id: str,
+              severity: m.Severity = m.Severity.ERROR) -> None:
+        self.diagnostics.append(m.Diagnostic(severity, code, message, self.model.span_for(kind, entity_id)))
 
     # -- stage 1: resolution and difference materialization -----------------
 
     def resolve_references(self) -> None:
+        """Check every reference, and materialize the differences in this
+        order: the members of each axis in axis order, then the free
+        differentiae in concept order.  Explicit entries (JSON or API input)
+        keep their labels; the axis back-reference is always recomputed from
+        membership."""
         model = self.model
-
+        concepts, differences = model.concepts, model.differences
         owner: dict[str, str] = {}
         for axis in model.axes.values():
+            aid = axis.id
             if len(set(axis.members)) < 2:
-                self.error(
-                    "E_AXIS_ARITY",
-                    f"axis '{axis.id}' needs at least two member differences",
-                    "axis",
-                    axis.id,
-                )
-            if axis.scope not in model.concepts:
-                self.error(
-                    "E_UNRESOLVED",
-                    f"axis '{axis.id}' scoped at unknown concept '{axis.scope}'",
-                    "axis",
-                    axis.id,
-                )
+                self.error("E_AXIS_ARITY", f"axis '{aid}' needs at least two member differences", "axis", aid)
+            if axis.scope not in concepts:
+                self.error("E_UNRESOLVED", f"axis '{aid}' scoped at unknown concept '{axis.scope}'", "axis", aid)
             seen: set[str] = set()
             for member in axis.members:
                 if member in seen:
-                    self.error(
-                        "E_DUP_DECL",
-                        f"axis '{axis.id}' lists difference '{member}' twice",
-                        "axis",
-                        axis.id,
-                    )
+                    self.error("E_DUP_DECL", f"axis '{aid}' lists difference '{member}' twice", "axis", aid)
                     continue
                 seen.add(member)
-                prior = owner.get(member)
-                if prior is not None:
-                    self.error(
-                        "E_DUP_DECL",
-                        f"difference '{member}' belongs to both axis '{prior}' and axis '{axis.id}'",
-                        "axis",
-                        axis.id,
-                    )
-                    continue
-                owner[member] = axis.id
+                if member not in differences:
+                    differences[member] = m.Difference(member, member)
+                prior = owner.setdefault(member, aid)
+                if prior != aid:
+                    self.error("E_DUP_DECL", f"difference '{member}' belongs to both axis '{prior}' and axis '{aid}'",
+                               "axis", aid)
 
-        # Materialize differences: axis members first (axis declaration
-        # order), then free-standing differentiae in concept order.  Explicit
-        # entries (JSON or API input) keep their labels; the axis
-        # back-reference is always recomputed from membership.
-        for axis in model.axes.values():
-            for member in axis.members:
-                if member not in model.differences:
-                    model.differences[member] = m.Difference(member, member)
-        for concept in model.concepts.values():
-            for diff in concept.differentiae:
-                if diff not in model.differences:
-                    model.differences[diff] = m.Difference(diff, diff)
-        for diff in model.differences.values():
-            diff.axis = owner.get(diff.id)
-
-        for concept in model.concepts.values():
-            if concept.genus is not None and concept.genus not in model.concepts:
-                self.error(
-                    "E_UNRESOLVED",
-                    f"concept '{concept.id}' names unknown genus '{concept.genus}'",
-                    "concept",
-                    concept.id,
-                )
+        for concept in concepts.values():
+            cid, genus = concept.id, concept.genus
+            if genus is not None and genus not in concepts:
+                self.error("E_UNRESOLVED", f"concept '{cid}' names unknown genus '{genus}'", "concept", cid)
             stated: set[str] = set()
             for diff in concept.differentiae:
                 if diff in stated:
-                    self.error(
-                        "E_DUP_DECL",
-                        f"concept '{concept.id}' states differentia '{diff}' twice",
-                        "concept",
-                        concept.id,
-                    )
+                    self.error("E_DUP_DECL", f"concept '{cid}' states differentia '{diff}' twice", "concept", cid)
+                elif diff not in differences:
+                    differences[diff] = m.Difference(diff, diff)
                 stated.add(diff)
+        for diff in differences.values():
+            diff.axis = owner.get(diff.id)
 
         for attr in model.attributes.values():
-            if attr.domain not in model.concepts:
-                self.error(
-                    "E_UNRESOLVED",
-                    f"attribute '{attr.id}' declared on unknown concept '{attr.domain}'",
-                    "attribute",
-                    attr.id,
-                )
+            if attr.domain not in concepts:
+                self.error("E_UNRESOLVED", f"attribute '{attr.id}' declared on unknown concept '{attr.domain}'",
+                           "attribute", attr.id)
 
         for obj in model.objects.values():
-            if obj.concept not in model.concepts:
-                self.error(
-                    "E_UNRESOLVED",
-                    f"object '{obj.id}' reifies unknown concept '{obj.concept}'",
-                    "object",
-                    obj.id,
-                )
+            if obj.concept not in concepts:
+                self.error("E_UNRESOLVED", f"object '{obj.id}' reifies unknown concept '{obj.concept}'",
+                           "object", obj.id)
             for attr_id in obj.values:
                 if attr_id not in model.attributes:
-                    self.error(
-                        "E_UNRESOLVED",
-                        f"object '{obj.id}' values undeclared attribute '{attr_id}'",
-                        "value",
-                        f"{obj.id}.{attr_id}",
-                    )
+                    self.error("E_UNRESOLVED", f"object '{obj.id}' values undeclared attribute '{attr_id}'",
+                               "value", f"{obj.id}.{attr_id}")
 
-        for index, part in enumerate(model.parts):
-            for cid in (part.whole, part.part):
-                if cid not in model.concepts:
-                    self.error(
-                        "E_UNRESOLVED",
-                        f"part link names unknown concept '{cid}'",
-                        "part",
-                        str(index),
-                    )
-
-        for index, link in enumerate(model.relations):
-            for cid in (link.source, link.target):
-                if cid not in model.concepts:
-                    self.error(
-                        "E_UNRESOLVED",
-                        f"relation names unknown concept '{cid}'",
-                        "relation",
-                        str(index),
-                    )
+        links = (("part", "part link", [(p.whole, p.part) for p in model.parts]),
+                 ("relation", "relation", [(r.source, r.target) for r in model.relations]))
+        for kind, what, ends in links:
+            for index, pair in enumerate(ends):
+                for cid in pair:
+                    if cid not in concepts:
+                        self.error("E_UNRESOLVED", f"{what} names unknown concept '{cid}'", kind, str(index))
 
         for index, term in enumerate(model.terms):
-            if term.concept not in model.concepts:
-                self.error(
-                    "E_UNRESOLVED",
-                    f"term {term.designation!r} names unknown concept '{term.concept}'",
-                    "term",
-                    str(index),
-                )
+            if term.concept not in concepts:
+                self.error("E_UNRESOLVED", f"term {term.designation!r} names unknown concept '{term.concept}'",
+                           "term", str(index))
 
         for cdef in model.classes.values():
-            concepts, attributes = expression_references(cdef.expr)
-            for cid in sorted(concepts):
-                if cid not in model.concepts:
-                    self.error(
-                        "E_UNRESOLVED",
-                        f"class '{cdef.id}' references unknown concept '{cid}'",
-                        "class",
-                        cdef.id,
-                    )
-            for aid in sorted(attributes):
-                if aid not in model.attributes:
-                    self.error(
-                        "E_UNRESOLVED",
-                        f"class '{cdef.id}' references unknown attribute '{aid}'",
-                        "class",
-                        cdef.id,
-                    )
+            references = zip(("concept", "attribute"), expression_references(cdef.expr), (concepts, model.attributes))
+            for what, referenced, declared in references:
+                for ref in sorted(referenced):
+                    if ref not in declared:
+                        self.error("E_UNRESOLVED", f"class '{cdef.id}' references unknown {what} '{ref}'",
+                                   "class", cdef.id)
 
     def check_names(self) -> None:
         """Every declared id and term language is a name the DSL can spell.
@@ -551,26 +468,17 @@ class _Validator:
 
     def check_terms(self) -> None:
         model = self.model
-        seen: dict[tuple[str, str, str], int] = {}
+        seen: set[tuple[str, str, str]] = set()
         # concept -> language -> whether some term there is preferred
         preferred: dict[str, dict[str, bool]] = {}
         for index, term in enumerate(model.terms):
             triple = (term.designation, term.language, term.concept)
             if triple in seen:
-                self.error(
-                    "E_DUP_DECL",
-                    f"term {term.designation!r} ({term.language}) for "
-                    f"'{term.concept}' already declared",
-                    "term",
-                    str(index),
-                )
-            else:
-                seen[triple] = index
+                self.error("E_DUP_DECL", f"term {term.designation!r} ({term.language}) for '{term.concept}' "
+                           "already declared", "term", str(index))
+            seen.add(triple)
             languages = preferred.setdefault(term.concept, {})
-            languages[term.language] = (
-                languages.get(term.language, False)
-                or term.status is m.TermStatus.PREFERRED
-            )
+            languages[term.language] = languages.get(term.language, False) or term.status is m.TermStatus.PREFERRED
 
         # A concept naming itself in some language should have a preferred
         # designation in that language.
@@ -578,12 +486,8 @@ class _Validator:
             languages = preferred.get(concept.id, {})
             for lang in sorted(languages):
                 if not languages[lang]:
-                    self.warn(
-                        "W_NO_PREFERRED_TERM",
-                        f"concept '{concept.id}' has terms in '{lang}' but none preferred",
-                        "concept",
-                        concept.id,
-                    )
+                    self.error("W_NO_PREFERRED_TERM", f"concept '{concept.id}' has terms in '{lang}' but none "
+                               "preferred", "concept", concept.id, m.Severity.WARNING)
 
     # -- driver ---------------------------------------------------------------
 
@@ -597,7 +501,7 @@ class _Validator:
         )
         for stage in stages:
             stage()
-            if self.failed:
+            if m.has_errors(self.diagnostics):
                 return m.sorted_diagnostics(self.diagnostics)
         model = self.model
         model.intensions = self.intensions
@@ -635,8 +539,7 @@ def subsumes(model: m.Model, c1: str, c2: str) -> bool:
     Irreflexive by construction.
     """
     model.require_validated("subsumes", c1, c2)
-    superiors = model.superiors
-    return superiors.bits[c2] >> superiors.index[c1] & 1 == 1
+    return model.hierarchy.subsumes(c1, c2)
 
 
 def compute_hierarchy(model: m.Model) -> Hierarchy:

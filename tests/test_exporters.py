@@ -498,6 +498,26 @@ def test_print_dsl_round_trips_fixtures(mouse, porphyry, multi_genus, red_things
         assert result.model == model
 
 
+def test_print_dsl_drops_what_the_dsl_cannot_state(mouse):
+    # the DSL has no syntax for labels, part notes or a difference that no
+    # concept or axis names
+    doc = json.loads(to_json(mouse))
+    doc["parts"].append({"note": None, "part": "OpticalMouse", "whole": "PointingDevice"})
+    expected = from_json(json.dumps(doc))
+    doc["concepts"][0]["label"] = "Pointing device"
+    doc["parts"][0]["note"] = "a note"
+    doc["differences"].append({"axis": None, "id": "zzz", "label": "zzz"})
+    model = from_json(json.dumps(doc))
+    text = print_dsl(model)
+    reparsed = validate_or_raise(parse(text).model)
+    assert reparsed != model
+    assert reparsed == expected
+    assert reparsed.concepts["PointingDevice"].label == "PointingDevice"
+    assert reparsed.parts == [PartLink("PointingDevice", "OpticalMouse")]
+    assert "zzz" not in reparsed.differences
+    assert print_dsl(reparsed) == text
+
+
 def test_print_dsl_emits_dependencies_first():
     # declared in reverse order on purpose; the printer must reorder
     model = build(

@@ -1087,9 +1087,8 @@ def test_regex_reader_takes_the_statements_printed_as_dsl():
     read = parser_module._Parser.read
 
     def counted(self, m):
-        ok = read(self, m)
-        taken.append((m.lastgroup, ok))
-        return ok
+        taken.append(m.lastgroup)
+        read(self, m)
 
     sources = _printed(range(40))
     with mock.patch.object(parser_module._Parser, "read", counted):
@@ -1099,4 +1098,4 @@ def test_regex_reader_takes_the_statements_printed_as_dsl():
     for_regex = [kind for kind in statements if kind in ("concept", "object", "term", "part")]
     # all of them: every statement but the axis, attribute, relation and
     # class ones, which are for the token reader
-    assert taken == [(kind, True) for kind in for_regex]
+    assert taken == for_regex

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from otl import (
+    AmbiguousIdentifierError,
     And,
     AssociativeLink,
     AttributeDecl,
@@ -33,7 +34,9 @@ from otl import (
     extension,
     from_json,
     has_errors,
+    intension,
     parse,
+    resolve,
     subsumes,
     to_json,
     validate,
@@ -293,6 +296,17 @@ def test_reference_checks_are_reported_in_a_fixed_order():
         "ERROR E_UNRESOLVED K class 'K' references unknown attribute 'height'",
     ]
     assert list(result.model.differences) == list(api.differences) == ["a", "x", "d", "e"]
+
+
+def test_a_name_listed_without_plus_is_a_differentia_even_when_a_concept_has_it():
+    model = parse_ok("concept G := g\nconcept S := G\n")
+    assert validate(model) == []
+    assert model.concepts["S"].genus is None
+    assert intension(model, "S") == frozenset({"G"})
+    assert compute_hierarchy(model).roots == frozenset({"G", "S"})
+    with pytest.raises(AmbiguousIdentifierError) as exc:
+        resolve(model, "G")
+    assert exc.value.candidates == ["concept 'G'", "difference 'G'"]
 
 
 def test_redundant_differentia():

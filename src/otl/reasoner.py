@@ -474,8 +474,8 @@ class _Validator:
         for index, term in enumerate(model.terms):
             triple = (term.designation, term.language, term.concept)
             if triple in seen:
-                self.error("E_DUP_DECL", f"term {term.designation!r} ({term.language}) for '{term.concept}' "
-                           "already declared", "term", str(index))
+                self.error("E_DUP_DECL", f"term {term.designation!r} ({term.language}) "
+                           f"for '{term.concept}' already declared", "term", str(index))
             seen.add(triple)
             languages = preferred.setdefault(term.concept, {})
             languages[term.language] = languages.get(term.language, False) or term.status is m.TermStatus.PREFERRED
@@ -486,8 +486,8 @@ class _Validator:
             languages = preferred.get(concept.id, {})
             for lang in sorted(languages):
                 if not languages[lang]:
-                    self.error("W_NO_PREFERRED_TERM", f"concept '{concept.id}' has terms in '{lang}' but none "
-                               "preferred", "concept", concept.id, m.Severity.WARNING)
+                    self.error("W_NO_PREFERRED_TERM", f"concept '{concept.id}' has terms in '{lang}' "
+                               "but none preferred", "concept", concept.id, severity=m.Severity.WARNING)
 
     # -- driver ---------------------------------------------------------------
 

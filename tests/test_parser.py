@@ -24,9 +24,10 @@ from otl import (
     parse,
     parse_class_expr,
     print_dsl,
+    validate,
 )
 from otl import parser as parser_module
-from otl.model import dsl_quote
+from otl.model import SourceText, dsl_quote
 from otl.parser import STATEMENT_KEYWORDS
 
 from conftest import FIXTURES, GOLDEN, load_fixture
@@ -921,6 +922,64 @@ def test_duplicates_locate_the_first_declaration_after_a_multi_line_string(seed)
         assert diag.code == "E_DUP_DECL"
         assert _text_at(source, diag.location) == _text_at(source, first) == name
         assert 3 <= first.line < diag.location.line
+
+
+# Each source declares attribute `size` on A and gives it a text value in an
+# object of B, so validation reports E_ATTR_DOMAIN and E_ATTR_VALUE at that
+# value; with `size` undeclared (`mass` declared in its place, so the columns
+# stay where they are) it reports E_UNRESOLVED there.  A string and the
+# comments hold `size =` too, and must not be taken for the value.
+_VALUE_HEADER = "concept A := x\nconcept B := y\nattribute note : text on B\nattribute size : number on A\n"
+VALUE_SOURCES = {
+    "regex_one_line": _VALUE_HEADER + 'object bob : B { note = "size = 0", size = "big" }\n',
+    "token_multi_line_with_comment": (
+        _VALUE_HEADER + 'object bob : B {  # size = 0\n  note = "n",\n  # size = 1\n  size =\n    "big" }\n'
+    ),
+    "repeated_attribute": _VALUE_HEADER + 'object bob : B { size = "big", note = "n", size = 3 }\n',
+    "semicolons": _VALUE_HEADER.replace("\n", "; ") + 'object al : B { note = "n" }; object bob : B { size = "big" }\n',
+    "crlf": (
+        _VALUE_HEADER + 'object al : B { note = "size" }\nobject bob : B {\n  note = "n", size = "big" }\n'
+    ).replace("\n", "\r\n"),
+    "object_declared_twice": (
+        _VALUE_HEADER + 'object bob : B { note = "n", size = "big" }\nobject bob : B { size = "small" }\n'
+    ),
+}
+_DOMAIN = "ERROR E_ATTR_DOMAIN v.otl:{} attribute 'size' is declared on 'A', which does not subsume 'B' of object 'bob'"
+_VALUE = "ERROR E_ATTR_VALUE v.otl:{} object 'bob' gives attribute 'size' a text value, expected number"
+_UNDECLARED = "ERROR E_UNRESOLVED v.otl:{} object 'bob' values undeclared attribute 'size'"
+_SIZE_AT = {
+    "regex_one_line": "5:37",
+    "token_multi_line_with_comment": "8:3",
+    "repeated_attribute": "5:18",
+    "semicolons": "1:138",
+    "crlf": "7:15",
+    "object_declared_twice": "5:30",
+}
+
+
+def _value_diagnostics(source):
+    """(render, span length) of what the parser and then the validator, on
+    the model the parser built, report.  The parser's own model is read so
+    that a source with an E_DUP_DECL is validated too, as `parse` returns no
+    model then."""
+    parser = parser_module._Parser(SourceText("v.otl", source))
+    parser.run()
+    return [(d.render(), d.location.length) for d in parser.diagnostics + validate(parser.model)]
+
+
+@pytest.mark.parametrize("case", VALUE_SOURCES)
+def test_value_diagnostics_point_at_the_first_assignment_of_the_attribute(case):
+    source = VALUE_SOURCES[case]
+    at = _SIZE_AT[case]
+    duplicates = {
+        "repeated_attribute": [("ERROR E_DUP_DECL v.otl:5:44 duplicate value for attribute 'size'", 4)],
+        "object_declared_twice": [("ERROR E_DUP_DECL v.otl:6:8 object 'bob' already declared at 5:8", 3)],
+    }.get(case, [])
+    assert _value_diagnostics(source) == duplicates + [(_DOMAIN.format(at), 4), (_VALUE.format(at), 4)]
+    undeclared = source.replace("attribute size", "attribute mass")
+    assert _value_diagnostics(undeclared) == duplicates + [(_UNDECLARED.format(at), 4)]
+    if not duplicates:
+        assert parse(source, "v.otl").diagnostics == []
 
 
 # -- totality and performance -------------------------------------------------

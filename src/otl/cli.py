@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import codecs
 import gc
+import os
 import sys
-from typing import Callable, Optional
+from contextlib import nullcontext
+from typing import Callable, Iterable, Optional
 
 from . import __version__
 from . import model as m
@@ -73,15 +75,24 @@ def _load(path: str, stderr) -> Optional[m.Model]:
     return model
 
 
-def _emit(payload: str, output: Optional[str], stdout, stderr) -> int:
-    if output is None:
-        stdout.write(payload)
-        return 0
+def _emit(payload: Iterable[str], output: Optional[str], stdout, stderr) -> int:
+    """Write a payload, a text or its pieces, in batches of about 64 KB, so
+    that neither the whole text nor its encoded copy is held at once."""
+    batch, size = [], 0
     try:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        with nullcontext(stdout) if output is None else open(output, "w", encoding="utf-8") as stream:
+            for piece in (payload,) if isinstance(payload, str) else payload:
+                batch.append(piece)
+                size += len(piece)
+                if size >= 1 << 16:
+                    stream.write("".join(batch))
+                    batch, size = [], 0
+            stream.write("".join(batch))
+            stream.flush()  # a reader that closed the pipe shows here, not at exit
     except OSError as exc:
-        print(f"error: cannot write {output}: {exc.strerror}", file=stderr)
+        if output is None:  # what is left goes nowhere, the interpreter's last flush too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+        print(f"error: cannot write {output or 'stdout'}: {exc.strerror}", file=stderr)
         return 1
     return 0
 
@@ -101,10 +112,10 @@ def _wrong_kind(model: m.Model, name: str, wanted: str) -> m.OtlError:
     )
 
 
-# Each command maps the loaded model and the parsed arguments to its payload;
-# None means the command has nothing to write.  A command imports the modules
-# only it uses, so `check` loads neither the exporters nor the definitions,
-# and `tree` only the DOT writer, without `json`.
+# Each command maps the loaded model and the parsed arguments to its payload,
+# a text or its pieces; None means the command has nothing to write.  A
+# command imports the modules only it uses, so `check` loads neither the
+# exporters nor the definitions, and `tree` only the DOT writer, without `json`.
 
 
 def _check(model: m.Model, args: argparse.Namespace) -> Optional[str]:
@@ -149,13 +160,13 @@ def _lexicon(model: m.Model, args: argparse.Namespace) -> Optional[str]:
     return lexicon(model, args.lang)
 
 
-def _export(model: m.Model, args: argparse.Namespace) -> Optional[str]:
-    from .exporters import print_dsl, to_json
+def _export(model: m.Model, args: argparse.Namespace) -> Optional[Iterable[str]]:
+    from .exporters import _json_pieces, print_dsl
 
-    return to_json(model) if args.format == "json" else print_dsl(model)
+    return _json_pieces(model) if args.format == "json" else print_dsl(model)
 
 
-COMMANDS: dict[str, Callable[[m.Model, argparse.Namespace], Optional[str]]] = {
+COMMANDS: dict[str, Callable[[m.Model, argparse.Namespace], Optional[Iterable[str]]]] = {
     "check": _check,
     "tree": _tree,
     "query": _query,

@@ -14,9 +14,11 @@ Three exchange formats:
   order, filled a column at a time with strings escaped by the C escaper
   ``json.dumps`` uses.  Each derived intension (a genus chain of n concepts
   holds n²/2 names) is one ``join`` over its members, taken from the
-  numbering of the differences quoted and indented once per call.
-  ``from_json`` runs one loop over the same rows, and compares each stated
-  intension to the derived one as given, sorting it only when they differ.
+  numbering of the differences quoted and indented once per call.  The text
+  comes in pieces, one per entity, which ``to_json`` joins and ``otl
+  export`` writes as they come.  ``from_json`` runs one loop over the same
+  rows, and compares each stated intension to the derived one as given,
+  sorting it only when they differ.
 * DSL text (``.otl``): ``print_dsl`` writes what the parser reads back,
   less labels, part notes and unnamed differences; declarations are
   emitted in dependency order.
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import json
 from decimal import Decimal
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import Any, Callable, Container, Iterable, Iterator, NamedTuple, Optional
 
@@ -65,11 +67,6 @@ def _template(depth: int, keys: tuple[str, ...]) -> str:
     are JSON text already, to be filled in the sorted order of ``keys``."""
     pad = _pad(depth)
     return "{" + ",".join(pad + '  "' + key + '": %s' for key in sorted(keys)) + pad + "}"
-
-
-def _fill(depth: int, texts: dict[str, str], end: str = "") -> str:
-    keys = sorted(texts)
-    return (_template(depth, tuple(keys)) + end) % tuple(map(texts.__getitem__, keys))
 
 
 def _array(items: list[str], depth: int, brackets: str = "[]") -> str:
@@ -226,7 +223,8 @@ def _expr(expr: ClassExpression, depth: int) -> str:
     texts = {"op": _quote(op)}
     for key, codec, _ in _OPS[op][1]:
         (texts[key],) = codec.write((getattr(expr, key),), depth + 1)
-    return _fill(depth, texts)
+    keys = sorted(texts)
+    return _template(depth, tuple(keys)) % tuple(map(texts.__getitem__, keys))
 
 
 def _read_expr(node: Any, path: str) -> ClassExpression:
@@ -303,9 +301,10 @@ _ENTITIES: tuple[tuple[str, type, Optional[str], tuple[_Field, ...]], ...] = (
 )
 
 
-def _entities(model: m.Model, key: str, fields: tuple[_Field, ...]) -> str:
+def _entities(model: m.Model, key: str, fields: tuple[_Field, ...]) -> Iterable[str]:
     """The array of one entity kind at depth 1, written a column at a time:
-    each field's values in one pass, then one ``%`` fill per entity."""
+    each field's values in one pass, then one ``%`` fill per entity, which
+    is a piece with the text before it."""
     items = getattr(model, key)
     if isinstance(items, dict):
         items = items.values()
@@ -313,16 +312,26 @@ def _entities(model: m.Model, key: str, fields: tuple[_Field, ...]) -> str:
         derive(model, items, 3) if derive else codec.write(map(attrgetter(field_key), items), 3)
         for field_key, codec, derive in sorted(fields)
     ]
-    template = _template(2, tuple(field.key for field in fields))
-    return _array([template % texts for texts in zip(*columns)], 1)
+    template = "," + _pad(2) + _template(2, tuple(field.key for field in fields))
+    pieces = map(template.__mod__, zip(*columns))
+    first = next(pieces, None)  # opens the array in place of its comma
+    return ("[]",) if first is None else chain(("[" + first[1:],), pieces, (_pad(1) + "]",))
+
+
+def _json_pieces(model: m.Model) -> Iterator[str]:
+    """The text of ``to_json`` in pieces.  The class expressions, the one
+    writer that can raise, are written before this returns, so a caller
+    that writes the pieces as they come writes nothing when it fails."""
+    model.require_validated("to_json")
+    arrays = {key: _entities(model, key, fields) for key, _, _, fields in _ENTITIES}
+    arrays.update(classes=list(arrays["classes"]), version=(_quote(JSON_VERSION),))
+    *between, end = (_template(0, tuple(arrays)) + "\n").split("%s")
+    return chain(*[chain((text,), arrays[key]) for text, key in zip(between, sorted(arrays))], (end,))
 
 
 def to_json(model: m.Model) -> str:
     """Canonical JSON for a validated model, including derived intensions."""
-    model.require_validated("to_json")
-    texts = {key: _entities(model, key, fields) for key, _, _, fields in _ENTITIES}
-    texts["version"] = _quote(JSON_VERSION)
-    return _fill(0, texts, "\n")  # in the template: appending it would copy the whole document
+    return "".join(_json_pieces(model))
 
 
 # json.loads (3.10, 3.11) or the expression walk (3.12 on) runs out of

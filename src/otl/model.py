@@ -584,7 +584,8 @@ class Model(Record):
         self.terms = [] if terms is None else terms
         self.classes = {} if classes is None else classes
         # (entity kind, identifier) -> (offset, length) of the declaring token in
-        # ``source``; ``span_for`` makes a SourceSpan when a diagnostic needs one
+        # ``source`` (an object's values have none); ``span_for`` makes a
+        # SourceSpan when a diagnostic needs one
         self.spans = {} if spans is None else spans
         self.source = source
         self.validated = validated
@@ -611,8 +612,16 @@ class Model(Record):
 
     def span_for(self, kind: str, entity_id: str) -> Union[SourceSpan, str]:
         """Best available diagnostic location for an entity: the span of its
-        declaration in the parsed source, else its identifier."""
+        declaration in the parsed source, else its identifier (in a model from
+        ``from_json`` or the API).  A value, "object.attribute", is found on
+        demand: its first assignment in the object's statement, read again."""
         at = self.spans.get((kind, entity_id))
+        oid, _, attr = entity_id.partition(".")
+        if kind == "value" and self.source is not None and ("object", oid) in self.spans:
+            from .parser import _Parser  # imported here: the parser imports this module
+            reader = _Parser(self.source)
+            reader.seat(self.spans[("object", oid)][0])
+            at = next(((offset, len(attr)) for a, offset, _ in reader.object_body()[3] if a == attr), None)
         if at is None or self.source is None:
             return entity_id
         return self.source.span(*at)

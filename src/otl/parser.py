@@ -370,9 +370,6 @@ class _Parser:
         if not self.declare("object", name, at):
             return
         self.model.objects[name] = ObjectInstance(name, name, concept, kept)
-        spans = self.model.spans
-        for attr, attr_at, _ in values:  # a repeated attribute keeps its first span
-            spans.setdefault(("value", f"{name}.{attr}"), (attr_at, len(attr)))
 
     def add_part(self, at: int, whole: str, part: str) -> None:
         self.model.spans[("part", str(len(self.model.parts)))] = (at, len("part"))
@@ -512,6 +509,10 @@ class _Parser:
 
     def _stmt_object(self) -> None:
         self.advance()  # 'object'
+        self.add_object(*self.object_body())
+
+    def object_body(self) -> tuple[int, str, str, list[tuple[str, int, Value]]]:
+        """An object statement from its name on, as add_object takes it."""
         at = self.m.start(1)
         name = self.ident("object identifier")
         self.expect("COLON", "':'")
@@ -528,7 +529,7 @@ class _Parser:
                     break
                 self.advance()
             self.expect("RBRACE", "'}'")
-        self.add_object(at, name, concept, values)
+        return at, name, concept, values
 
     def _stmt_part(self) -> None:
         at = self.m.start(1)

@@ -425,6 +425,50 @@ def test_export_dsl_of_a_class_deeper_than_the_recursion_limit(tmp_path):
     assert reparsed.diagnostics == [] and validate(reparsed.model) == []
 
 
+def _star_source(n):
+    """A root and n concepts under it: a JSON document of about 230 bytes a
+    concept, far more than a pipe holds."""
+    return "concept R\n" + "".join(f"concept C{i} := R + d{i}\n" for i in range(n))
+
+
+@pytest.mark.parametrize("command", [["export", "--format", "json"], ["tree", "--derived", "--objects"]])
+@pytest.mark.parametrize("source", ["concept A\n", _star_source(2000)], ids=["one_line", "star"])
+def test_a_closed_pipe_ends_the_command_with_one_error_line(command, source, tmp_path):
+    path = tmp_path / "in.otl"
+    path.write_text(source, encoding="utf-8")
+    read, write = os.pipe()
+    os.close(read)  # no reader before the first write: that write fails, whatever the size
+    try:
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "otl.cli", command[0], str(path), *command[1:]],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, check=False,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "error: cannot write stdout: Broken pipe\n")
+
+
+def test_export_json_writes_no_payload_when_it_fails(tmp_path):
+    # The JSON writer makes a call per nesting level of a class expression,
+    # so it fails on a class 1200 levels deep.  The attributes and axes come
+    # first in the document and fill more than one batch of what is written,
+    # so a writer that wrote them before building every class would be seen.
+    source = "concept A := x\n" + "".join(f"attribute a{i} : text on A\n" for i in range(1500))
+    path = tmp_path / "deep.otl"
+    source += "class Shallow := { x | has a0 }\nclass Deep := { x | " + "not " * 1200 + "has a0 }\n"
+    path.write_text(source, encoding="utf-8")
+    target = tmp_path / "deep.json"
+    to_stdout = otl_process("-m", "otl.cli", "export", str(path), "--format", "json")
+    to_file = otl_process("-m", "otl.cli", "export", str(path), "--format", "json", "-o", str(target))
+    if to_stdout.returncode == 0:  # once the writer reaches any depth, the document is whole
+        assert [c["id"] for c in json.loads(to_stdout.stdout)["classes"]] == ["Shallow", "Deep"]
+        assert target.read_text(encoding="utf-8") == to_stdout.stdout
+    else:
+        assert (to_stdout.stdout, to_file.stdout) == ("", "")
+        assert to_file.returncode != 0 and not target.exists()
+
+
 def _diagnostics(source):
     """Renders and span lengths of validating `source` as t.otl."""
     return [(d.render(), d.location.length) for d in validate(parse(source, "t.otl").model)]

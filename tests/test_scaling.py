@@ -1,5 +1,6 @@
 """Doubling-ratio gates on the load path and on print_dsl: the cost at 2n
-over the cost at n.
+over the cost at n; and, at the end, gates on the memory a parsed model and
+a JSON export hold for the size of their input and output.
 
 Ratios rather than absolute costs, so the gates mean the same on a slow or
 a shared machine.  Each gate checks two ratios of one stage:
@@ -21,6 +22,7 @@ concept's intension, n²/2 names, so the JSON round trip's gates are 4.5.
 """
 
 import gc
+import io
 import statistics
 import time
 import tracemalloc
@@ -29,6 +31,7 @@ from functools import partial
 import pytest
 
 from otl import from_json, has_errors, parse, print_dsl, to_json, validate
+from otl.cli import run
 
 PAIRS = 9
 
@@ -204,3 +207,58 @@ def test_child_first_chain_print_dsl_is_linear():
     assert text == chain_source(1000)
     assert time_ratio <= 2.5
     assert memory_ratio <= 2.5
+
+
+# Memory held, not its growth: what a model and a CLI command keep for the
+# size of their input and output.
+
+
+def object_heavy_source(n):
+    """n objects with six values each, of all three kinds."""
+    lines = ["concept T0"] + [f"attribute a{k} : {('number', 'text', 'boolean')[k % 3]} on T0" for k in range(6)]
+    for i in range(n):
+        values = ", ".join(f"a{k} = " + (str(i + k), f'"v{i}"', "true")[k % 3] for k in range(6))
+        lines.append(f"object o{i} : T0 {{ {values} }}")
+    return "\n".join(lines) + "\n"
+
+
+def test_a_parsed_model_holds_few_bytes_per_source_byte():
+    # an object's values keep no source position of their own: with one per
+    # value the model held about 30 bytes per source byte, without 15
+    source = object_heavy_source(1000)
+    parse("concept A\n")  # compiles the statement regex once for the process
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = parse(source)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.diagnostics == []
+    assert held <= 20 * len(source)
+
+
+class Discard:
+    """A stream that keeps nothing written to it."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_export_json_holds_no_whole_document(tmp_path):
+    # the document is written in batches as it is made, so exporting needs
+    # little more than checking; holding the document and its copies took
+    # about 1.7 times its length more
+    path = str(tmp_path / "wide.otl")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(wide_tree_source(1000))
+    payload = io.StringIO()
+    assert run(["export", path, "--format", "json"], stdout=payload, stderr=Discard()) == 0
+    peaks = {
+        command: peak_bytes(partial(run, [command, path, *flags], stdout=Discard(), stderr=Discard()))
+        for command, flags in (("check", []), ("export", ["--format", "json"]))
+    }
+    assert peaks["export"] - peaks["check"] < 0.25 * len(payload.getvalue())

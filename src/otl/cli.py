@@ -92,7 +92,7 @@ def _emit(payload: Iterable[str], output: Optional[str], stdout, stderr) -> int:
     except OSError as exc:
         if output is None:  # what is left goes nowhere, the interpreter's last flush too
             os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
-        print(f"error: cannot write {output or 'stdout'}: {exc.strerror}", file=stderr)
+        print(f"error: cannot write {'stdout' if output is None else output}: {exc.strerror}", file=stderr)
         return 1
     return 0
 

@@ -302,9 +302,8 @@ _ENTITIES: tuple[tuple[str, type, Optional[str], tuple[_Field, ...]], ...] = (
 
 
 def _entities(model: m.Model, key: str, fields: tuple[_Field, ...]) -> Iterable[str]:
-    """The array of one entity kind at depth 1, written a column at a time:
-    each field's values in one pass, then one ``%`` fill per entity, which
-    is a piece with the text before it."""
+    """The array of one entity kind at depth 1 in pieces, written a column at
+    a time: each field's values in one pass, then one ``%`` fill per entity."""
     items = getattr(model, key)
     if isinstance(items, dict):
         items = items.values()

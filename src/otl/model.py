@@ -584,8 +584,7 @@ class Model(Record):
         self.terms = [] if terms is None else terms
         self.classes = {} if classes is None else classes
         # (entity kind, identifier) -> (offset, length) of the declaring token in
-        # ``source`` (an object's values have none); ``span_for`` makes a
-        # SourceSpan when a diagnostic needs one
+        # ``source``, values aside; ``span_for`` makes a SourceSpan on demand
         self.spans = {} if spans is None else spans
         self.source = source
         self.validated = validated

@@ -422,12 +422,22 @@ class _Validator:
             for attr_id, value in obj.values.items():
                 attr = model.attributes[attr_id]
                 if intensions[attr.domain] | intension != intension:
-                    self.error("E_ATTR_DOMAIN", f"attribute '{attr_id}' is declared on '{attr.domain}', which does "
-                               f"not subsume '{obj.concept}' of object '{obj.id}'", "value", f"{obj.id}.{attr_id}")
+                    self.error(
+                        "E_ATTR_DOMAIN",
+                        f"attribute '{attr_id}' is declared on '{attr.domain}', "
+                        f"which does not subsume '{obj.concept}' of object '{obj.id}'",
+                        "value",
+                        f"{obj.id}.{attr_id}",
+                    )
                 kind = m.value_kind_of(value)
                 if kind is not attr.value_kind:
-                    self.error("E_ATTR_VALUE", f"object '{obj.id}' gives attribute '{attr_id}' a {kind.value} value, "
-                               f"expected {attr.value_kind.value}", "value", f"{obj.id}.{attr_id}")
+                    self.error(
+                        "E_ATTR_VALUE",
+                        f"object '{obj.id}' gives attribute '{attr_id}' a {kind.value} "
+                        f"value, expected {attr.value_kind.value}",
+                        "value",
+                        f"{obj.id}.{attr_id}",
+                    )
 
     def check_parts(self) -> None:
         model = self.model

@@ -398,6 +398,142 @@ def test_json_errors_carry_exact_paths_and_messages(mouse, name):
     assert (type(exc.value), exc.value.path, str(exc.value)) == (JsonSchemaError, path, f"{path}: {message}")
 
 
+# -- the same errors from long arrays ------------------------------------------------
+
+LONG = 2000
+_ENTITY_PATH = re.compile(r"/([a-z]+)/([0-9]+)(.*)")
+
+# Well-formed entity k of each array, none of them declaring a mouse name.
+# Padding concepts also adds their differences, so a padded document still
+# validates.
+FILLERS = {
+    "differences": lambda k: {"id": f"pad{k}", "label": f"pad{k}", "axis": None},
+    "axes": lambda k: {
+        "id": f"Pad{k}", "label": f"Pad{k}", "scope": "PointingDevice", "members": ["mechanical", "optical"],
+        "exclusive": True,
+    },
+    "concepts": lambda k: {
+        "id": f"Pad{k}", "label": f"Pad{k}", "genus": None, "differentiae": [f"pad{k}"], "intension": [f"pad{k}"],
+    },
+    "attributes": lambda k: {"id": f"pad{k}", "label": f"pad{k}", "domain": "PointingDevice", "value_kind": "number"},
+    "objects": lambda k: {
+        "id": f"pad{k}", "label": f"pad{k}", "concept": "PointingDevice",
+        "values": {"colour": {"kind": "text", "value": f"shade {k}"}},
+    },
+    "parts": lambda k: {**PART, "note": f"note {k}"},
+    "relations": lambda k: RELATION,
+    "terms": lambda k: {
+        "designation": f"pad {k}", "language": "en", "status": "admitted", "concept": "PointingDevice",
+        "nl_definition": None,
+    },
+    "classes": lambda k: {"id": f"Pad{k}", "expr": HAS},
+}
+
+
+def lengthen(doc, array, last=None):
+    """Append fillers to an array of the document until it holds LONG
+    entities, the last of them `last` when given."""
+    nodes = doc[array]
+    count = LONG - len(nodes) - (last is not None)
+    nodes.extend(map(FILLERS[array], range(count)))
+    if array == "concepts":
+        doc["differences"].extend(map(FILLERS["differences"], range(count)))
+    if last is not None:
+        nodes.append(last)
+
+
+@pytest.mark.parametrize("name", sorted(JSON_ERRORS))
+def test_json_errors_are_the_same_from_the_last_entity_of_a_long_array(mouse, name):
+    # the edited entity is moved to the end of its array, after fillers that
+    # make the array LONG long; a fault outside any entity is replayed on a
+    # document whose concepts are LONG long
+    mutate, path, message = JSON_ERRORS[name]
+    doc = json.loads(to_json(mouse))
+    entity = _ENTITY_PATH.fullmatch(path)
+    if entity is None:
+        lengthen(doc, "concepts")
+        replaced = mutate(doc)
+    else:
+        replaced = mutate(doc)
+        array, index, rest = entity[1], int(entity[2]), entity[3]
+        lengthen(doc, array, last=doc[array].pop(index))
+        path = f"/{array}/{LONG - 1}{rest}"
+    with pytest.raises(JsonSchemaError) as exc:
+        from_json(json.dumps(doc) if replaced is None else replaced)
+    assert (type(exc.value), exc.value.path, str(exc.value)) == (JsonSchemaError, path, f"{path}: {message}")
+
+
+def test_a_lengthened_document_loads(mouse):
+    # the fillers of axes, parts and relations break model rules, so only
+    # the arrays whose fillers load are lengthened
+    doc = json.loads(to_json(mouse))
+    for array in ("concepts", "attributes", "objects", "terms", "classes"):
+        lengthen(doc, array)
+    model = from_json(json.dumps(doc))
+    assert {array: len(getattr(model, array)) for array in FILLERS} == {
+        **{array: LONG for array in FILLERS}, "differences": LONG - 1, "axes": 1, "parts": 0, "relations": 0,
+    }
+
+
+# Two faults in one document: the one in the earlier array, or the earlier
+# entity of one array, is reported.
+TWO_FAULTS = {
+    "read_then_key": (
+        both(put("/concepts/1000/genus", 3), put("/concepts/1001/colour", "blue")),
+        "/concepts/1000/genus",
+        "expected string or null, got int",
+    ),
+    "value_read_then_key": (
+        both(put("/objects/1000/values/colour/kind", "hue"), put("/objects/1001/colour", "blue")),
+        "/objects/1000/values/colour/kind",
+        "unknown value kind 'hue'",
+    ),
+    "enum_read_then_missing": (
+        both(put("/terms/1000/status", "obsolete"), put("/terms/1001/concept")),
+        "/terms/1000/status",
+        "unknown term status 'obsolete'",
+    ),
+    "key_then_read": (
+        both(put("/concepts/1000/colour", "blue"), put("/concepts/1001/genus", 3)),
+        "/concepts/1000/colour",
+        "unexpected key",
+    ),
+    "concept_shape_then_object_duplicate": (
+        both(put("/concepts/1999/label", 3), put("/objects/1/id", "thisOpticalMouse")),
+        "/concepts/1999/label",
+        "expected str, got int",
+    ),
+    "difference_duplicate_then_concept_shape": (
+        both(put("/differences/1500/id", "pad3"), put("/concepts/10/label", 3)),
+        "/differences/1500/id",
+        "duplicate difference 'pad3'",
+    ),
+    "tagged_value_then_term_enum": (
+        both(put("/objects/1500/values/colour", {"kind": "number", "value": "1e3"}), put("/terms/10/status", "obsolete")),
+        "/objects/1500/values/colour/value",
+        "invalid decimal literal '1e3'",
+    ),
+    "tagged_value_then_relation_enum": (
+        both(put("/objects/1999/values/colour/value", True), put("/relations/0/relation_type", "caused_by")),
+        "/objects/1999/values/colour/value",
+        "text value must be a string",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_FAULTS))
+def test_json_reports_the_earlier_of_two_faults(mouse, name):
+    mutate, path, message = TWO_FAULTS[name]
+    doc = json.loads(to_json(mouse))
+    for array in ("concepts", "objects", "terms"):
+        lengthen(doc, array)
+    doc["relations"].append(RELATION)
+    mutate(doc)
+    with pytest.raises(JsonSchemaError) as exc:
+        from_json(json.dumps(doc))
+    assert (exc.value.path, str(exc.value)) == (path, f"{path}: {message}")
+
+
 def test_json_stated_intension_may_list_its_differences_in_any_order(porphyry):
     doc = json.loads(to_json(porphyry))
     for concept in doc["concepts"]:

@@ -158,6 +158,17 @@ def test_wide_tree_parse_is_linear():
     assert memory_ratio <= 2.5
 
 
+def from_json_call(source):
+    return partial(from_json, to_json(validated(source)))
+
+
+def test_wide_tree_from_json_is_linear():
+    time_ratio, memory_ratio, model = doubling_ratios(from_json_call, wide_tree_source, 1000)
+    assert model == validated(wide_tree_source(2000))
+    assert time_ratio <= 2.5
+    assert memory_ratio <= 2.5
+
+
 # Lines the regex reader takes up to their last character and then
 # rejects, so the token reader reads them again: each must still cost time
 # and memory linear in its length.

@@ -16,9 +16,12 @@ Three exchange formats:
   holds n²/2 names) is one ``join`` over its members, taken from the
   numbering of the differences quoted and indented once per call.  The text
   comes in pieces, one per entity, which ``to_json`` joins and ``otl
-  export`` writes as they come.  ``from_json`` runs one loop over the same
-  rows, and compares each stated intension to the derived one as given,
-  sorting it only when they differ.
+  export`` writes as they come.  ``from_json`` checks and reads each
+  array by column, from the same rows, and builds its entities
+  positionally; only an array that fails a check is walked entity by
+  entity, to word its first fault with a JSON-pointer path (RFC 6901).
+  Each stated intension is compared as given to the derived one, made from
+  its genus's, and sorted only when they differ.
 * DSL text (``.otl``): ``print_dsl`` writes what the parser reads back,
   less labels, part notes and unnamed differences; declarations are
   emitted in dependency order.
@@ -30,10 +33,11 @@ The JSON schema is documented in docs/schema.md.
 from __future__ import annotations
 
 import json
+from bisect import insort
 from decimal import Decimal
-from itertools import chain, repeat
-from operator import attrgetter
-from typing import Any, Callable, Container, Iterable, Iterator, NamedTuple, Optional
+from itertools import chain, compress, repeat
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Container, Iterable, Iterator, NamedTuple, NoReturn, Optional
 
 from . import model as m
 from .classes import And, AttrEquals, ClassExpression, HasAttr, InConcept, Not, Or, fold
@@ -87,11 +91,14 @@ class _Codec(NamedTuple):
     a value must have.  ``write(values, depth)`` turns a column of the
     model's values into their JSON texts, each opened at ``depth``.
     ``read(node, path)`` turns a JSON value into the model's value, or
-    raises; without it the JSON value is taken as it is."""
+    raises; without it the JSON value is taken as it is.  ``load(column)``
+    reads a column of values of the shape at once, and raises unworded where
+    ``read`` would; without it ``read`` reads the column value by value."""
 
     shape: type
     write: Optional[Callable[[Iterable[Any], int], Iterable[str]]] = None
     read: Optional[Callable[[Any, str], Any]] = None
+    load: Optional[Callable[[list], list]] = None
 
 
 class _Field(NamedTuple):
@@ -113,13 +120,22 @@ def _check(node: Any, path: str, fields: Iterable[_Field], keys: Container[str])
         raise _shape_error(path, "object", node)
     for key in node:
         if key not in keys:
-            raise JsonSchemaError(f"{path}/{key}", "unexpected key")
+            raise JsonSchemaError(f"{path}/{_token(key)}", "unexpected key")
     for key, codec, derive in fields:
         if key not in node:
             if derive is None:
                 raise JsonSchemaError(path, f"missing key '{key}'")
         elif not isinstance(node[key], codec.shape):
             raise _shape_error(f"{path}/{key}", codec.shape.__name__, node[key])
+
+
+def _token(key: str) -> str:  # a key as a JSON-pointer path token (RFC 6901)
+    return key.replace("~", "~0").replace("/", "~1")
+
+
+def _require(ok: bool) -> None:  # a failed column check, which _walk words
+    if not ok:
+        raise ValueError
 
 
 def _read_opt(node: Any, path: str) -> Optional[str]:
@@ -136,12 +152,19 @@ def _strings(node: list, path: str) -> list[str]:
     return node
 
 
+def _load_strings(lists: list[list]) -> list[list]:
+    list(map("".join, lists))  # as _strings, on every list
+    return lists
+
+
 _STR = _Codec(str, lambda texts, depth: map(_quote, texts))
-_OPT = _Codec(object, lambda texts, depth: ("null" if t is None else _quote(t) for t in texts), _read_opt)
+_OPT = _Codec(object, lambda texts, depth: ("null" if t is None else _quote(t) for t in texts), _read_opt,
+              lambda column: _require(set(map(type, column)) <= {str, type(None)}) or column)
 _STRINGS = _Codec(
     list,
     lambda lists, depth: (_array(list(map(_quote, s)), depth) for s in lists),
     lambda node, path: tuple(_strings(node, path)),
+    lambda lists: list(map(tuple, _load_strings(lists))),
 )
 
 
@@ -167,7 +190,7 @@ def _enum(parse: Callable[[str], Any], noun: str) -> _Codec:
         except (ValueError, m.UnknownIdentifierError):
             raise JsonSchemaError(path, f"unknown {noun} {node!r}") from None
 
-    return _Codec(str, _STR.write, read)
+    return _Codec(str, _STR.write, read, lambda column: list(map({t: parse(t) for t in set(column)}.__getitem__, column)))
 
 
 # A value is a tagged object: {"kind": "text" | "number" | "boolean", "value": ...}.
@@ -209,8 +232,23 @@ def _write_values(dicts: Iterable[dict[str, m.Value]], depth: int) -> Iterator[s
     return (_array([_quote(k) + ": " + _tagged(d[k], template) for k in sorted(d)], depth, "{}") for d in dicts)
 
 
+def _load_values(dicts: list[dict]) -> list[dict[str, m.Value]]:
+    """The objects' values, every tagged value checked and read at once."""
+    kinds, raws = _columns(list(chain.from_iterable(map(dict.values, dicts))), _VALUE_FIELDS, {})
+    _require(set(zip(kinds, map(type, raws))) <= {("text", str), ("boolean", bool), ("number", str)})
+    numbers = set(compress(raws, map("number".__eq__, kinds)))
+    _require(all(map(m.NUMBER_LITERAL.fullmatch, numbers)))
+    values = map({("number", raw): Decimal(raw) for raw in numbers}.get, zip(kinds, raws), raws)
+    read = list(map(dict, dicts))
+    for node in read:  # copies: a fault found later walks the document as it was
+        for key in node:
+            node[key] = next(values)
+    return read
+
+
 _VALUE = _Codec(object, lambda values, depth: (_tagged(v, _template(depth, _VALUE_KEYS)) for v in values), _read_value)
-_VALUES = _Codec(dict, _write_values, lambda node, path: {k: _read_value(v, f"{path}/{k}") for k, v in node.items()})
+_VALUES = _Codec(dict, _write_values,
+                 lambda node, path: {k: _read_value(v, f"{path}/{_token(k)}") for k, v in node.items()}, _load_values)
 
 
 # An expression is written and read with one call of _expr or _read_expr per
@@ -282,7 +320,7 @@ _ENTITIES: tuple[tuple[str, type, Optional[str], tuple[_Field, ...]], ...] = (
     )),
     ("concepts", m.Concept, "concept", (
         _ID, _LABEL, _Field("genus", _OPT), _Field("differentiae", _STRINGS),
-        _Field("intension", _Codec(list, read=_strings), _write_intensions),
+        _Field("intension", _Codec(list, read=_strings, load=_load_strings), _write_intensions),
     )),
     ("attributes", m.AttributeDecl, "attribute", (
         _ID, _LABEL, _Field("domain", _STR), _Field("value_kind", _enum(m.ValueKind, "value kind")),
@@ -338,6 +376,43 @@ def to_json(model: m.Model) -> str:
 _TOO_DEEP = "document nested too deeply"
 
 
+def _columns(nodes: list, fields: tuple[_Field, ...], stated: dict[str, dict]) -> list[list]:
+    """Each field's column of a list of JSON objects as the model's values:
+    all keys counted, then each column's shape tested, its ids tested for
+    repeats and last its values read, each at once; a derived field's
+    values go to ``stated`` by id.  Raises, unworded, on any fault."""
+    holders = [nodes if derive is None else [node for node in nodes if key in node] for key, _, derive in fields]
+    raw = [list(map(itemgetter(key), held)) for (key, _, _), held in zip(fields, holders)]
+    _require(sum(map(len, nodes)) == sum(map(len, raw)))  # no key that no field names
+    for (key, codec, _), column in zip(fields, raw):
+        _require(codec.shape is object or set(map(type, column)) <= {codec.shape})
+        _require(key != "id" or len(set(column)) == len(column))
+    columns = []
+    for (key, codec, derive), held, column in zip(fields, holders, raw):
+        if codec.read is not None:  # last, so an expression too deep to read is the first fault
+            column = codec.load(column) if codec.load else list(map(codec.read, column, repeat("")))
+        if derive is None:
+            columns.append(column)
+        else:
+            stated[key] = dict(zip(map(itemgetter("id"), held), column))
+    return columns
+
+
+def _walk(nodes: list, key: str, noun: Optional[str], fields: tuple[_Field, ...]) -> NoReturn:
+    """Raise the first fault of an entity array that failed a column check."""
+    keys, ids = {field.key for field in fields}, set()
+    for i, node in enumerate(nodes):
+        path = f"/{key}/{i}"
+        _check(node, path, fields, keys)
+        if noun and node["id"] in ids:
+            raise JsonSchemaError(f"{path}/id", f"duplicate {noun} '{node['id']}'")
+        ids.add(node.get("id"))
+        for field_key, codec, _ in fields:
+            if codec.read and field_key in node:
+                codec.read(node[field_key], f"{path}/{field_key}")
+    raise AssertionError(f"/{key} passed the walk but not a column check")
+
+
 def from_json(text: str) -> m.Model:
     """Load a canonical JSON document and defensively re-validate it.
 
@@ -355,7 +430,7 @@ def from_json(text: str) -> m.Model:
     top_keys = ("version", *(row[0] for row in _ENTITIES))
     for key in doc:
         if key not in top_keys:
-            raise JsonSchemaError(f"/{key}", "unexpected key")
+            raise JsonSchemaError(f"/{_token(key)}", "unexpected key")
     for key in top_keys:
         if key not in doc:
             raise JsonSchemaError("/", f"missing key '{key}'")
@@ -363,49 +438,44 @@ def from_json(text: str) -> m.Model:
         raise JsonSchemaError("/version", f"unsupported version {doc['version']!r}")
 
     model = m.Model()
-    stated: dict[str, dict[str, Any]] = {"axis": {}, "intension": {}}
+    stated: dict[str, dict[str, Any]] = {}  # derived fields, compared after validation
     try:
         for key, cls, noun, fields in _ENTITIES:
             nodes, store = doc[key], getattr(model, key)
             if not isinstance(nodes, list):
                 raise _shape_error(f"/{key}", "list", nodes)
-            keys = {field.key for field in fields}
-            for i, node in enumerate(nodes):
-                path = f"/{key}/{i}"
-                _check(node, path, fields, keys)
-                if noun is not None and node["id"] in store:
-                    raise JsonSchemaError(f"{path}/id", f"duplicate {noun} '{node['id']}'")
-                args = {}
-                for field_key, codec, derive in fields:
-                    if field_key in node:
-                        value = node[field_key]
-                        if codec.read is not None:
-                            value = codec.read(value, f"{path}/{field_key}")
-                        if derive is None:
-                            args[field_key] = value
-                        else:  # only compared after validation: its reader returns the JSON value itself
-                            stated[field_key][node["id"]] = value
-                entity = cls(**args)
-                if noun is None:
-                    store.append(entity)
-                else:
-                    store[entity.id] = entity
+            try:
+                columns: Optional[list[list]] = _columns(nodes, fields, stated)
+            except (LookupError, TypeError, ValueError, m.OtlError):  # raised unworded by checks and readers
+                columns = None
+            if columns is None:
+                _walk(nodes, key, noun, fields)
+            entities = list(map(cls, *columns))
+            if noun is None:
+                store.extend(entities)
+            else:
+                store.update(zip(map(attrgetter("id"), entities), entities))
     except RecursionError:
         raise JsonSchemaError("/", _TOO_DEEP) from None
 
     validate_or_raise(model)
 
     # Stated derived data, when present, must agree with what validation
-    # recomputed; hand-edited files drift here first.  An intension's
-    # members come in sorted-id order, the order to_json writes them in, so
-    # a stated one is sorted only when it differs as given.
-    intensions = model.intensions
-    for i, cid in enumerate(model.concepts):
-        if cid in stated["intension"]:
-            given, derived = stated["intension"][cid], intensions.members(intensions.bits[cid])
-            if given != derived and (len(given) != len(derived) or sorted(given) != derived):
-                message = f"stated intension of '{cid}' does not match the derived one"
-                raise JsonSchemaError(f"/concepts/{i}/intension", message)
+    # recomputed; hand-edited files drift here first.  Each intension is
+    # listed in sorted-id order, as to_json writes it, made from its genus's
+    # (validation makes it that plus its own differentiae, none twice) in the
+    # superiors' numbering, which puts each genus first.  A stated list equal
+    # to it stands in its place; one that differs is sorted.
+    concepts, given, derived = model.concepts, stated["intension"], {None: []}
+    for cid in model.superiors.names:
+        members = derived[concepts[cid].genus].copy()
+        for diff in concepts[cid].differentiae:
+            insort(members, diff)
+        derived[cid] = given[cid] if given.get(cid) == members else members
+    for i, cid in enumerate(concepts):
+        if cid in given and given[cid] is not derived[cid] and sorted(given[cid]) != derived[cid]:
+            message = f"stated intension of '{cid}' does not match the derived one"
+            raise JsonSchemaError(f"/concepts/{i}/intension", message)
     for i, did in enumerate(model.differences):
         if did in stated["axis"] and model.differences[did].axis != stated["axis"][did]:
             message = f"stated axis of '{did}' does not match axis membership"

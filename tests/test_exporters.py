@@ -370,6 +370,17 @@ JSON_ERRORS = {
         "/classes/0/expr/children/1/child/children/1",
         "missing key 'attribute'",
     ),
+    "top_unexpected_key_escaped": (lambda doc: doc.update({"a~b/c": []}), "/a~0b~1c", "unexpected key"),
+    "entity_unexpected_key_escaped": (
+        lambda doc: doc["concepts"][0].update({"a/b": 1}),
+        "/concepts/0/a~1b",
+        "unexpected key",
+    ),
+    "value_key_escaped": (
+        lambda doc: doc["objects"][0]["values"].update({"x~/y": {"kind": "hue", "value": "1"}}),
+        "/objects/0/values/x~0~1y/kind",
+        "unknown value kind 'hue'",
+    ),
     "stale_intension": (
         put("/concepts/1/intension", ["optical"]),
         "/concepts/1/intension",
@@ -532,6 +543,24 @@ def test_json_reports_the_earlier_of_two_faults(mouse, name):
     with pytest.raises(JsonSchemaError) as exc:
         from_json(json.dumps(doc))
     assert (exc.value.path, str(exc.value)) == (path, f"{path}: {message}")
+
+
+@pytest.mark.parametrize("deep_first", [False, True])
+def test_json_reports_a_fault_before_an_expression_too_deep_to_read(mouse, deep_first):
+    # where json.loads reads the nesting (3.13 on), the class read first
+    # decides; where it cannot, the document is too deep
+    doc = json.loads(to_json(mouse))
+    classes = [{"id": "A", "expr": HAS, "extra": 1}, {"id": "B", "expr": "DEEP"}]
+    doc["classes"] = classes[::-1] if deep_first else classes
+    text = json.dumps(doc).replace('"DEEP"', TOO_DEEP)
+    try:
+        json.loads(text)
+        expected = ("/", "document nested too deeply") if deep_first else ("/classes/0/extra", "unexpected key")
+    except RecursionError:
+        expected = ("/", "document nested too deeply")
+    with pytest.raises(JsonSchemaError) as exc:
+        from_json(text)
+    assert (exc.value.path, str(exc.value)) == (expected[0], f"{expected[0]}: {expected[1]}")
 
 
 def test_json_stated_intension_may_list_its_differences_in_any_order(porphyry):

@@ -152,11 +152,6 @@ def _strings(node: list, path: str) -> list[str]:
     return node
 
 
-def _load_strings(lists: list[list]) -> list[list]:
-    list(map("".join, lists))  # as _strings, on every list
-    return lists
-
-
 _STR = _Codec(str, lambda texts, depth: map(_quote, texts))
 _OPT = _Codec(object, lambda texts, depth: ("null" if t is None else _quote(t) for t in texts), _read_opt,
               lambda column: _require(set(map(type, column)) <= {str, type(None)}) or column)
@@ -164,7 +159,6 @@ _STRINGS = _Codec(
     list,
     lambda lists, depth: (_array(list(map(_quote, s)), depth) for s in lists),
     lambda node, path: tuple(_strings(node, path)),
-    lambda lists: list(map(tuple, _load_strings(lists))),
 )
 
 
@@ -320,7 +314,7 @@ _ENTITIES: tuple[tuple[str, type, Optional[str], tuple[_Field, ...]], ...] = (
     )),
     ("concepts", m.Concept, "concept", (
         _ID, _LABEL, _Field("genus", _OPT), _Field("differentiae", _STRINGS),
-        _Field("intension", _Codec(list, read=_strings, load=_load_strings), _write_intensions),
+        _Field("intension", _Codec(list, read=_strings), _write_intensions),
     )),
     ("attributes", m.AttributeDecl, "attribute", (
         _ID, _LABEL, _Field("domain", _STR), _Field("value_kind", _enum(m.ValueKind, "value kind")),

@@ -190,6 +190,12 @@ def _enum(parse: Callable[[str], Any], noun: str) -> _Codec:
 # A value is a tagged object: {"kind": "text" | "number" | "boolean", "value": ...}.
 _VALUE_FIELDS = (_Field("kind", _STR), _Field("value", _Codec(object)))
 _VALUE_KEYS = tuple(field.key for field in _VALUE_FIELDS)
+# Each kind's JSON type of "value", and the error when it has another.
+_KINDS = {
+    "text": (str, "text value must be a string"),
+    "boolean": (bool, "boolean value must be true or false"),
+    "number": (str, "number value must be a decimal literal string"),
+}
 
 
 def _tagged(value: m.Value, template: str) -> str:
@@ -204,21 +210,15 @@ def _tagged(value: m.Value, template: str) -> str:
 def _read_value(node: Any, path: str) -> m.Value:
     _check(node, path, _VALUE_FIELDS, _VALUE_KEYS)
     kind, raw = node["kind"], node["value"]
-    if kind == "text":
-        if not isinstance(raw, str):
-            raise JsonSchemaError(f"{path}/value", "text value must be a string")
+    if kind not in _KINDS:
+        raise JsonSchemaError(f"{path}/kind", f"unknown value kind {kind!r}")
+    if not isinstance(raw, _KINDS[kind][0]):
+        raise JsonSchemaError(f"{path}/value", _KINDS[kind][1])
+    if kind != "number":
         return raw
-    if kind == "boolean":
-        if not isinstance(raw, bool):
-            raise JsonSchemaError(f"{path}/value", "boolean value must be true or false")
-        return raw
-    if kind == "number":
-        if not isinstance(raw, str):
-            raise JsonSchemaError(f"{path}/value", "number value must be a decimal literal string")
-        if not m.NUMBER_LITERAL.fullmatch(raw):
-            raise JsonSchemaError(f"{path}/value", f"invalid decimal literal {raw!r}")
-        return Decimal(raw)
-    raise JsonSchemaError(f"{path}/kind", f"unknown value kind {kind!r}")
+    if not m.NUMBER_LITERAL.fullmatch(raw):
+        raise JsonSchemaError(f"{path}/value", f"invalid decimal literal {raw!r}")
+    return Decimal(raw)
 
 
 def _write_values(dicts: Iterable[dict[str, m.Value]], depth: int) -> Iterator[str]:
@@ -229,7 +229,7 @@ def _write_values(dicts: Iterable[dict[str, m.Value]], depth: int) -> Iterator[s
 def _load_values(dicts: list[dict]) -> list[dict[str, m.Value]]:
     """The objects' values, every tagged value checked and read at once."""
     kinds, raws = _columns(list(chain.from_iterable(map(dict.values, dicts))), _VALUE_FIELDS, {})
-    _require(set(zip(kinds, map(type, raws))) <= {("text", str), ("boolean", bool), ("number", str)})
+    _require(set(zip(kinds, map(type, raws))) <= {(kind, shape) for kind, (shape, _) in _KINDS.items()})
     numbers = set(compress(raws, map("number".__eq__, kinds)))
     _require(all(map(m.NUMBER_LITERAL.fullmatch, numbers)))
     values = map({("number", raw): Decimal(raw) for raw in numbers}.get, zip(kinds, raws), raws)

@@ -16,26 +16,18 @@ from __future__ import annotations
 from typing import Callable, Iterable, TypeVar, Union
 
 from . import model as m
-from .model import _set
 
 
 class InConcept(m.Frozen):
     __slots__ = ("concept",)
-    def __init__(self, concept: str):
-        _set(self, "concept", concept)
 
 
 class AttrEquals(m.Frozen):
     __slots__ = ("attribute", "value")
-    def __init__(self, attribute: str, value: m.Value):
-        _set(self, "attribute", attribute)
-        _set(self, "value", value)
 
 
 class HasAttr(m.Frozen):
     __slots__ = ("attribute",)
-    def __init__(self, attribute: str):
-        _set(self, "attribute", attribute)
 
 
 class And(m.Frozen):
@@ -43,7 +35,7 @@ class And(m.Frozen):
     def __init__(self, children: tuple[ClassExpression, ...]):
         if len(children) < 2:
             raise ValueError("And requires at least two children")
-        _set(self, "children", children)
+        object.__setattr__(self, "children", children)
 
 
 class Or(m.Frozen):
@@ -51,13 +43,11 @@ class Or(m.Frozen):
     def __init__(self, children: tuple[ClassExpression, ...]):
         if len(children) < 2:
             raise ValueError("Or requires at least two children")
-        _set(self, "children", children)
+        object.__setattr__(self, "children", children)
 
 
 class Not(m.Frozen):
     __slots__ = ("child",)
-    def __init__(self, child: ClassExpression):
-        _set(self, "child", child)
 
 
 ClassExpression = Union[InConcept, AttrEquals, HasAttr, And, Or, Not]
@@ -68,10 +58,6 @@ class Contradiction(m.Frozen):
     forbids combining the clashing differences."""
 
     __slots__ = ("axis", "differences", "concepts")
-    def __init__(self, axis: str, differences: tuple[str, ...], concepts: tuple[str, str]):
-        _set(self, "axis", axis)
-        _set(self, "differences", differences)
-        _set(self, "concepts", concepts)
 
     def describe(self) -> str:
         c1, c2 = self.concepts

@@ -15,7 +15,6 @@ definitions; those are authored by people and carried on terms.
 from __future__ import annotations
 
 from . import model as m
-from .model import _set
 
 
 class DefinitionError(m.OtlError):
@@ -28,11 +27,6 @@ class GeneratedDefinition(m.Frozen):
     __slots__ = ("concept", "kind", "formal", "gloss")
     # `formal` is (genus id, differentia ids in declaration order) when `kind` is
     # "intensional", the ids of the direct subordinates, sorted, when "extensional"
-    def __init__(self, concept: str, kind: str, formal: tuple[str, tuple[str, ...]] | tuple[str, ...], gloss: str):
-        _set(self, "concept", concept)
-        _set(self, "kind", kind)
-        _set(self, "formal", formal)
-        _set(self, "gloss", gloss)
 
     def render(self) -> str:
         if self.kind == "intensional":

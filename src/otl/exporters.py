@@ -203,7 +203,7 @@ def _tagged(value: m.Value, template: str) -> str:
     if kind is m.ValueKind.TEXT:
         return template % ('"text"', _quote(value))  # type: ignore[arg-type]
     if kind is m.ValueKind.NUMBER:
-        return template % ('"number"', _quote(str(value)))
+        return template % ('"number"', _quote(m.number_text(value)))  # type: ignore[arg-type]
     return template % ('"boolean"', "true" if value else "false")
 
 

@@ -14,30 +14,29 @@ everything; afterwards the model is treated as immutable and the read-only
 operations here (``intension``, ``extension``, ``resolve``) are safe to call
 from multiple threads.
 
-The package's entity, expression and result types are records: classes with
-``__slots__`` and a written-out ``__init__``.  Their base ``Record`` compares
-two of the same class by the tuple of their ``_fields`` (by default the
-slots) and shows those in its repr, matches the slots positionally, copies
-and pickles through the constructor, and is unhashable.  ``Frozen`` hashes
-the field tuple and refuses assignment and deletion; its ``__init__`` sets
-each slot with ``object.__setattr__``.
+The package's entity, expression and result types are records: classes that
+name their fields once, in ``__slots__``.  Their base ``Record`` gives each
+an ``__init__`` taking the slots in order, with the defaults of its
+``_defaults``, unless the class writes its own (``And``, ``Or`` and
+``ExportOptions`` check their arguments).  It compares two of the same class
+by the tuple of their ``_fields`` (by default the slots) and shows those in
+its repr, matches the slots positionally, copies and pickles through the
+constructor, and is unhashable.  ``Frozen`` hashes the field tuple and
+refuses assignment and deletion; its ``__init__`` sets each slot with
+``object.__setattr__``.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from decimal import Decimal
 from enum import Enum
 from functools import reduce
 from itertools import compress
 from operator import or_
-from typing import TYPE_CHECKING, NamedTuple, Optional, Union
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .classes import ClassExpression
-    from .reasoner import Hierarchy
+from typing import NamedTuple, Optional, Union
 
 
 class Record:
@@ -50,6 +49,8 @@ class Record:
         if "__slots__" in cls.__dict__:  # a subclass without slots keeps its base's fields
             cls.__match_args__ = cls.__slots__
             cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+            if cls.__slots__ and "__init__" not in cls.__dict__:
+                cls.__init__ = _generated_init(cls)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -83,6 +84,30 @@ class Frozen(Record):
 
 
 _set = object.__setattr__  # bound once: a Frozen __init__ sets each slot with it
+_FRESH = {dict: "{}", list: "[]"}  # made by a literal, as a written-out body would, not by a call
+
+
+def _generated_init(cls: type) -> Callable[..., None]:
+    """A record's ``__init__``: its parameters are the slots in order, with
+    the defaults of ``_defaults``, where a class stands for a new instance of
+    it on each call; its body is the one a person would write, compiled once."""
+    defaults = dict(cls.__dict__.get("_defaults", {}))
+    scope: dict = {"_set": _set, "_defaults": defaults}
+    assign = '_set(self, "{0}", {1})' if issubclass(cls, Frozen) else "self.{0} = {1}"
+    params, body = [], []
+    for name in cls.__slots__:
+        value = name
+        if isinstance(defaults.get(name), type):
+            fresh, defaults[name] = defaults[name], None
+            scope[fresh.__name__] = fresh
+            value = f"{_FRESH.get(fresh, fresh.__name__ + '()')} if {name} is None else {name}"
+        params.append(f"{name}=_defaults[{name!r}]" if name in defaults else name)
+        body.append(assign.format(name, value))
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), scope)
+    init = scope["__init__"]
+    init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
+    return init
+
 
 # Attribute values are typed: text, number (exact decimal), or boolean.
 # Plain ints are accepted anywhere a number is (convenient for hand-built
@@ -195,8 +220,13 @@ def render_value(value: Value) -> str:
     if kind is ValueKind.BOOLEAN:
         return "true" if value else "false"
     if kind is ValueKind.NUMBER:
-        return str(value)
+        return number_text(value)  # type: ignore[arg-type]
     return dsl_quote(value)  # type: ignore[arg-type]
+
+
+def number_text(value: Union[Decimal, int]) -> str:
+    """A number as NUMBER_LITERAL spells it: ``str`` would write 0.0000001 as 1E-7."""
+    return format(value, "f") if isinstance(value, Decimal) else str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +279,7 @@ class SourceSpan(Frozen):
     """Location of a token or declaration in DSL source (1-based)."""
 
     __slots__ = ("file", "line", "column", "length")
-    def __init__(self, file: str, line: int, column: int, length: int = 1):
-        _set(self, "file", file)
-        _set(self, "line", line)
-        _set(self, "column", column)
-        _set(self, "length", length)
+    _defaults = {"length": 1}
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
@@ -292,12 +318,8 @@ class SourceText:
 
 class Diagnostic(Frozen):
     __slots__ = ("severity", "code", "message", "location")
+    _defaults = {"location": None}
     # `location` is a source span (DSL input) or an entity identifier (built models)
-    def __init__(self, severity: Severity, code: str, message: str, location: Union[SourceSpan, str, None] = None):
-        _set(self, "severity", severity)
-        _set(self, "code", code)
-        _set(self, "message", message)
-        _set(self, "location", location)
 
     @property
     def is_error(self) -> bool:
@@ -380,10 +402,7 @@ class Difference(Record):
     """
 
     __slots__ = ("id", "label", "axis")
-    def __init__(self, id: str, label: str, axis: Optional[str] = None):
-        self.id = id
-        self.label = label
-        self.axis = axis
+    _defaults = {"axis": None}
 
 
 class Axis(Record):
@@ -395,12 +414,7 @@ class Axis(Record):
     """
 
     __slots__ = ("id", "label", "scope", "members", "exclusive")
-    def __init__(self, id: str, label: str, scope: str, members: tuple[str, ...], exclusive: bool = True):
-        self.id = id
-        self.label = label
-        self.scope = scope
-        self.members = members
-        self.exclusive = exclusive
+    _defaults = {"exclusive": True}
 
 
 class Concept(Record):
@@ -412,22 +426,13 @@ class Concept(Record):
     """
 
     __slots__ = ("id", "label", "genus", "differentiae")
-    def __init__(self, id: str, label: str, genus: Optional[str] = None, differentiae: tuple[str, ...] = ()):
-        self.id = id
-        self.label = label
-        self.genus = genus
-        self.differentiae = differentiae
+    _defaults = {"genus": None, "differentiae": ()}
 
 
 class AttributeDecl(Record):
     """Descriptive characteristic: a typed attribute objects may carry."""
 
     __slots__ = ("id", "label", "domain", "value_kind")
-    def __init__(self, id: str, label: str, domain: str, value_kind: ValueKind):
-        self.id = id
-        self.label = label
-        self.domain = domain
-        self.value_kind = value_kind
 
 
 class ObjectInstance(Record):
@@ -438,11 +443,7 @@ class ObjectInstance(Record):
     """
 
     __slots__ = ("id", "label", "concept", "values")
-    def __init__(self, id: str, label: str, concept: str, values: Optional[dict[str, Value]] = None):
-        self.id = id
-        self.label = label
-        self.concept = concept
-        self.values = {} if values is None else values
+    _defaults = {"values": dict}
 
 
 class PartLink(Frozen):
@@ -450,10 +451,7 @@ class PartLink(Frozen):
     transitive closure is ever computed, but cycles are rejected."""
 
     __slots__ = ("whole", "part", "note")
-    def __init__(self, whole: str, part: str, note: Optional[str] = None):
-        _set(self, "whole", whole)
-        _set(self, "part", part)
-        _set(self, "note", note)
+    _defaults = {"note": None}
 
 
 class AssociativeLink(Frozen):
@@ -461,32 +459,19 @@ class AssociativeLink(Frozen):
     relation taxonomy."""
 
     __slots__ = ("relation_type", "source", "target")
-    def __init__(self, relation_type: RelationKind, source: str, target: str):
-        _set(self, "relation_type", relation_type)
-        _set(self, "source", source)
-        _set(self, "target", target)
 
 
 class Term(Frozen):
     """Designation of a concept in a natural language."""
 
     __slots__ = ("designation", "language", "status", "concept", "nl_definition")
-    def __init__(self, designation: str, language: str, status: TermStatus, concept: str,
-                 nl_definition: Optional[str] = None):
-        _set(self, "designation", designation)
-        _set(self, "language", language)
-        _set(self, "status", status)
-        _set(self, "concept", concept)
-        _set(self, "nl_definition", nl_definition)
+    _defaults = {"nl_definition": None}
 
 
 class ClassDef(Record):
     """Named class: a logical formula gathering objects of any concept."""
 
     __slots__ = ("id", "expr")
-    def __init__(self, id: str, expr: ClassExpression):
-        self.id = id
-        self.expr = expr
 
 
 class BitSets(Mapping[str, frozenset[str]]):
@@ -560,42 +545,23 @@ class Model(Record):
     ``superiors``, ``hierarchy``) are filled by ``otl.reasoner.validate``.
     Only the nine collections are compared; the repr shows them and
     ``validated``.
+
+    ``spans`` maps (entity kind, identifier) to the (offset, length) of the
+    declaring token in ``source``, values aside; ``span_for`` makes a
+    SourceSpan on demand.  ``intensions`` holds each concept's intension, as
+    bits over the differences in sorted-id order.  ``superiors`` holds all
+    strict subsumers of each concept, as bits over the concepts in increasing
+    intension size, so every genus is numbered before its children
+    (print_dsl relies on it); it is the same object as
+    ``hierarchy.superiors``.
     """
 
     __slots__ = ("differences", "axes", "concepts", "attributes", "objects", "parts", "relations", "terms",
                  "classes", "spans", "source", "validated", "intensions", "superiors", "hierarchy")
     _fields = __slots__[:9]
-
-    def __init__(self, differences: Optional[dict[str, Difference]] = None, axes: Optional[dict[str, Axis]] = None,
-                 concepts: Optional[dict[str, Concept]] = None, attributes: Optional[dict[str, AttributeDecl]] = None,
-                 objects: Optional[dict[str, ObjectInstance]] = None, parts: Optional[list[PartLink]] = None,
-                 relations: Optional[list[AssociativeLink]] = None, terms: Optional[list[Term]] = None,
-                 classes: Optional[dict[str, ClassDef]] = None,
-                 spans: Optional[dict[tuple[str, str], tuple[int, int]]] = None, source: Optional[SourceText] = None,
-                 validated: bool = False, intensions: Optional[BitSets] = None, superiors: Optional[BitSets] = None,
-                 hierarchy: Optional[Hierarchy] = None):
-        self.differences = {} if differences is None else differences
-        self.axes = {} if axes is None else axes
-        self.concepts = {} if concepts is None else concepts
-        self.attributes = {} if attributes is None else attributes
-        self.objects = {} if objects is None else objects
-        self.parts = [] if parts is None else parts
-        self.relations = [] if relations is None else relations
-        self.terms = [] if terms is None else terms
-        self.classes = {} if classes is None else classes
-        # (entity kind, identifier) -> (offset, length) of the declaring token in
-        # ``source``, values aside; ``span_for`` makes a SourceSpan on demand
-        self.spans = {} if spans is None else spans
-        self.source = source
-        self.validated = validated
-        # concept id -> its intension, as bits over the differences in sorted-id order
-        self.intensions = BitSets() if intensions is None else intensions
-        # concept id -> all strict subsumers, as bits over the concepts in
-        # increasing intension size, so every genus is numbered before its
-        # children (print_dsl relies on it); the same object as
-        # ``hierarchy.superiors``
-        self.superiors = BitSets() if superiors is None else superiors
-        self.hierarchy = hierarchy
+    _defaults = {"differences": dict, "axes": dict, "concepts": dict, "attributes": dict, "objects": dict,
+                 "parts": list, "relations": list, "terms": list, "classes": dict, "spans": dict,
+                 "source": None, "validated": False, "intensions": BitSets, "superiors": BitSets, "hierarchy": None}
 
     def __repr__(self) -> str:
         return f"{super().__repr__()[:-1]}, validated={self.validated!r})"

@@ -115,9 +115,6 @@ class ParseResult(Record):
     """Outcome of a parse; `model` is present iff there were no errors."""
 
     __slots__ = ("model", "diagnostics")
-    def __init__(self, model: Optional[Model], diagnostics: list[Diagnostic]):
-        self.model = model
-        self.diagnostics = diagnostics
 
 
 class ParseError(OtlError):

@@ -42,6 +42,7 @@ of O(D) or O(C) bits:
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from functools import reduce
 from itertools import chain
 from operator import or_
@@ -68,12 +69,6 @@ class Hierarchy(m.Record):
     """
 
     __slots__ = ("superiors", "direct_super", "direct_sub", "roots")
-    def __init__(self, superiors: m.BitSets, direct_super: dict[str, frozenset[str]],
-                 direct_sub: dict[str, frozenset[str]], roots: frozenset[str]):
-        self.superiors = superiors
-        self.direct_super = direct_super
-        self.direct_sub = direct_sub
-        self.roots = roots
 
     def subsumes(self, c1: str, c2: str) -> bool:
         superiors = self.superiors
@@ -431,13 +426,13 @@ class _Validator:
                     )
                 kind = m.value_kind_of(value)
                 if kind is not attr.value_kind:
-                    self.error(
-                        "E_ATTR_VALUE",
-                        f"object '{obj.id}' gives attribute '{attr_id}' a {kind.value} "
-                        f"value, expected {attr.value_kind.value}",
-                        "value",
-                        f"{obj.id}.{attr_id}",
-                    )
+                    fault = f"a {kind.value} value, expected {attr.value_kind.value}"
+                elif isinstance(value, Decimal) and not value.is_finite():  # no number literal spells it
+                    fault = f"the non-finite number {value}"
+                else:
+                    continue
+                self.error("E_ATTR_VALUE", f"object '{obj.id}' gives attribute '{attr_id}' {fault}",
+                           "value", f"{obj.id}.{attr_id}")
 
     def check_parts(self) -> None:
         model = self.model

@@ -32,6 +32,7 @@ from otl import (
     Term,
     TermStatus,
     ValueKind,
+    describe_object,
     from_json,
     parse,
     print_dsl,
@@ -599,6 +600,20 @@ def test_json_number_strings_in_the_dsl_grammar_load_and_round_trip(raw):
     assert str(model.objects["o"].values["weight"]) == raw
     assert parse(print_dsl(model)).diagnostics == []
     assert json.loads(to_json(model))["objects"][0]["values"]["weight"]["value"] == raw
+
+
+@pytest.mark.parametrize("literal", ["0.0000001", "-0.0000000", "0.00000010"])
+@pytest.mark.parametrize("where", ["object o : A { n = %s }", "class K := { x | n = %s }"], ids=["object", "class"])
+def test_small_numbers_print_as_the_literal_they_were_read_from(literal, where):
+    model = build("concept A := x\nattribute n : number on A\n" + where % literal)
+    dsl = print_dsl(model)
+    assert f"n = {literal}" in dsl
+    assert build(dsl) == model and print_dsl(build(dsl)) == dsl
+    text = to_json(model)
+    assert f'"value": "{literal}"' in text
+    assert to_json(from_json(text)) == text
+    if "o" in model.objects:
+        assert describe_object(model, "o") == f"o : A / n = {literal}"
 
 
 def test_json_nested_too_deeply_is_a_schema_error(mouse):

@@ -12,14 +12,17 @@ from otl import (
     AmbiguousIdentifierError,
     And,
     AssociativeLink,
+    AttrEquals,
     AttributeDecl,
     Axis,
     ClassDef,
     Concept,
+    Difference,
     HasAttr,
     InConcept,
     InvalidModelError,
     Model,
+    NotValidatedError,
     ObjectInstance,
     PartLink,
     RelationKind,
@@ -31,6 +34,7 @@ from otl import (
     classify_object,
     compute_hierarchy,
     coordinates,
+    evaluate_class,
     extension,
     from_json,
     has_errors,
@@ -449,6 +453,21 @@ def test_attribute_value_kind_violation():
     )
     diagnostics = validate(model)
     assert "E_ATTR_VALUE" in codes(diagnostics)
+
+
+@pytest.mark.parametrize("raw", ["NaN", "-Infinity", "sNaN"])
+def test_non_finite_number_values_are_rejected(raw):
+    model = Model(
+        differences={"x": Difference("x", "x")},
+        concepts={"A": Concept("A", "A", None, ("x",))},
+        attributes={"n": AttributeDecl("n", "n", "A", ValueKind.NUMBER)},
+        objects={"o": ObjectInstance("o", "o", "A", {"n": Decimal(raw)})},
+    )
+    assert [d.render() for d in validate(model)] == [
+        f"ERROR E_ATTR_VALUE o.n object 'o' gives attribute 'n' the non-finite number {raw}"
+    ]
+    with pytest.raises(NotValidatedError):
+        evaluate_class(model, AttrEquals("n", Decimal(raw)))
 
 
 def test_part_cycle():

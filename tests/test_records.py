@@ -4,11 +4,15 @@ class, hashing, the repr text, frozen fields, positional match patterns,
 and copy, deepcopy and pickle round trips."""
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 from decimal import Decimal
 
 import pytest
 
+import otl
 from otl import (
     And,
     AssociativeLink,
@@ -45,7 +49,7 @@ from otl import (
     to_json,
     validate,
 )
-from otl.model import BitSets
+from otl.model import BitSets, Frozen, Record
 
 from conftest import build_model
 
@@ -113,8 +117,20 @@ MODEL_FIELDS = (
 )
 
 
+def record_classes():
+    """Every subclass of Record that a module of the otl package defines."""
+    for module in pkgutil.iter_modules(otl.__path__):
+        importlib.import_module(f"otl.{module.name}")
+    found, stack = set(), [Record]
+    while stack:
+        subclasses = stack.pop().__subclasses__()
+        stack.extend(subclasses)
+        found.update(cls for cls in subclasses if cls.__module__.split(".")[0] == "otl")
+    return found
+
+
 def test_every_record_class_has_a_row():
-    assert len(RECORDS) + 1 == 23  # and Model, below
+    assert record_classes() - {Frozen, Model} == {row[0] for row in RECORDS}  # Model has tests of its own below
     assert len(set(IDS)) == len(IDS)
 
 
@@ -128,6 +144,13 @@ def test_positional_and_keyword_construction_agree(cls, fields, values, text, fr
     assert cls.__match_args__ == fields
     with pytest.raises(TypeError):
         cls(*values, None)
+
+
+@pytest.mark.parametrize("cls", [row[0] for row in RECORDS] + [Model], ids=IDS + ["Model"])
+def test_the_constructor_takes_the_slots_in_order(cls):
+    assert tuple(inspect.signature(cls).parameters) == cls.__slots__
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
 
 
 DEFAULTS = [

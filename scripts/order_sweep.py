@@ -5,7 +5,8 @@ Generates N valid random models, then checks on every one of them that the
 derived subsumption relation is a strict partial order, that it agrees with
 a brute-force strict-subset comparison of independently recomputed
 intensions, and that extensions are anti-monotone.  Prints counts and
-timings; exits non-zero on any counterexample.
+timings; exits non-zero on any counterexample.  The three checks are
+functions of a list of validated models, which the test suite also runs.
 
 Usage: python scripts/order_sweep.py [N] [--seed BASE]
 """
@@ -26,6 +27,43 @@ from gen import valid_random_model  # noqa: E402
 from oracles import oracle_intension  # noqa: E402
 
 
+def strict_order_violations(models: list) -> int:
+    """Reflexive, symmetric or non-transitive subsumptions found."""
+    violations = 0
+    for model in models:
+        sup = model.superiors
+        for c in model.concepts:
+            violations += c in sup[c]
+        for c2 in model.concepts:
+            for c1 in sup[c2]:
+                violations += c2 in sup[c1]
+                violations += not sup[c1] <= sup[c2] - {c1}
+    return violations
+
+
+def oracle_disagreements(models: list) -> tuple[int, int]:
+    """(pairs where subsumes differs from strict intension inclusion, pairs tested)."""
+    disagreements = pairs = 0
+    for model in models:
+        oracle = {c: oracle_intension(model, c) for c in model.concepts}
+        for c1 in model.concepts:
+            for c2 in model.concepts:
+                pairs += 1
+                disagreements += subsumes(model, c1, c2) != (oracle[c1] < oracle[c2])
+    return disagreements, pairs
+
+
+def duality_breaks(models: list) -> int:
+    """Subsumptions whose subordinate's extension is not within its superior's."""
+    breaks = 0
+    for model in models:
+        extensions = {c: extension(model, c) for c in model.concepts}
+        for c2 in model.concepts:
+            for c1 in model.superiors[c2]:
+                breaks += not extensions[c2] <= extensions[c1]
+    return breaks
+
+
 def main() -> int:
     cli = argparse.ArgumentParser(description=__doc__)
     cli.add_argument("count", nargs="?", type=int, default=1000)
@@ -40,42 +78,22 @@ def main() -> int:
     print(f"generated {args.count} valid models "
           f"({total_concepts} concepts, {total_objects} objects) in {t_gen:.2f}s")
 
-    violations = 0
     t0 = time.perf_counter()
-    for model in models:
-        sup = model.superiors
-        for c in model.concepts:
-            violations += c in sup[c]
-        for c2 in model.concepts:
-            for c1 in sup[c2]:
-                violations += c2 in sup[c1]
-                violations += not sup[c1] <= sup[c2] - {c1}
+    violations = strict_order_violations(models)
     print(f"strict-order check: {violations} violations in "
           f"{time.perf_counter() - t0:.2f}s")
 
-    disagreements = 0
-    pairs = 0
     t0 = time.perf_counter()
-    for model in models:
-        oracle = {c: oracle_intension(model, c) for c in model.concepts}
-        for c1 in model.concepts:
-            for c2 in model.concepts:
-                pairs += 1
-                disagreements += subsumes(model, c1, c2) != (oracle[c1] < oracle[c2])
+    disagreements, pairs = oracle_disagreements(models)
     print(f"oracle agreement: {disagreements} disagreements over {pairs} pairs "
           f"in {time.perf_counter() - t0:.2f}s")
 
-    duality_breaks = 0
     t0 = time.perf_counter()
-    for model in models:
-        extensions = {c: extension(model, c) for c in model.concepts}
-        for c2 in model.concepts:
-            for c1 in model.superiors[c2]:
-                duality_breaks += not extensions[c2] <= extensions[c1]
-    print(f"extension duality: {duality_breaks} counterexamples in "
+    breaks = duality_breaks(models)
+    print(f"extension duality: {breaks} counterexamples in "
           f"{time.perf_counter() - t0:.2f}s")
 
-    failed = violations or disagreements or duality_breaks
+    failed = violations or disagreements or breaks
     print("FAIL" if failed else "OK")
     return 1 if failed else 0
 

@@ -104,19 +104,23 @@ def fold(expr: ClassExpression, combine: Callable[[ClassExpression, list[_T]], _
     return results[0]
 
 
-def expression_references(expr: ClassExpression) -> tuple[set[str], set[str]]:
-    """Concept and attribute identifiers referenced by an expression."""
+def expression_references(expr: ClassExpression) -> tuple[set[str], set[str], list[AttrEquals]]:
+    """Concept and attribute identifiers referenced by an expression, and
+    its comparisons with a literal, in one walk."""
     concepts: set[str] = set()
     attributes: set[str] = set()
+    compared: list[AttrEquals] = []
 
     def note(node: ClassExpression, _: list[None]) -> None:
         if isinstance(node, InConcept):
             concepts.add(node.concept)
         elif isinstance(node, (AttrEquals, HasAttr)):
             attributes.add(node.attribute)
+            if isinstance(node, AttrEquals):
+                compared.append(node)
 
     fold(expr, note)
-    return concepts, attributes
+    return concepts, attributes, compared
 
 
 def evaluate_class(model: m.Model, expr: ClassExpression) -> frozenset[str]:
@@ -129,6 +133,9 @@ def evaluate_class(model: m.Model, expr: ClassExpression) -> frozenset[str]:
             return m.extension(model, node.concept)
         if isinstance(node, AttrEquals):
             _check_attribute(model, node.attribute)
+            if m.non_finite(node.value):  # the check validate makes of a named class
+                raise m.OtlError(f"class expression compares attribute '{node.attribute}' "
+                                 f"with the non-finite number {node.value}")
             return frozenset(
                 oid
                 for oid in universe

@@ -61,7 +61,8 @@ def extensional_definition(model: m.Model, concept_id: str) -> GeneratedDefiniti
     hierarchy, so poly-hierarchy children count too."""
     model.require_validated("extensional_definition", concept_id)
     concept = model.concepts[concept_id]
-    subordinates = sorted(model.hierarchy.direct_sub[concept_id])
+    sub = model.hierarchy.direct_sub
+    subordinates = sorted(sub.members(sub.bits[concept_id]))
     if not subordinates:
         raise DefinitionError(
             "E_NO_SUBORDINATES",
@@ -138,7 +139,7 @@ def lexicon(model: m.Model, language: str) -> str:
             )
         if (
             concept.genus is None
-            and not hierarchy.direct_sub[cid]
+            and not hierarchy.direct_sub.bits[cid]
             and any(cid in (p.whole, p.part) for p in model.parts)
         ):
             notes.append(

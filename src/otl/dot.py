@@ -38,7 +38,7 @@ def to_dot(model: m.Model, opts: ExportOptions | None = None) -> str:
     """
     opts = opts or ExportOptions()
     model.require_validated("to_dot")
-    hierarchy = model.hierarchy
+    covering = model.hierarchy.direct_super
     lines = [
         "digraph concept_system {",
         f"  rankdir={opts.rankdir};",
@@ -59,8 +59,8 @@ def to_dot(model: m.Model, opts: ExportOptions | None = None) -> str:
             lines.append(f"  {_dot_quote(concept.genus)} -> {_dot_quote(concept.id)};")
     if opts.include_derived_edges:
         for concept in model.concepts.values():
-            derived = hierarchy.direct_super[concept.id] - {concept.genus}
-            for superordinate in sorted(derived):
+            genus = 1 << covering.index[concept.genus] if concept.genus is not None else 0
+            for superordinate in sorted(covering.members(covering.bits[concept.id] & ~genus)):
                 lines.append(
                     f"  {_dot_quote(superordinate)} -> {_dot_quote(concept.id)} [style=dashed];"
                 )

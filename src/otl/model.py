@@ -202,6 +202,11 @@ def value_kind_of(value: Value) -> ValueKind:
     raise TypeError(f"unsupported attribute value {value!r}")
 
 
+def non_finite(value: Value) -> bool:
+    """True for NaN and the infinities, which no number literal spells."""
+    return isinstance(value, Decimal) and not value.is_finite()
+
+
 def values_equal(a: Value, b: Value) -> bool:
     """Typed value equality: values of different kinds are never equal."""
     return value_kind_of(a) is value_kind_of(b) and a == b
@@ -553,7 +558,8 @@ class Model(Record):
     strict subsumers of each concept, as bits over the concepts in increasing
     intension size, so every genus is numbered before its children
     (print_dsl relies on it); it is the same object as
-    ``hierarchy.superiors``.
+    ``hierarchy.superiors``, whose covering relation is bits over the same
+    numbering.  ``validate`` sets ``validated`` only if the model passes.
     """
 
     __slots__ = ("differences", "axes", "concepts", "attributes", "objects", "parts", "relations", "terms",

@@ -14,11 +14,11 @@ a concept's differences may coincide with another concept's intension, the
 derived structure is a poly-hierarchy: concepts can acquire superordinates
 beyond their declared genus.
 
-Both derived indexes are bitsets (Ait-Kaci et al., TOPLAS 1989) behind
+The derived indexes are bitsets (Ait-Kaci et al., TOPLAS 1989) behind
 read-only ``model.BitSets`` views: an intension is one int over the D
-differences, a superior set one int over the C concepts.  Cost of each
-stage, for a model of size M (all its declarations), in operations on ints
-of O(D) or O(C) bits:
+differences, a set of superiors, covering superiors or covered concepts one
+int over the C concepts.  Cost of each stage, for a model of size M (all
+its declarations), in operations on ints of O(D) or O(C) bits:
 
 * resolution: O(M);
 * names: one regex match over all declared names joined, O(their length);
@@ -33,8 +33,9 @@ of O(D) or O(C) bits:
   and the genus itself, and looks for further superiors only among the
   smaller concepts that hold one of its own differentiae that another
   concept also declares: K' candidate pairs, each one inclusion test
-  ``a | b == b`` (K' = 0 on trees and chains).  Only the genus and those
-  extras can be covering edges.  O(C log C + M + K');
+  ``not a & ~b`` (K' = 0 on trees and chains).  Only the genus and those
+  extras can be covering edges, and each of the E edges found is one OR
+  into its superior's subordinates.  O(C log C + M + K' + E);
 * attributes O(values), part cycles O(parts) by Tarjan's strongly
   connected components (SIAM J. Comput. 1972), terms O(terms + C).
 """
@@ -42,7 +43,6 @@ of O(D) or O(C) bits:
 from __future__ import annotations
 
 import re
-from decimal import Decimal
 from functools import reduce
 from itertools import chain
 from operator import or_
@@ -57,15 +57,17 @@ _NAMES = re.compile(rf"(?:{m.IDENTIFIER.pattern} )*{m.IDENTIFIER.pattern}")
 class Hierarchy(m.Record):
     """Materialized generic structure of a validated model.
 
-    ``superiors`` maps each concept to all concepts that strictly subsume it,
-    as a read-only bitset view (the model's ``superiors``, the same object);
-    ``direct_super`` is the covering relation (transitive reduction) and
-    ``direct_sub`` its inverse; ``roots`` are the concepts nothing subsumes.
+    ``superiors`` maps each concept to all concepts that strictly subsume it
+    (the model's ``superiors``, the same object), ``direct_super`` to those
+    that cover it (the transitive reduction) and ``direct_sub`` to those it
+    covers, each as a read-only bitset view over the superiors' numbering,
+    keyed in declaration order; ``roots`` are the concepts nothing subsumes.
 
     Built by ``_derive_hierarchy`` down the genus tree in O(C log C + M +
-    K') operations on ints of O(C) bits, for C concepts, M declarations and
-    K' candidate extra superiors (see the module docstring).  The superiors
-    stay those ints: one per concept, no set of ids.
+    K' + E) operations on ints of O(C) bits, for C concepts, M declarations,
+    K' candidate extra superiors and E covering edges (see the module
+    docstring).  A lookup builds a frozenset in time proportional to its
+    size; readers that can, such as ``coordinates``, work on the ints.
     """
 
     __slots__ = ("superiors", "direct_super", "direct_sub", "roots")
@@ -90,12 +92,15 @@ def _derive_hierarchy(concepts: dict[str, m.Concept], intensions: m.BitSets) -> 
     bits = intensions.bits
     size = {c: b.bit_count() for c, b in bits.items()}  # counted once: O(D) each
     ids = sorted(size, key=size.__getitem__)
-    superiors = m.BitSets(dict.fromkeys(concepts, 0), ids)  # keyed in declaration order
-    position = superiors.index
+    ordered = [bits[c] for c in ids]  # the intensions by position
+    position = {c: i for i, c in enumerate(ids)}
+    superiors, direct_super, direct_sub = views = [m.BitSets(dict.fromkeys(concepts, 0)) for _ in range(3)]
+    for view in views:  # keyed in declaration order, numbered by position, sharing one index
+        view.names, view.index = ids, position
     first: dict[int, int] = {}
     for i, c in enumerate(ids):
         first.setdefault(size[c], i)
-    empty = ids[0] if ids and not bits[ids[0]] else None
+    empty = ids[0] if ids and not ordered[0] else None
 
     # has[d]: the concepts whose intension holds d, i.e. the union of the
     # genus subtrees of d's declarers.  Only a difference that two or more
@@ -117,50 +122,39 @@ def _derive_hierarchy(concepts: dict[str, m.Concept], intensions: m.BitSets) -> 
         for diff, xs in shared.items():
             has[diff] = reduce(or_, [subtree[position[x]] for x in xs])
 
-    # up[i]: bitset of the superiors of ids[i], also stored in the view
+    # up[i], down[i]: the superiors and the covered subordinates of ids[i]
     up: list[int] = []
-    direct_super: dict[str, frozenset[str]] = dict.fromkeys(concepts, frozenset())
-    direct_sub: dict[str, list[str]] = {c: [] for c in concepts}
-    for c in ids:
-        intension = bits[c]
+    down = [0] * len(ids)
+    for i, c in enumerate(ids):
         base = concepts[c].genus
-        if base is None and intension:
+        if base is None and ordered[i]:
             base = empty
-        if base is None:
-            above = shadow = 0
-            parents: list[int] = []
-        else:
+        parents = shadow = 0  # the base and the extras found; their own superiors
+        if base is not None:
             g = position[base]
-            shadow = up[g]
-            above = shadow | 1 << g
-            parents = [g]
+            parents, shadow = 1 << g, up[g]
         reach = 0
         for diff in concepts[c].differentiae:
             reach |= has.get(diff, 0)
-        extras: list[int] = []
-        rest = reach & ~above & (1 << first[size[c]]) - 1
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            if bits[ids[j]] | intension == intension:
-                extras.append(j)
-                above |= low
-                shadow |= up[j]
-            rest ^= low
-        up.append(above)
-        superiors.bits[c] = above
+        rest = reach & ~(shadow | parents) & (1 << first[size[c]]) - 1
+        outside = ~ordered[i]
+        while rest:  # from the top, so rest shrinks as it is walked
+            j = rest.bit_length() - 1
+            rest ^= 1 << j
+            if not ordered[j] & outside:
+                parents |= 1 << j
+                shadow |= up[j]  # superiors of c too
+        up.append(shadow | parents)
         # Every other superior lies below the base, so only the base and the
         # extras can cover c; each does unless it lies below another.
-        covering = [ids[j] for j in parents + extras if not shadow >> j & 1]
-        direct_super[c] = frozenset(covering)
-        for h in covering:
-            direct_sub[h].append(c)
-    return Hierarchy(
-        superiors=superiors,
-        direct_super=direct_super,
-        direct_sub={c: frozenset(subs) for c, subs in direct_sub.items()},
-        roots=frozenset(c for c, above in zip(ids, up) if not above),
-    )
+        direct_super.bits[c] = covering = parents & ~shadow
+        while covering:
+            top = covering.bit_length() - 1
+            down[top] |= 1 << i
+            covering ^= 1 << top
+    superiors.bits.update(zip(ids, up))
+    direct_sub.bits.update(zip(ids, down))
+    return Hierarchy(superiors, direct_super, direct_sub, frozenset(c for c, above in zip(ids, up) if not above))
 
 
 def _strongly_connected(edges: dict[str, list[str]]) -> list[list[str]]:
@@ -291,12 +285,16 @@ class _Validator:
                            "term", str(index))
 
         for cdef in model.classes.values():
-            references = zip(("concept", "attribute"), expression_references(cdef.expr), (concepts, model.attributes))
-            for what, referenced, declared in references:
+            *references, compared = expression_references(cdef.expr)
+            for what, referenced, declared in zip(("concept", "attribute"), references, (concepts, model.attributes)):
                 for ref in sorted(referenced):
                     if ref not in declared:
                         self.error("E_UNRESOLVED", f"class '{cdef.id}' references unknown {what} '{ref}'",
                                    "class", cdef.id)
+            for node in compared:
+                if m.non_finite(node.value):
+                    self.error("E_ATTR_VALUE", f"class '{cdef.id}' compares attribute '{node.attribute}' "
+                               f"with the non-finite number {node.value}", "class", cdef.id)
 
     def check_names(self) -> None:
         """Every declared id and term language is a name the DSL can spell.
@@ -427,7 +425,7 @@ class _Validator:
                 kind = m.value_kind_of(value)
                 if kind is not attr.value_kind:
                     fault = f"a {kind.value} value, expected {attr.value_kind.value}"
-                elif isinstance(value, Decimal) and not value.is_finite():  # no number literal spells it
+                elif m.non_finite(value):
                     fault = f"the non-finite number {value}"
                 else:
                     continue
@@ -494,11 +492,12 @@ class _Validator:
             self.derive_hierarchy,
             lambda: (self.check_attributes(), self.check_parts(), self.check_terms()),
         )
+        model = self.model
+        model.validated = False  # until every stage passes: an edit may have broken what reads rely on
         for stage in stages:
             stage()
             if m.has_errors(self.diagnostics):
                 return m.sorted_diagnostics(self.diagnostics)
-        model = self.model
         model.intensions = self.intensions
         assert self.hierarchy is not None
         model.superiors = self.hierarchy.superiors
@@ -512,8 +511,10 @@ def validate(model: m.Model) -> list[m.Diagnostic]:
 
     Returns the diagnostic list; the model is marked validated (with the
     intension index, subsumption index and hierarchy filled in) iff no
-    error-severity diagnostics were produced.  Validating an already-valid
-    model yields the same diagnostics again and changes nothing.
+    error-severity diagnostics were produced, so a validated model edited
+    into an invalid one answers no read once validated again.  Validating
+    an already-valid model yields the same diagnostics again and changes
+    nothing.
     """
     return _Validator(model).run()
 
@@ -548,11 +549,12 @@ def coordinates(model: m.Model, concept_id: str) -> frozenset[str]:
     concept, excluding the concept itself."""
     model.require_validated("coordinates", concept_id)
     hierarchy = model.hierarchy
-    result: set[str] = set()
-    for genus in hierarchy.direct_super[concept_id]:
-        result.update(hierarchy.direct_sub[genus])
-    result.discard(concept_id)
-    return frozenset(result)
+    sub, covering, below = hierarchy.direct_sub, hierarchy.direct_super.bits[concept_id], 0
+    while covering:  # one OR per covering genus
+        top = covering.bit_length() - 1
+        below |= sub.bits[sub.names[top]]
+        covering ^= 1 << top
+    return frozenset(sub.members(below & ~(1 << sub.index[concept_id])))
 
 
 def classify_object(model: m.Model, object_id: str) -> list[str]:

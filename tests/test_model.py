@@ -13,6 +13,7 @@ from otl import (
     InConcept,
     Model,
     NotValidatedError,
+    ObjectInstance,
     RelationKind,
     UnknownIdentifierError,
     classify_object,
@@ -24,6 +25,7 @@ from otl import (
     evaluate_class,
     extension,
     extensional_definition,
+    has_errors,
     intension,
     intensional_definition,
     lexicon,
@@ -133,6 +135,25 @@ def test_read_operations_name_themselves_and_reject_unknown_concepts(operation):
     if operation in TAKE_CONCEPTS:
         with pytest.raises(UnknownIdentifierError, match="^unknown concept 'Ghost'$"):
             READS[operation](model, "Ghost")
+
+
+# Edits to a validated mouse model after which it no longer validates.
+BREAKING_EDITS = {
+    "genus_cycle": lambda model: setattr(model.concepts["PointingDevice"], "genus", "OpticalMouse"),
+    "object_of_unknown_concept": lambda model: model.objects.update(stray=ObjectInstance("stray", "stray", "Nope")),
+}
+
+
+@pytest.mark.parametrize("edit", BREAKING_EDITS)
+@pytest.mark.parametrize("operation", READS)
+def test_a_model_edited_into_an_invalid_one_answers_no_read_once_validated_again(operation, edit):
+    model = parse(load_fixture("mouse.otl")).model
+    validate_or_raise(model)
+    BREAKING_EDITS[edit](model)
+    assert has_errors(validate(model))
+    assert not model.validated
+    with pytest.raises(NotValidatedError, match=f"^{operation} requires a validated model$"):
+        READS[operation](model, "OpticalMouse")
 
 
 def test_resolve_finds_concept(mouse):

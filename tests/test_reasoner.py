@@ -1,8 +1,10 @@
 """Validation diagnostics and the derived hierarchy."""
 
+import importlib.util
 import itertools
 import json
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -24,6 +26,7 @@ from otl import (
     Model,
     NotValidatedError,
     ObjectInstance,
+    OtlError,
     PartLink,
     RelationKind,
     Severity,
@@ -470,6 +473,24 @@ def test_non_finite_number_values_are_rejected(raw):
         evaluate_class(model, AttrEquals("n", Decimal(raw)))
 
 
+@pytest.mark.parametrize("raw", ["NaN", "-Infinity", "sNaN"])
+def test_non_finite_class_literals_are_rejected(raw):
+    model = Model(
+        differences={"x": Difference("x", "x")},
+        concepts={"A": Concept("A", "A", None, ("x",))},
+        attributes={"n": AttributeDecl("n", "n", "A", ValueKind.NUMBER)},
+        objects={"o": ObjectInstance("o", "o", "A", {"n": Decimal("1")})},
+        classes={"K": ClassDef("K", And((HasAttr("n"), AttrEquals("n", Decimal(raw)))))},
+    )
+    assert [d.render() for d in validate(model)] == [
+        f"ERROR E_ATTR_VALUE K class 'K' compares attribute 'n' with the non-finite number {raw}"
+    ]
+    del model.classes["K"]
+    validate_or_raise(model)
+    with pytest.raises(OtlError, match=f"^class expression compares attribute 'n' with the non-finite number {raw}$"):
+        evaluate_class(model, And((HasAttr("n"), AttrEquals("n", Decimal(raw)))))
+
+
 def test_part_cycle():
     model = parse_ok(
         "concept A := x\nconcept B := y\npart A has B\npart B has A\n"
@@ -749,11 +770,26 @@ def test_derived_index_views_equal_the_oracle_dicts(seed):
     assert model.superiors == superiors and superiors == model.superiors
     assert model.intensions != {**intensions, ids[0]: frozenset({"elsewhere"})}
     assert list(model.intensions) == list(model.superiors) == ids
-    for view in (model.intensions, model.superiors):
+    assert list(hierarchy.direct_super) == list(hierarchy.direct_sub) == ids
+    assert all(type(view[c]) is frozenset for view in (hierarchy.direct_super, hierarchy.direct_sub) for c in ids)
+    for view in (model.intensions, model.superiors, hierarchy.direct_super, hierarchy.direct_sub):
         with pytest.raises(TypeError):
             view[ids[0]] = frozenset()
         with pytest.raises(TypeError):
             del view[ids[0]]
+
+
+def test_the_order_sweep_finds_no_counterexample_in_500_random_models():
+    # the checks of scripts/order_sweep.py, on the models its CI run makes
+    spec = importlib.util.spec_from_file_location(
+        "order_sweep", Path(__file__).resolve().parent.parent / "scripts" / "order_sweep.py"
+    )
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    models = [valid_random_model(seed) for seed in range(500)]
+    assert sweep.strict_order_violations(models) == 0
+    assert sweep.oracle_disagreements(models) == (0, sum(len(model.concepts) ** 2 for model in models))
+    assert sweep.duality_breaks(models) == 0
 
 
 # -- coordinates ---------------------------------------------------------------

@@ -19,10 +19,14 @@ intensions and superiors are bitsets of n bits per concept: their memory
 doubles with n at these sizes, but the operations on them do O(n) work
 each, so the chain's time gate is 4.5.  Its JSON document lists every
 concept's intension, n²/2 names, so the JSON round trip's gates are 4.5.
+The poly-hierarchy is sized by k differences, not by n, and its gates are
+written against the growth of its output, the covering edges.
 """
 
 import gc
 import io
+import itertools
+import math
 import statistics
 import time
 import tracemalloc
@@ -91,10 +95,11 @@ def peak_bytes(call):
         tracemalloc.stop()
 
 
-def doubling_ratios(make_call, make_source, n):
+def doubling_ratios(make_call, make_source, n, larger=None):
     """(time ratio, memory ratio, result at 2n) of the stage that
-    `make_call` readies for one run on a source."""
-    sources = {"n": make_source(n), "2n": make_source(2 * n)}
+    `make_call` readies for one run on a source; `larger` sizes the second
+    source in place of 2n."""
+    sources = {"n": make_source(n), "2n": make_source(larger or 2 * n)}
     ratios = []
     elapsed, results = {}, {}
     for pair in range(PAIRS):
@@ -142,6 +147,32 @@ def test_long_genus_chain_validate_retains_little_memory():
     finally:
         tracemalloc.stop()
     assert retained <= 20 * 2**20
+
+
+def poly_source(k):
+    """All 1-3-subsets of k differences, each declared with its last
+    difference on the subset before it as genus.  Every subset one smaller
+    covers it, so most covering edges are derived, not declared."""
+    lines = []
+    for size in (1, 2, 3):
+        for combo in itertools.combinations(range(k), size):
+            genus = f"S{'_'.join(map(str, combo[:-1]))} + " if size > 1 else ""
+            lines.append(f"concept S{'_'.join(map(str, combo))} := {genus}q{combo[-1]}")
+    return "\n".join(lines) + "\n"
+
+
+def covering_edges(k):
+    return 3 * math.comb(k, 3) + 2 * math.comb(k, 2)
+
+
+def test_poly_hierarchy_validate_grows_with_its_covering_edges():
+    # k = 14 -> 18: 469 -> 987 concepts, 1274 -> 2754 covering edges; the
+    # linear gate, 2.5 for an output twice as large, scaled to the edges
+    time_ratio, memory_ratio, diagnostics = doubling_ratios(validate_call, poly_source, 14, 18)
+    assert diagnostics == []
+    bound = 1.25 * covering_edges(18) / covering_edges(14)
+    assert time_ratio <= bound
+    assert memory_ratio <= bound
 
 
 def test_part_cycle_validate_is_linear():

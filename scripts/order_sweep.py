@@ -2,11 +2,12 @@
 """Sweep randomly generated models and measure the order-theoretic guarantees.
 
 Generates N valid random models, then checks on every one of them that the
-derived subsumption relation is a strict partial order, that it agrees with
-a brute-force strict-subset comparison of independently recomputed
-intensions, and that extensions are anti-monotone.  Prints counts and
-timings; exits non-zero on any counterexample.  The three checks are
-functions of a list of validated models, which the test suite also runs.
+derived subsumption relation is a strict partial order, that it and its
+covering relation agree with a brute-force strict-subset comparison of
+independently recomputed intensions, and that extensions are
+anti-monotone.  Prints counts and timings; exits non-zero on any
+counterexample.  The four checks are functions of a list of validated
+models, which the test suite also runs.
 
 Usage: python scripts/order_sweep.py [N] [--seed BASE]
 """
@@ -22,9 +23,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from otl import extension, subsumes  # noqa: E402
+from otl import compute_hierarchy, extension, subsumes  # noqa: E402
 from gen import valid_random_model  # noqa: E402
-from oracles import oracle_intension  # noqa: E402
+from oracles import oracle_direct_super, oracle_intension  # noqa: E402
 
 
 def strict_order_violations(models: list) -> int:
@@ -51,6 +52,17 @@ def oracle_disagreements(models: list) -> tuple[int, int]:
                 pairs += 1
                 disagreements += subsumes(model, c1, c2) != (oracle[c1] < oracle[c2])
     return disagreements, pairs
+
+
+def covering_disagreements(models: list) -> tuple[int, int]:
+    """(concepts whose covering superiors differ from the oracle's, concepts tested)."""
+    disagreements = concepts = 0
+    for model in models:
+        direct_super = compute_hierarchy(model).direct_super
+        for c, covering in oracle_direct_super(model).items():
+            concepts += 1
+            disagreements += direct_super[c] != covering
+    return disagreements, concepts
 
 
 def duality_breaks(models: list) -> int:
@@ -89,11 +101,16 @@ def main() -> int:
           f"in {time.perf_counter() - t0:.2f}s")
 
     t0 = time.perf_counter()
+    wrong, tested = covering_disagreements(models)
+    print(f"covering relation: {wrong} of {tested} concepts differ from the oracle "
+          f"in {time.perf_counter() - t0:.2f}s")
+
+    t0 = time.perf_counter()
     breaks = duality_breaks(models)
     print(f"extension duality: {breaks} counterexamples in "
           f"{time.perf_counter() - t0:.2f}s")
 
-    failed = violations or disagreements or breaks
+    failed = violations or disagreements or wrong or breaks
     print("FAIL" if failed else "OK")
     return 1 if failed else 0
 

@@ -4,7 +4,10 @@ for recovery.txt, from the seeded malformed sources of tests/gen.py.
 
 Run from the repository root after an intentional output-format change, then
 review the diff by hand before committing: the goldens pin byte-exact
-behavior.
+behavior.  Given a directory, writes the files there instead, which is how
+the test suite checks that the goldens are current.
+
+Usage: python scripts/regen_goldens.py [DIR]
 """
 
 from __future__ import annotations
@@ -38,16 +41,17 @@ def build(name: str):
     return validate_or_raise(result.model)
 
 
-def write(name: str, payload: str) -> None:
-    path = GOLDEN / name
-    path.write_text(payload, encoding="utf-8")
-    print(f"wrote {path.relative_to(ROOT)} ({len(payload)} bytes)")
+def main(directory: Path = GOLDEN) -> None:
+    directory.mkdir(exist_ok=True)
 
+    def write(name: str, payload: str) -> None:
+        path = directory / name
+        path.write_text(payload, encoding="utf-8")
+        print(f"wrote {path} ({len(payload)} bytes)")
 
-def main() -> None:
-    GOLDEN.mkdir(exist_ok=True)
     mouse = build("mouse.otl")
     write("mouse.otl.json", to_json(mouse))
+    write("porphyry.otl.json", to_json(build("porphyry.otl")))  # intensions inherited down a genus chain
     write("mouse.dot", to_dot(mouse))
     write(
         "mouse_tree_full.dot",
@@ -63,4 +67,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(*map(Path, sys.argv[1:2]))

@@ -104,23 +104,30 @@ def fold(expr: ClassExpression, combine: Callable[[ClassExpression, list[_T]], _
     return results[0]
 
 
-def expression_references(expr: ClassExpression) -> tuple[set[str], set[str], list[AttrEquals]]:
-    """Concept and attribute identifiers referenced by an expression, and
-    its comparisons with a literal, in one walk."""
+def expression_references(expr: ClassExpression) -> tuple[set[str], set[str], list[AttrEquals], int]:
+    """Concept and attribute identifiers referenced by an expression, its
+    comparisons with a literal, and how deep the parenthesized groups of its
+    printed form nest (each ``and`` or ``or`` below another node is one
+    group), in one walk."""
     concepts: set[str] = set()
     attributes: set[str] = set()
     compared: list[AttrEquals] = []
 
-    def note(node: ClassExpression, _: list[None]) -> None:
+    def note(node: ClassExpression, depths: list[int]) -> int:  # the most groups on a path from the node down
+        if isinstance(node, Not):
+            return depths[0]
+        if isinstance(node, (And, Or)):
+            return max(depths) + 1
         if isinstance(node, InConcept):
             concepts.add(node.concept)
-        elif isinstance(node, (AttrEquals, HasAttr)):
+        else:
             attributes.add(node.attribute)
             if isinstance(node, AttrEquals):
                 compared.append(node)
+        return 0
 
-    fold(expr, note)
-    return concepts, attributes, compared
+    depth = fold(expr, note)
+    return concepts, attributes, compared, depth - isinstance(expr, (And, Or))  # the root is printed bare
 
 
 def evaluate_class(model: m.Model, expr: ClassExpression) -> frozenset[str]:
@@ -133,9 +140,8 @@ def evaluate_class(model: m.Model, expr: ClassExpression) -> frozenset[str]:
             return m.extension(model, node.concept)
         if isinstance(node, AttrEquals):
             _check_attribute(model, node.attribute)
-            if m.non_finite(node.value):  # the check validate makes of a named class
-                raise m.OtlError(f"class expression compares attribute '{node.attribute}' "
-                                 f"with the non-finite number {node.value}")
+            if fault := m.literal_fault(node.value):  # the check validate makes of a named class
+                raise m.OtlError(f"class expression compares attribute '{node.attribute}' with {fault}")
             return frozenset(
                 oid
                 for oid in universe
@@ -161,21 +167,21 @@ def _check_attribute(model: m.Model, attribute_id: str) -> None:
         raise m.UnknownIdentifierError(f"unknown attribute '{attribute_id}'")
 
 
-def axis_clashes(model: m.Model, numbering: m.BitSets) -> Callable[[int], list[_Clash]]:
-    """The exclusive-axis rule, as a function from a set of differences (bits
-    of `numbering`) to its clashes: (axis, members) for each exclusive axis
-    holding two or more, axes in declaration order, members sorted."""
+def axis_clashes(model: m.Model, numbering: m.BitSets) -> tuple[int, Callable[[int], list[_Clash]]]:
+    """The exclusive-axis rule over sets of differences (bits of `numbering`):
+    the mask of the differences on exclusive axes, and a function from a set
+    to its clashes, (axis, members) for each exclusive axis holding two or
+    more, axes in declaration order, members sorted."""
     exclusive = numbering.mask(d for ax in model.axes.values() if ax.exclusive for d in ax.members)
 
     def clashes(bits: int) -> list[_Clash]:
-        on, by_axis = bits & exclusive, {}
-        if on.bit_count() > 1:  # a clash takes two members, and each is on one axis
-            for diff in numbering.members(on):  # in sorted order
-                by_axis.setdefault(model.differences[diff].axis, []).append(diff)
+        by_axis: dict[str, list[str]] = {}
+        for diff in numbering.members(bits & exclusive):  # in sorted order
+            by_axis.setdefault(model.differences[diff].axis, []).append(diff)
         found = [(axis, diffs) for axis, diffs in by_axis.items() if len(diffs) > 1]
         return sorted(found, key=lambda c: list(model.axes).index(c[0])) if len(found) > 1 else found
 
-    return clashes
+    return exclusive, clashes
 
 
 def concept_conjunction(
@@ -188,7 +194,7 @@ def concept_conjunction(
     """
     model.require_validated("concept_conjunction", c1, c2)
     bits = model.intensions.bits
-    clashes = axis_clashes(model, model.intensions)(bits[c1] | bits[c2])
+    clashes = axis_clashes(model, model.intensions)[1](bits[c1] | bits[c2])
     if clashes:
         return Contradiction(clashes[0][0], tuple(clashes[0][1]), (c1, c2))
     return And((InConcept(c1), InConcept(c2)))

@@ -13,15 +13,15 @@ Three exchange formats:
   without building ``doc``: one ``%`` template per row, keys in sorted
   order, filled a column at a time with strings escaped by the C escaper
   ``json.dumps`` uses.  Each derived intension (a genus chain of n concepts
-  holds n²/2 names) is one ``join`` over its members, taken from the
-  numbering of the differences quoted and indented once per call.  The text
+  holds n²/2 names) is one ``join`` over a list made from its genus's:
+  copied, with its own differentiae, quoted once, insorted.  The text
   comes in pieces, one per entity, which ``to_json`` joins and ``otl
   export`` writes as they come.  ``from_json`` checks and reads each
   array by column, from the same rows, and builds its entities
   positionally; only an array that fails a check is walked entity by
   entity, to word its first fault with a JSON-pointer path (RFC 6901).
-  Each stated intension is compared as given to the derived one, made from
-  its genus's, and sorted only when they differ.
+  Each stated intension is compared as given to the derived one, made by
+  the same helper as the writer's, and sorted only when they differ.
 * DSL text (``.otl``): ``print_dsl`` writes what the parser reads back,
   less labels, part notes and unnamed differences; declarations are
   emitted in dependency order.
@@ -162,17 +162,27 @@ _STRINGS = _Codec(
 )
 
 
+def _derived_intensions(model: m.Model, text: Callable[[str], str], stated: dict) -> dict[Optional[str], list[str]]:
+    """Each concept's intension as the sorted list of ``text`` of its
+    differences, in the superiors' numbering, which puts each genus first:
+    its genus's list copied, its own differentiae (not in it) insorted.  A
+    list of ``stated`` equal to it stands in its place, held once."""
+    concepts, derived = model.concepts, {None: []}
+    for cid in model.superiors.names:
+        members = derived[concepts[cid].genus].copy()
+        for diff in concepts[cid].differentiae:
+            insort(members, text(diff))
+        derived[cid] = stated[cid] if stated.get(cid) == members else members
+    return derived
+
+
 def _write_intensions(model: m.Model, concepts: Iterable[m.Concept], depth: int) -> Iterator[str]:
-    """Each concept's derived intension as an array opened at ``depth``: the
-    numbered differences are quoted and indented once, and each array is one
-    join over its members."""
-    intensions = model.intensions
-    quoted = [_pad(depth + 1) + text for text in map(_quote, intensions.names)]
-    close = _pad(depth) + "]"
-    return (
-        "[" + ",".join(intensions.members(bits, quoted)) + close if bits else "[]"
-        for bits in map(intensions.bits.__getitem__, map(attrgetter("id"), concepts))
-    )
+    """Each concept's derived intension as an array opened at ``depth``, one
+    join over its differences quoted and indented, which keeps their order:
+    ``"`` sorts before each character of an identifier (``E_NAME``)."""
+    pad, close = _pad(depth + 1), _pad(depth) + "]"
+    derived = _derived_intensions(model, lambda diff: pad + _quote(diff), {})
+    return ("[" + ",".join(derived[c.id]) + close if derived[c.id] else "[]" for c in concepts)
 
 
 def _enum(parse: Callable[[str], Any], noun: str) -> _Codec:
@@ -455,18 +465,10 @@ def from_json(text: str) -> m.Model:
     validate_or_raise(model)
 
     # Stated derived data, when present, must agree with what validation
-    # recomputed; hand-edited files drift here first.  Each intension is
-    # listed in sorted-id order, as to_json writes it, made from its genus's
-    # (validation makes it that plus its own differentiae, none twice) in the
-    # superiors' numbering, which puts each genus first.  A stated list equal
-    # to it stands in its place; one that differs is sorted.
-    concepts, given, derived = model.concepts, stated["intension"], {None: []}
-    for cid in model.superiors.names:
-        members = derived[concepts[cid].genus].copy()
-        for diff in concepts[cid].differentiae:
-            insort(members, diff)
-        derived[cid] = given[cid] if given.get(cid) == members else members
-    for i, cid in enumerate(concepts):
+    # recomputed; hand-edited files drift here first.  An intension that is
+    # not listed as to_json lists it, in sorted-id order, is compared sorted.
+    given, derived = stated["intension"], _derived_intensions(model, str, stated["intension"])
+    for i, cid in enumerate(model.concepts):
         if cid in given and given[cid] is not derived[cid] and sorted(given[cid]) != derived[cid]:
             message = f"stated intension of '{cid}' does not match the derived one"
             raise JsonSchemaError(f"/concepts/{i}/intension", message)

@@ -190,21 +190,30 @@ def relation_kind_is_a(kind: RelationKind, ancestor: RelationKind) -> bool:
     return False
 
 
-def value_kind_of(value: Value) -> ValueKind:
+def value_kind_of(value: object) -> Optional[ValueKind]:
     # bool must be tested before the numeric branch: bool is an int subtype
-    # and Decimal(1) == True under plain ==.
+    # and Decimal(1) == True under plain ==.  None: a value of no kind.
     if isinstance(value, bool):
         return ValueKind.BOOLEAN
     if isinstance(value, (Decimal, int)):
         return ValueKind.NUMBER
     if isinstance(value, str):
         return ValueKind.TEXT
-    raise TypeError(f"unsupported attribute value {value!r}")
+    return None
 
 
-def non_finite(value: Value) -> bool:
-    """True for NaN and the infinities, which no number literal spells."""
-    return isinstance(value, Decimal) and not value.is_finite()
+def literal_fault(value: object, expected: Optional[ValueKind] = None) -> Optional[str]:
+    """What keeps a value from being a literal the DSL spells, worded, or
+    None: a type no value kind covers (a float, None), a kind other than
+    `expected`, or NaN or an infinity, which no number literal spells."""
+    kind = value_kind_of(value)
+    if kind is None:
+        return f"{value!r}, a value of no kind"
+    if expected is not None and kind is not expected:
+        return f"a {kind.value} value, expected {expected.value}"
+    if isinstance(value, Decimal) and not value.is_finite():
+        return f"the non-finite number {value}"
+    return None
 
 
 def values_equal(a: Value, b: Value) -> bool:
@@ -258,6 +267,7 @@ DIAGNOSTIC_CODES = frozenset(
         "E_UNRESOLVED",
         "E_GENUS_CYCLE",
         "E_AXIS_ARITY",
+        "E_EXPR_DEPTH",
         # intension checks
         "E_DUP_INTENSION",
         "E_NO_DELIMITING",
@@ -517,14 +527,11 @@ class BitSets(Mapping[str, frozenset[str]]):
         """The bits of `names`, which must all be numbered."""
         return reduce(or_, map((1).__lshift__, map(self.index.__getitem__, names)), 0)
 
-    def members(self, bits: int, names: Optional[Sequence[str]] = None) -> list[str]:
-        """The items of ``names`` (by default the numbering itself; any
-        sequence parallel to it, such as the names already quoted) at the set
-        bits, in numbering order: a sparse set walks its bits, a dense one
-        filters ``names`` at C speed, each in time proportional to the set's
-        size."""
-        if names is None:
-            names = self.names
+    def members(self, bits: int) -> list[str]:
+        """The names at the set bits, in numbering order: a sparse set walks
+        its bits, a dense one filters ``names`` at C speed, each in time
+        proportional to the set's size."""
+        names = self.names
         if bits.bit_count() * 8 > bits.bit_length():
             return list(compress(names, bin(bits)[:1:-1].encode().translate(self._FLAGS)))
         out = []

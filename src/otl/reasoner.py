@@ -26,16 +26,16 @@ its declarations), in operations on ints of O(D) or O(C) bits:
   path that reaches it, then gets one OR and one shift per stated
   differentia, O(M);
 * uniqueness and axis checks: one pass over the concepts, each intension
-  hashed once, O(C + M); axis clashes from each intension's exclusive-axis
-  bits only;
+  hashed once and its bits beyond its genus's counted, O(C + M); clashes
+  only with two exclusive-axis bits on, scopes only in a model with axes;
 * hierarchy, derived only from intensions that passed those checks, in
   increasing intension size.  Each concept inherits its genus's superiors
   and the genus itself, and looks for further superiors only among the
-  smaller concepts that hold one of its own differentiae that another
-  concept also declares: K' candidate pairs, each one inclusion test
-  ``not a & ~b`` (K' = 0 on trees and chains).  Only the genus and those
-  extras can be covering edges, and each of the E edges found is one OR
-  into its superior's subordinates.  O(C log C + M + K' + E);
+  smaller concepts (one mask per size) that hold one of its own
+  differentiae that another concept also declares: K' candidate pairs,
+  each one test ``not a & ~b``, none if no difference is shared.  Only the
+  genus and those extras can be covering edges, each of the E edges found
+  one OR into its superior's subordinates.  O(C log C + M + K' + E);
 * attributes O(values), part cycles O(parts) by Tarjan's strongly
   connected components (SIAM J. Comput. 1972), terms O(terms + C).
 """
@@ -49,6 +49,7 @@ from operator import or_
 
 from . import model as m
 from .classes import axis_clashes, expression_references
+from .parser import MAX_EXPR_DEPTH
 
 # one or more identifiers, one blank between two
 _NAMES = re.compile(rf"(?:{m.IDENTIFIER.pattern} )*{m.IDENTIFIER.pattern}")
@@ -97,9 +98,10 @@ def _derive_hierarchy(concepts: dict[str, m.Concept], intensions: m.BitSets) -> 
     superiors, direct_super, direct_sub = views = [m.BitSets(dict.fromkeys(concepts, 0)) for _ in range(3)]
     for view in views:  # keyed in declaration order, numbered by position, sharing one index
         view.names, view.index = ids, position
-    first: dict[int, int] = {}
+    smaller: dict[int, int] = {}  # intension size -> the bits of the concepts smaller
     for i, c in enumerate(ids):
-        first.setdefault(size[c], i)
+        if size[c] not in smaller:
+            smaller[size[c]] = (1 << i) - 1
     empty = ids[0] if ids and not ordered[0] else None
 
     # has[d]: the concepts whose intension holds d, i.e. the union of the
@@ -133,17 +135,18 @@ def _derive_hierarchy(concepts: dict[str, m.Concept], intensions: m.BitSets) -> 
         if base is not None:
             g = position[base]
             parents, shadow = 1 << g, up[g]
-        reach = 0
-        for diff in concepts[c].differentiae:
-            reach |= has.get(diff, 0)
-        rest = reach & ~(shadow | parents) & (1 << first[size[c]]) - 1
-        outside = ~ordered[i]
-        while rest:  # from the top, so rest shrinks as it is walked
-            j = rest.bit_length() - 1
-            rest ^= 1 << j
-            if not ordered[j] & outside:
-                parents |= 1 << j
-                shadow |= up[j]  # superiors of c too
+        if has:
+            reach = 0
+            for diff in concepts[c].differentiae:
+                reach |= has.get(diff, 0)
+            rest = reach & ~(shadow | parents) & smaller[size[c]]
+            outside = ~ordered[i]
+            while rest:  # from the top, so rest shrinks as it is walked
+                j = rest.bit_length() - 1
+                rest ^= 1 << j
+                if not ordered[j] & outside:
+                    parents |= 1 << j
+                    shadow |= up[j]  # superiors of c too
         up.append(shadow | parents)
         # Every other superior lies below the base, so only the base and the
         # extras can cover c; each does unless it lies below another.
@@ -285,16 +288,19 @@ class _Validator:
                            "term", str(index))
 
         for cdef in model.classes.values():
-            *references, compared = expression_references(cdef.expr)
+            *references, compared, depth = expression_references(cdef.expr)
             for what, referenced, declared in zip(("concept", "attribute"), references, (concepts, model.attributes)):
                 for ref in sorted(referenced):
                     if ref not in declared:
                         self.error("E_UNRESOLVED", f"class '{cdef.id}' references unknown {what} '{ref}'",
                                    "class", cdef.id)
             for node in compared:
-                if m.non_finite(node.value):
-                    self.error("E_ATTR_VALUE", f"class '{cdef.id}' compares attribute '{node.attribute}' "
-                               f"with the non-finite number {node.value}", "class", cdef.id)
+                if fault := m.literal_fault(node.value):
+                    self.error("E_ATTR_VALUE", f"class '{cdef.id}' compares attribute '{node.attribute}' with {fault}",
+                               "class", cdef.id)
+            if depth > MAX_EXPR_DEPTH:
+                self.error("E_EXPR_DEPTH", f"class '{cdef.id}' nests {depth} parenthesized groups in DSL, "
+                           f"deeper than the parser reads ({MAX_EXPR_DEPTH})", "class", cdef.id)
 
     def check_names(self) -> None:
         """Every declared id and term language is a name the DSL can spell.
@@ -365,29 +371,28 @@ class _Validator:
         intension: a duplicate found for it would restate that fault."""
         model = self.model
         intensions, index = self.intensions.bits, self.intensions.index
-        clashes = axis_clashes(model, self.intensions)
+        exclusive, clashes = axis_clashes(model, self.intensions)
         # with the top bit: ints hash mod 2**61 - 1, so one-bit keys share 61 hashes
-        by_intension: dict[tuple[int, int], list[str]] = {}
+        first: dict[tuple[int, int], str] = {}
+        repeats: dict[str, list[str]] = {}
         for concept in model.concepts.values():
             cid, genus, intension = concept.id, concept.genus, intensions[concept.id]
             if genus is not None and not concept.differentiae:
                 self.error("E_NO_DELIMITING", f"concept '{cid}' adds no delimiting difference to genus '{genus}'",
                            "concept", cid)
-            elif genus is not None and (
-                redundant := [d for d in concept.differentiae if intensions[genus] >> index[d] & 1]
-            ):
-                listing = ", ".join(redundant)
+            elif genus is not None and (intension ^ intensions[genus]).bit_count() < len(concept.differentiae):
+                listing = ", ".join(d for d in concept.differentiae if intensions[genus] >> index[d] & 1)
                 self.error("E_REDUNDANT_DIFFERENTIA",
                            f"concept '{cid}' restates {listing} already in the intension of '{genus}'", "concept", cid)
-            else:
-                by_intension.setdefault((intension.bit_length(), intension), []).append(cid)
-            for axis_id, clash in clashes(intension):
+            elif (owner := first.setdefault((intension.bit_length(), intension), cid)) != cid:
+                repeats.setdefault(owner, []).append(cid)
+            for axis_id, clash in clashes(intension) if (intension & exclusive).bit_count() > 1 else ():
                 listing = ", ".join(clash)
                 self.error("E_AXIS_CONTRADICTION", f"concept '{cid}' combines {listing}, exclusive on axis '{axis_id}'",
                            "concept", cid)
             # Axis scope: a member difference is only available to concepts
             # at or under the axis's scope concept.
-            for diff_id in concept.differentiae:
+            for diff_id in concept.differentiae if model.axes else ():
                 axis_id = model.differences[diff_id].axis
                 if axis_id is None:
                     continue
@@ -395,9 +400,9 @@ class _Validator:
                 if intensions[scope] | intension != intension:
                     self.error("E_AXIS_SCOPE", f"concept '{cid}' uses '{diff_id}' of axis '{axis_id}' "
                                f"scoped at '{scope}', but is not under '{scope}'", "concept", cid)
-        for first, *rest in by_intension.values():
-            for cid in rest:
-                self.error("E_DUP_INTENSION", f"concept '{cid}' has the same combination of differences as '{first}'",
+        for owner in first.values() if repeats else ():
+            for cid in repeats.get(owner, ()):
+                self.error("E_DUP_INTENSION", f"concept '{cid}' has the same combination of differences as '{owner}'",
                            "concept", cid)
 
     # -- stage 4: the derived hierarchy ----------------------------------------
@@ -422,15 +427,9 @@ class _Validator:
                         "value",
                         f"{obj.id}.{attr_id}",
                     )
-                kind = m.value_kind_of(value)
-                if kind is not attr.value_kind:
-                    fault = f"a {kind.value} value, expected {attr.value_kind.value}"
-                elif m.non_finite(value):
-                    fault = f"the non-finite number {value}"
-                else:
-                    continue
-                self.error("E_ATTR_VALUE", f"object '{obj.id}' gives attribute '{attr_id}' {fault}",
-                           "value", f"{obj.id}.{attr_id}")
+                if fault := m.literal_fault(value, attr.value_kind):
+                    self.error("E_ATTR_VALUE", f"object '{obj.id}' gives attribute '{attr_id}' {fault}",
+                               "value", f"{obj.id}.{attr_id}")
 
     def check_parts(self) -> None:
         model = self.model
@@ -475,12 +474,12 @@ class _Validator:
 
         # A concept naming itself in some language should have a preferred
         # designation in that language.
-        for concept in model.concepts.values():
-            languages = preferred.get(concept.id, {})
-            for lang in sorted(languages):
+        for cid in model.concepts:
+            languages = preferred.get(cid)
+            for lang in sorted(languages) if languages else ():
                 if not languages[lang]:
-                    self.error("W_NO_PREFERRED_TERM", f"concept '{concept.id}' has terms in '{lang}' "
-                               "but none preferred", "concept", concept.id, severity=m.Severity.WARNING)
+                    self.error("W_NO_PREFERRED_TERM", f"concept '{cid}' has terms in '{lang}' "
+                               "but none preferred", "concept", cid, severity=m.Severity.WARNING)
 
     # -- driver ---------------------------------------------------------------
 

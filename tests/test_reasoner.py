@@ -24,9 +24,11 @@ from otl import (
     InConcept,
     InvalidModelError,
     Model,
+    Not,
     NotValidatedError,
     ObjectInstance,
     OtlError,
+    Or,
     PartLink,
     RelationKind,
     Severity,
@@ -43,6 +45,7 @@ from otl import (
     has_errors,
     intension,
     parse,
+    print_dsl,
     resolve,
     subsumes,
     to_json,
@@ -50,6 +53,7 @@ from otl import (
     validate_or_raise,
 )
 from otl.model import DIAGNOSTIC_CODES
+from otl.parser import MAX_EXPR_DEPTH
 
 from conftest import load_fixture
 from gen import valid_random_model
@@ -85,6 +89,16 @@ def test_duplicate_intension_single_diagnostic():
     assert codes(diagnostics).count("E_DUP_INTENSION") == 1
     (diag,) = [d for d in diagnostics if d.code == "E_DUP_INTENSION"]
     assert "'LaserMouse'" in diag.message and "'OpticalMouse'" in diag.message
+
+
+def test_duplicate_intensions_of_a_built_model_are_reported_group_by_group():
+    # with no source positions to sort by, each group's repeats follow its
+    # first concept, groups in the order of their first concepts
+    declared = [("X1", "a"), ("Y1", "b"), ("X2", "a"), ("Y2", "b"), ("X3", "a")]
+    model = Model(concepts={cid: Concept(cid, cid, None, (diff,)) for cid, diff in declared})
+    assert [(d.location, d.message.split()[-1]) for d in validate(model)] == [
+        ("X2", "'X1'"), ("X3", "'X1'"), ("Y2", "'Y1'"),
+    ]
 
 
 def test_no_delimiting_characteristic():
@@ -491,6 +505,76 @@ def test_non_finite_class_literals_are_rejected(raw):
         evaluate_class(model, And((HasAttr("n"), AttrEquals("n", Decimal(raw)))))
 
 
+def numbered_model(**collections):
+    """A model of one concept A with a number attribute n, and `collections`."""
+    return Model(
+        differences={"x": Difference("x", "x")},
+        concepts={"A": Concept("A", "A", None, ("x",))},
+        attributes={"n": AttributeDecl("n", "n", "A", ValueKind.NUMBER)},
+        **collections,
+    )
+
+
+@pytest.mark.parametrize("value", [1.5, None])
+def test_values_of_no_kind_are_rejected(value):
+    # an object value, a class literal and an ad-hoc class literal of a type
+    # no value kind covers
+    model = numbered_model(objects={"o": ObjectInstance("o", "o", "A", {"n": value})})
+    assert [d.render() for d in validate(model)] == [
+        f"ERROR E_ATTR_VALUE o.n object 'o' gives attribute 'n' {value!r}, a value of no kind"
+    ]
+    model = numbered_model(classes={"K": ClassDef("K", Or((HasAttr("n"), AttrEquals("n", value))))})
+    assert [d.render() for d in validate(model)] == [
+        f"ERROR E_ATTR_VALUE K class 'K' compares attribute 'n' with {value!r}, a value of no kind"
+    ]
+    del model.classes["K"]
+    validate_or_raise(model)
+    with pytest.raises(OtlError, match=f"^class expression compares attribute 'n' with {value!r}, a value of no kind$"):
+        evaluate_class(model, AttrEquals("n", value))
+
+
+def alternating(levels):
+    """`and` and `or` nodes alternating `levels` deep, each with a leaf beside."""
+    expr = HasAttr("n")
+    for level in range(levels):
+        expr = (Or if level % 2 else And)((expr, InConcept("A")))
+    return expr
+
+
+def test_a_class_the_dsl_can_nest_round_trips_through_print_dsl():
+    # 201 levels print as 200 nested groups, as deep as the parser reads
+    model = validate_or_raise(numbered_model(classes={"K": ClassDef("K", alternating(MAX_EXPR_DEPTH + 1))}))
+    text = print_dsl(model)
+    reparsed = parse(text)
+    assert reparsed.diagnostics == []
+    assert reparsed.model.classes == model.classes
+    assert validate(reparsed.model) == [] and print_dsl(reparsed.model) == text
+
+
+@pytest.mark.parametrize(
+    "expr, groups",
+    [
+        (alternating(MAX_EXPR_DEPTH + 2), MAX_EXPR_DEPTH + 1),
+        (Not(alternating(MAX_EXPR_DEPTH + 1)), MAX_EXPR_DEPTH + 1),  # not (...) is one group more
+        (And((Not(alternating(MAX_EXPR_DEPTH + 3)), HasAttr("n"))), MAX_EXPR_DEPTH + 3),
+    ],
+)
+def test_a_class_nested_deeper_than_the_dsl_reads_is_rejected(expr, groups):
+    model = numbered_model(classes={"K": ClassDef("K", expr)})
+    assert [d.render() for d in validate(model)] == [
+        f"ERROR E_EXPR_DEPTH K class 'K' nests {groups} parenthesized groups in DSL, "
+        f"deeper than the parser reads ({MAX_EXPR_DEPTH})"
+    ]
+    assert "E_EXPR_DEPTH" in DIAGNOSTIC_CODES
+
+
+def test_a_not_chain_adds_no_group():
+    expr = HasAttr("n")
+    for _ in range(3000):
+        expr = Not(expr)
+    assert validate(numbered_model(classes={"K": ClassDef("K", Not(And((expr, expr))))})) == []
+
+
 def test_part_cycle():
     model = parse_ok(
         "concept A := x\nconcept B := y\npart A has B\npart B has A\n"
@@ -789,6 +873,7 @@ def test_the_order_sweep_finds_no_counterexample_in_500_random_models():
     models = [valid_random_model(seed) for seed in range(500)]
     assert sweep.strict_order_violations(models) == 0
     assert sweep.oracle_disagreements(models) == (0, sum(len(model.concepts) ** 2 for model in models))
+    assert sweep.covering_disagreements(models) == (0, sum(len(model.concepts) for model in models))
     assert sweep.duality_breaks(models) == 0
 
 

@@ -20,7 +20,9 @@ doubles with n at these sizes, but the operations on them do O(n) work
 each, so the chain's time gate is 4.5.  Its JSON document lists every
 concept's intension, n²/2 names, so the JSON round trip's gates are 4.5.
 The poly-hierarchy is sized by k differences, not by n, and its gates are
-written against the growth of its output, the covering edges.
+written against the growth of its output: the covering edges of validate,
+the document of to_json, and both for from_json, which reads the one and
+derives the other.
 """
 
 import gc
@@ -171,6 +173,27 @@ def test_poly_hierarchy_validate_grows_with_its_covering_edges():
     time_ratio, memory_ratio, diagnostics = doubling_ratios(validate_call, poly_source, 14, 18)
     assert diagnostics == []
     bound = 1.25 * covering_edges(18) / covering_edges(14)
+    assert time_ratio <= bound
+    assert memory_ratio <= bound
+
+
+def to_json_call(source):
+    return partial(to_json, validated(source))
+
+
+def test_poly_hierarchy_to_json_grows_with_its_document():
+    # k = 14 -> 18: 93643 -> 199081 bytes
+    time_ratio, memory_ratio, text = doubling_ratios(to_json_call, poly_source, 14, 18)
+    bound = 1.25 * len(text) / len(to_json(validated(poly_source(14))))
+    assert time_ratio <= bound
+    assert memory_ratio <= bound
+
+
+def test_poly_hierarchy_from_json_grows_with_its_document_and_covering_edges():
+    time_ratio, memory_ratio, model = doubling_ratios(from_json_call, poly_source, 14, 18)
+    assert model == validated(poly_source(18))
+    small, large = (len(to_json(validated(poly_source(k)))) for k in (14, 18))
+    bound = 1.25 * max(large / small, covering_edges(18) / covering_edges(14))
     assert time_ratio <= bound
     assert memory_ratio <= bound
 

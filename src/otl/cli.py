@@ -77,11 +77,13 @@ def _load(path: str, stderr) -> Optional[m.Model]:
 
 def _emit(payload: Iterable[str], output: Optional[str], stdout, stderr) -> int:
     """Write a payload, a text or its pieces, in batches of about 64 KB, so
-    that neither the whole text nor its encoded copy is held at once."""
+    that neither all the pieces nor a whole text encoded are held at once."""
+    if isinstance(payload, str):  # in slices, each encoded on its own
+        payload = (text[k : k + (1 << 16)] for text in (payload,) for k in range(0, len(text), 1 << 16))
     batch, size = [], 0
     try:
         with nullcontext(stdout) if output is None else open(output, "w", encoding="utf-8") as stream:
-            for piece in (payload,) if isinstance(payload, str) else payload:
+            for piece in payload:
                 batch.append(piece)
                 size += len(piece)
                 if size >= 1 << 16:
@@ -116,10 +118,6 @@ def _wrong_kind(model: m.Model, name: str, wanted: str) -> m.OtlError:
 # a text or its pieces; None means the command has nothing to write.  A
 # command imports the modules only it uses, so `check` loads neither the
 # exporters nor the definitions, and `tree` only the DOT writer, without `json`.
-
-
-def _check(model: m.Model, args: argparse.Namespace) -> Optional[str]:
-    return None
 
 
 def _tree(model: m.Model, args: argparse.Namespace) -> Optional[str]:
@@ -167,7 +165,7 @@ def _export(model: m.Model, args: argparse.Namespace) -> Optional[Iterable[str]]
 
 
 COMMANDS: dict[str, Callable[[m.Model, argparse.Namespace], Optional[Iterable[str]]]] = {
-    "check": _check,
+    "check": lambda model, args: None,
     "tree": _tree,
     "query": _query,
     "define": _define,
@@ -201,10 +199,7 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    # The process runs one command and exits, and loading a model allocates
-    # ~100k long-lived objects without reference cycles, so the cyclic
-    # collector would only rescan a growing heap.  run() and the library
-    # leave the collector as their caller set it.
+    # One command, making no reference cycles: the collector stays off; the library only pauses it per call.
     gc.disable()
     sys.exit(run(sys.argv[1:]))
 

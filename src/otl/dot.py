@@ -29,6 +29,7 @@ def _dot_quote(text: str) -> str:
     return '"' + _dot_escape(text) + '"'
 
 
+@m.collector_paused
 def to_dot(model: m.Model, opts: ExportOptions | None = None) -> str:
     """DOT digraph of the concept hierarchy.
 

@@ -370,6 +370,7 @@ def _json_pieces(model: m.Model) -> Iterator[str]:
     return chain(*[chain((text,), arrays[key]) for text, key in zip(between, sorted(arrays))], (end,))
 
 
+@m.collector_paused
 def to_json(model: m.Model) -> str:
     """Canonical JSON for a validated model, including derived intensions."""
     return "".join(_json_pieces(model))
@@ -417,6 +418,7 @@ def _walk(nodes: list, key: str, noun: Optional[str], fields: tuple[_Field, ...]
     raise AssertionError(f"/{key} passed the walk but not a column check")
 
 
+@m.collector_paused
 def from_json(text: str) -> m.Model:
     """Load a canonical JSON document and defensively re-validate it.
 
@@ -516,6 +518,7 @@ def _emission_order(model: m.Model) -> list[m.Concept]:
     return sorted(concepts.values(), key=lambda c: passes[c.id])  # stable: declaration order within a pass
 
 
+@m.collector_paused
 def print_dsl(model: m.Model) -> str:
     """Render a validated model as DSL source.  Parsing it back yields an
     equal model but for what the DSL cannot state: every label becomes its

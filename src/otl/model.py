@@ -28,12 +28,13 @@ refuses assignment and deletion; its ``__init__`` sets each slot with
 
 from __future__ import annotations
 
+import gc
 import re
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from decimal import Decimal
 from enum import Enum
-from functools import reduce
+from functools import reduce, wraps
 from itertools import compress
 from operator import or_
 from typing import NamedTuple, Optional, Union
@@ -107,6 +108,23 @@ def _generated_init(cls: type) -> Callable[..., None]:
     init = scope["__init__"]
     init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
     return init
+
+
+def collector_paused(call: Callable) -> Callable:
+    """Run a whole-model call with the cyclic collector paused, as Mercurial's
+    ``util.nogc`` does: a model forms no cycles.  The pause is process-wide; only
+    the call that made it lifts it, so a caller's setting (or an outer call's)
+    is kept, and a thread that toggles the collector meanwhile races with it."""
+    @wraps(call)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return call(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 # Attribute values are typed: text, number (exact decimal), or boolean.

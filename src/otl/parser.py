@@ -90,6 +90,7 @@ from .model import (
     TermStatus,
     Value,
     ValueKind,
+    collector_paused,
     parse_relation_kind,
     sorted_diagnostics,
 )
@@ -632,6 +633,7 @@ class _Parser:
 _STATEMENTS = {word: getattr(_Parser, f"_stmt_{word}") for word in STATEMENT_KEYWORDS}
 
 
+@collector_paused
 def parse(source: str, file_name: str = "<input>") -> ParseResult:
     """Parse DSL source into an unvalidated model.
 

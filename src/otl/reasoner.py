@@ -30,12 +30,12 @@ its declarations), in operations on ints of O(D) or O(C) bits:
   only with two exclusive-axis bits on, scopes only in a model with axes;
 * hierarchy, derived only from intensions that passed those checks, in
   increasing intension size.  Each concept inherits its genus's superiors
-  and the genus itself, and looks for further superiors only among the
-  smaller concepts (one mask per size) that hold one of its own
-  differentiae that another concept also declares: K' candidate pairs,
-  each one test ``not a & ~b``, none if no difference is shared.  Only the
-  genus and those extras can be covering edges, each of the E edges found
-  one OR into its superior's subordinates.  O(C log C + M + K' + E);
+  and the genus itself.  If a smaller concept holds one of its differentiae
+  that another concept also declares, it looks up each intension one
+  difference smaller than its own (L lookups in all), each hit a superior;
+  only on a miss are the candidates not yet found tested (K', each ``not a
+  & ~b``).  Only the genus and those extras can cover it, each of the E
+  edges one OR into its superior's subordinates.  O(C log C + M + L + K' + E);
 * attributes O(values), part cycles O(parts) by Tarjan's strongly
   connected components (SIAM J. Comput. 1972), terms O(terms + C).
 """
@@ -64,11 +64,10 @@ class Hierarchy(m.Record):
     covers, each as a read-only bitset view over the superiors' numbering,
     keyed in declaration order; ``roots`` are the concepts nothing subsumes.
 
-    Built by ``_derive_hierarchy`` down the genus tree in O(C log C + M +
-    K' + E) operations on ints of O(C) bits, for C concepts, M declarations,
-    K' candidate extra superiors and E covering edges (see the module
-    docstring).  A lookup builds a frozenset in time proportional to its
-    size; readers that can, such as ``coordinates``, work on the ints.
+    Built by ``_derive_hierarchy`` down the genus tree: lookups of intensions
+    one difference smaller, then a candidate scan only on a miss (costs in
+    the module docstring).  A lookup builds a frozenset in time proportional
+    to its size; readers that can, such as ``coordinates``, work on the ints.
     """
 
     __slots__ = ("superiors", "direct_super", "direct_sub", "roots")
@@ -78,14 +77,14 @@ class Hierarchy(m.Record):
         return c1 in superiors.index and superiors.bits.get(c2, 0) >> superiors.index[c1] & 1 == 1
 
 
-def _derive_hierarchy(concepts: dict[str, m.Concept], intensions: m.BitSets) -> Hierarchy:
+def _derive_hierarchy(concepts: dict[str, m.Concept], intensions: m.BitSets, concept_of: dict) -> Hierarchy:
     """The hierarchy of a model whose intensions passed ``check_intensions``.
 
-    There intensions are unique and each genus's intension is a strict subset
-    of its child's, so sup(c) = sup(genus) | {genus} | E(c).  An extra
-    superior in E(c) holds one of c's own differentiae, which it inherits
-    from a declarer other than c.  A root with differences takes the
-    empty-intension concept, if there is one, in place of a genus.
+    There intensions are unique (``concept_of`` keys each concept by its own)
+    and each genus's intension is a strict subset of its child's, so sup(c) =
+    sup(genus) | {genus} | E(c).  An extra superior in E(c) holds one of c's
+    own differentiae, which it inherits from a declarer other than c.  A root
+    with differences takes the empty-intension concept, if any, as its genus.
     """
     # Concepts are walked, and numbered as bits, in increasing intension
     # size: a concept's genus and extras come before it, and the concepts
@@ -98,10 +97,8 @@ def _derive_hierarchy(concepts: dict[str, m.Concept], intensions: m.BitSets) -> 
     superiors, direct_super, direct_sub = views = [m.BitSets(dict.fromkeys(concepts, 0)) for _ in range(3)]
     for view in views:  # keyed in declaration order, numbered by position, sharing one index
         view.names, view.index = ids, position
-    smaller: dict[int, int] = {}  # intension size -> the bits of the concepts smaller
-    for i, c in enumerate(ids):
-        if size[c] not in smaller:
-            smaller[size[c]] = (1 << i) - 1
+    first = {size[c]: i for i, c in reversed(list(enumerate(ids)))}  # intension size -> its first position
+    smaller = {s: (1 << i) - 1 for s, i in first.items()}  # intension size -> the bits of the concepts smaller
     empty = ids[0] if ids and not ordered[0] else None
 
     # has[d]: the concepts whose intension holds d, i.e. the union of the
@@ -140,6 +137,18 @@ def _derive_hierarchy(concepts: dict[str, m.Concept], intensions: m.BitSets) -> 
             for diff in concepts[c].differentiae:
                 reach |= has.get(diff, 0)
             rest = reach & ~(shadow | parents) & smaller[size[c]]
+            if rest:  # each concept one difference smaller is a superior; if all are, the rest lie under them
+                drops, found = ordered[i], 0
+                while drops:
+                    bit = 1 << drops.bit_length() - 1
+                    drops ^= bit
+                    below = ordered[i] ^ bit
+                    if (hit := concept_of.get((below.bit_length(), below))) is not None:
+                        j = position[hit]
+                        parents |= 1 << j
+                        shadow |= up[j]
+                        found += 1
+                rest &= ~(shadow | parents) if found < size[c] else 0
             outside = ~ordered[i]
             while rest:  # from the top, so rest shrinks as it is walked
                 j = rest.bit_length() - 1
@@ -210,6 +219,7 @@ class _Validator:
         self.model = model
         self.diagnostics: list[m.Diagnostic] = []
         self.intensions = m.BitSets()
+        self.concept_of: dict[tuple[int, int], str] = {}  # (bit length, intension) -> its first concept
         self.hierarchy: Hierarchy | None = None
 
     def error(self, code: str, message: str, kind: str, entity_id: str,
@@ -373,7 +383,7 @@ class _Validator:
         intensions, index = self.intensions.bits, self.intensions.index
         exclusive, clashes = axis_clashes(model, self.intensions)
         # with the top bit: ints hash mod 2**61 - 1, so one-bit keys share 61 hashes
-        first: dict[tuple[int, int], str] = {}
+        first = self.concept_of
         repeats: dict[str, list[str]] = {}
         for concept in model.concepts.values():
             cid, genus, intension = concept.id, concept.genus, intensions[concept.id]
@@ -408,7 +418,7 @@ class _Validator:
     # -- stage 4: the derived hierarchy ----------------------------------------
 
     def derive_hierarchy(self) -> None:
-        self.hierarchy = _derive_hierarchy(self.model.concepts, self.intensions)
+        self.hierarchy = _derive_hierarchy(self.model.concepts, self.intensions, self.concept_of)
 
     # -- stage 5: attributes, parts, terms --------------------------------------
 
@@ -505,6 +515,7 @@ class _Validator:
         return m.sorted_diagnostics(self.diagnostics)
 
 
+@m.collector_paused
 def validate(model: m.Model) -> list[m.Diagnostic]:
     """Resolve and check a model against every structural invariant.
 

@@ -9,8 +9,11 @@ import sys
 
 import pytest
 
+import otl
 from otl import (
     Concept,
+    InvalidModelError,
+    JsonSchemaError,
     Model,
     OtlError,
     __version__,
@@ -18,11 +21,13 @@ from otl import (
     from_json,
     intension,
     parse,
+    print_dsl,
     to_json,
     validate,
     validate_or_raise,
 )
 from otl.cli import main, run
+from otl.model import collector_paused
 
 from conftest import FIXTURES, ROOT
 
@@ -193,6 +198,25 @@ def test_usage_error_exit_2():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["check", "{dir}/latin1.otl"], 1, "error: cannot read {dir}/latin1.otl: invalid UTF-8 at byte 10\n"),
+        (["check", "{dir}/gone.otl"], 1, "error: cannot read {dir}/gone.otl: No such file or directory\n"),
+        (["check", "{dir}"], 1, "error: cannot read {dir}: Is a directory\n"),
+        (["check", "--no-such-flag", MOUSE], 2, "error: unrecognized arguments: --no-such-flag\n"),
+    ],
+    ids=["latin1", "missing", "directory", "unknown_flag"],
+)
+def test_unreadable_input_and_bad_usage_exit_without_a_traceback(tmp_path, args, code, message):
+    # each in a fresh interpreter, as a shell runs it
+    (tmp_path / "latin1.otl").write_bytes(b"concept A\n\xff\n")
+    done = otl_process("-m", "otl.cli", *[arg.format(dir=tmp_path) for arg in args])
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr
+    assert done.stderr.endswith(message.format(dir=tmp_path))
+
+
 def test_missing_file_exit_1():
     code, out, err = invoke(["check", "no-such-file.otl"])
     assert code == 1
@@ -272,8 +296,57 @@ def test_library_and_run_leave_the_collector_as_they_found_it(enabled):
         assert gc.isenabled() is enabled
         assert invoke(["export", MOUSE, "--format", "json"])[0] == 0
         assert gc.isenabled() is enabled
+        # raised after the nested validate, by the stated-intension check
+        document = json.loads(to_json(model))
+        document["concepts"][0]["intension"] = ["nowhere"]
+        with pytest.raises(JsonSchemaError):
+            from_json(json.dumps(document))
+        assert gc.isenabled() is enabled
+        with pytest.raises(InvalidModelError):
+            validate_or_raise(Model(concepts={"B": Concept("B", "B", "Ghost", ("d",))}))
+        assert gc.isenabled() is enabled
+
+        @collector_paused
+        def nested():
+            from_json(to_json(model))
+            validate(parse(print_dsl(model)).model)
+            return gc.isenabled()
+
+        assert nested() is False  # the inner calls found it paused and left it so
+        assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def test_whole_model_calls_start_no_collection():
+    # 2000 concepts, each with an object: before these calls paused the
+    # collector, parsing, validating and reloading them started about 70
+    # collections inside otl
+    source = "concept T0\nattribute size : number on T0\n" + "".join(
+        f"concept T{i} := T{(i - 1) // 8} + t{i}\nobject o{i} : T{i} {{ size = {i} }}\n" for i in range(1, 2000)
+    )
+    package = os.path.dirname(otl.__file__)
+    inside = []
+
+    def note(phase, info):  # called by the collector, on top of the frame that allocated
+        frame = sys._getframe(1)
+        while frame is not None and not frame.f_code.co_filename.startswith(package):
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            inside.append((info["generation"], frame.f_code.co_name))
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(note)
+    try:
+        model = parse(source).model
+        diagnostics = validate(model)
+        reloaded = from_json(to_json(model))
+    finally:
+        gc.callbacks.remove(note)
+        (gc.enable if was else gc.disable)()
+    assert diagnostics == [] and reloaded == model
+    assert inside == []
 
 
 def test_main_runs_without_the_cyclic_collector(monkeypatch, capsys):

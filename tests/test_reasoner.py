@@ -815,16 +815,57 @@ def test_hierarchy_of_a_difference_declared_in_subtrees_at_several_depths():
     assert compute_hierarchy(model).direct_super["A2"] == {"A1", "D", "E"}
 
 
+def one_smaller_missing(model):
+    """The concepts with some intension one difference smaller than their
+    own that is no concept's."""
+    intensions = {oracle_intension(model, c) for c in model.concepts}
+    return {
+        c for c in model.concepts
+        if any(oracle_intension(model, c) - {d} not in intensions for d in oracle_intension(model, c))
+    }
+
+
 def test_hierarchy_of_all_small_subsets():
-    names = "abcdef"
+    # the poly-hierarchy: every superior is found by looking up the
+    # intensions one difference smaller, and each of those is a concept
+    names = "abcdefg"
     lines = []
     for size in (1, 2, 3):
         for combo in itertools.combinations(names, size):
             genus = f"S{''.join(combo[:-1])} + " if size > 1 else ""
             lines.append(f"concept S{''.join(combo)} := {genus}{combo[-1]}\n")
     model = validate_or_raise(parse_ok("".join(lines)))
+    assert one_smaller_missing(model) == {"S" + name for name in names}  # only the roots, which have none above
     assert_hierarchy_matches_oracles(model)
     assert compute_hierarchy(model).direct_super["Sace"] == {"Sac", "Sae", "Sce"}
+
+
+@pytest.mark.parametrize(
+    "source, concept, covering",
+    [
+        # {a} and {b, c} under {a, b, c}, with {a, b} and {a, c} absent
+        ("concept A := a\nconcept BC := b, c\nconcept ABC := A + b, c\n", "ABC", {"A", "BC"}),
+        # no intension one smaller is a concept: {b} is found by the scan
+        ("concept A := a\nconcept B := b\nconcept ABC := A + b, c\n", "ABC", {"A", "B"}),
+        # {a, b, c} is found by lookup, {d} only by the scan
+        (
+            "concept X := a\nconcept Y := b, c\nconcept Z := d\n"
+            "concept V := X + b, c\nconcept W := X + b, c, d\n",
+            "W",
+            {"V", "Z"},
+        ),
+        # {b} is a candidate but lies under {b, c}, found by lookup: no cover
+        ("concept B := b\nconcept BC := B + c\nconcept A := a\nconcept ABC := A + b, c\n", "ABC", {"A", "BC"}),
+        # a root whose differences are shared: the empty concept and a scan
+        ("concept Top\nconcept P := p\nconcept Q := q\nconcept PQR := p, q, r\n", "PQR", {"P", "Q"}),
+    ],
+    ids=["genus_and_hit", "scan_only", "lookup_and_scan", "candidate_under_lookup", "root"],
+)
+def test_hierarchy_where_some_intension_one_smaller_is_no_concept(source, concept, covering):
+    model = validate_or_raise(parse_ok(source))
+    assert concept in one_smaller_missing(model)
+    assert_hierarchy_matches_oracles(model)
+    assert compute_hierarchy(model).direct_super[concept] == covering
 
 
 def test_hierarchy_of_a_long_genus_chain():

@@ -327,3 +327,43 @@ def test_export_json_holds_no_whole_document(tmp_path):
         for command, flags in (("check", []), ("export", ["--format", "json"]))
     }
     assert peaks["export"] - peaks["check"] < 0.25 * len(payload.getvalue())
+
+
+class HeldAtWrite(io.RawIOBase):
+    """A binary sink that discards what it gets and notes the most memory
+    tracemalloc saw held at one of its writes."""
+
+    held = 0
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.held = max(self.held, tracemalloc.get_traced_memory()[0])
+        return len(data)
+
+
+def test_tree_holds_no_encoded_copy_of_its_text(tmp_path):
+    # The DOT text is made whole, then written in slices of 64 K characters:
+    # written as one piece, its encoded copy was held beside it as well.
+    path = str(tmp_path / "wide.otl")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(wide_tree_source(4000))
+    text = io.StringIO()
+    assert run(["tree", path, "--derived", "--objects"], stdout=text, stderr=Discard()) == 0
+    assert run(["define", path, "T1"], stdout=io.StringIO(), stderr=Discard()) == 0  # imports what it uses
+
+    def held(argv):
+        sink = HeldAtWrite()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert run(argv, stdout=io.TextIOWrapper(sink, encoding="utf-8"), stderr=Discard()) == 0
+        finally:
+            tracemalloc.stop()
+        return sink.held
+
+    # a one-line payload: what the loaded model and the command hold
+    loaded = held(["define", path, "T1"])
+    tree = held(["tree", path, "--derived", "--objects"])
+    assert tree - loaded <= len(text.getvalue()) + 4 * (1 << 16)

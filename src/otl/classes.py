@@ -13,7 +13,7 @@ axis is reported as a ``Contradiction`` instead of an expression.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, TypeVar, Union
+from typing import Any, Callable, Iterable, Sequence, TypeVar, Union
 
 from . import model as m
 
@@ -69,39 +69,47 @@ class Contradiction(m.Frozen):
 
 
 _T = TypeVar("_T")
+_COMBINE = object()  # marks on fold's stack where a node is combined
 _Clash = tuple[str, list[str]]
 
 
-def fold(expr: ClassExpression, combine: Callable[[ClassExpression, list[_T]], _T]) -> _T:
-    """Combine an expression bottom-up: `combine(node, results)` gets each
-    node with the results of its children, in order, and the root's result is
-    returned.  Children are visited left to right, and an explicit stack
-    keeps the walk clear of the interpreter recursion limit at any depth:
-    the nodes are listed in preorder, last child first, with their arities,
-    and the reverse of that list is the left-to-right postorder."""
-    nodes: list[ClassExpression] = []
-    arities: list[int] = []
-    stack = [expr]
+def _children(expr: ClassExpression) -> tuple[ClassExpression, ...]:
+    return (expr.child,) if isinstance(expr, Not) else getattr(expr, "children", ())
+
+
+def fold(expr: Any, combine: Callable[[Any, list[_T]], _T], children: Callable[[Any], Sequence] = _children) -> _T:
+    """Combine a tree bottom-up in a recursive walk's order, on one explicit
+    stack, so at any depth: `children(node)` is called on reaching a node and
+    `combine(node, results)` once its children, left to right, are combined."""
+    results: list[_T] = []
+    stack = [expr]  # the nodes to reach; under a reached node's children, its arity, itself and _COMBINE
     while stack:
         node = stack.pop()
-        nodes.append(node)
-        if isinstance(node, (And, Or)):
-            stack.extend(node.children)
-            arities.append(len(node.children))
-        elif isinstance(node, Not):
-            stack.append(node.child)
-            arities.append(1)
-        else:
-            arities.append(0)
-    results: list[_T] = []
-    for node, arity in zip(reversed(nodes), reversed(arities)):
-        if arity:
-            value = combine(node, results[-arity:])
-            del results[-arity:]
-            results.append(value)
+        if node is _COMBINE:
+            node, arity = stack.pop(), stack.pop()
+            cut = len(results) - arity
+            results[cut:] = [combine(node, results[cut:])]
+        elif kids := children(node):
+            stack += (len(kids), node, _COMBINE, *reversed(kids))
         else:
             results.append(combine(node, []))
     return results[0]
+
+
+def _same(pair: tuple, results: list[bool]) -> bool:  # two nodes side by side, after their children paired up
+    a, b = pair
+    kids = _children(a)
+    return a.__class__ is b.__class__ and (len(kids) == len(_children(b)) and all(results) if kids else a == b)
+
+
+def _equal(self: ClassExpression, other: object) -> bool:
+    """Compare two expressions with one walk over both trees, so at any depth."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return fold((self, other), _same, lambda pair: tuple(zip(*map(_children, pair))))
+
+
+And.__eq__ = Or.__eq__ = Not.__eq__ = _equal  # type: ignore  # set after the class is made: it keeps Frozen's hash
 
 
 def expression_references(expr: ClassExpression) -> tuple[set[str], set[str], list[AttrEquals], int]:
@@ -138,33 +146,20 @@ def evaluate_class(model: m.Model, expr: ClassExpression) -> frozenset[str]:
     def evaluate(node: ClassExpression, parts: list[frozenset[str]]) -> frozenset[str]:
         if isinstance(node, InConcept):
             return m.extension(model, node.concept)
-        if isinstance(node, AttrEquals):
-            _check_attribute(model, node.attribute)
-            if fault := m.literal_fault(node.value):  # the check validate makes of a named class
-                raise m.OtlError(f"class expression compares attribute '{node.attribute}' with {fault}")
-            return frozenset(
-                oid
-                for oid in universe
-                if node.attribute in model.objects[oid].values
-                and m.values_equal(model.objects[oid].values[node.attribute], node.value)
-            )
+        if isinstance(node, (And, Or)):
+            return parts[0].intersection(*parts[1:]) if isinstance(node, And) else parts[0].union(*parts[1:])
+        if isinstance(node, Not):
+            return universe - parts[0]
+        if node.attribute not in model.attributes:
+            raise m.UnknownIdentifierError(f"unknown attribute '{node.attribute}'")
         if isinstance(node, HasAttr):
-            _check_attribute(model, node.attribute)
-            return frozenset(
-                oid for oid in universe if node.attribute in model.objects[oid].values
-            )
-        if isinstance(node, And):
-            return parts[0].intersection(*parts[1:])
-        if isinstance(node, Or):
-            return parts[0].union(*parts[1:])
-        return universe - parts[0]
+            return frozenset(oid for oid in universe if node.attribute in model.objects[oid].values)
+        if fault := m.literal_fault(node.value):  # the check validate makes of a named class
+            raise m.OtlError(f"class expression compares attribute '{node.attribute}' with {fault}")
+        return frozenset(oid for oid in universe if node.attribute in model.objects[oid].values
+                         and m.values_equal(model.objects[oid].values[node.attribute], node.value))
 
     return fold(expr, evaluate)
-
-
-def _check_attribute(model: m.Model, attribute_id: str) -> None:
-    if attribute_id not in model.attributes:
-        raise m.UnknownIdentifierError(f"unknown attribute '{attribute_id}'")
 
 
 def axis_clashes(model: m.Model, numbering: m.BitSets) -> tuple[int, Callable[[int], list[_Clash]]]:

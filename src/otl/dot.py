@@ -52,9 +52,7 @@ def to_dot(model: m.Model, opts: ExportOptions | None = None) -> str:
         lines.append(f"  {_dot_quote(concept.id)} [label={label}];")
     if opts.include_objects:
         for obj in model.objects.values():
-            lines.append(
-                f"  {_dot_quote(obj.id)} [label={_dot_quote(obj.label)}, shape=ellipse];"
-            )
+            lines.append(f"  {_dot_quote(obj.id)} [label={_dot_quote(obj.label)}, shape=ellipse];")
     for concept in model.concepts.values():
         if concept.genus is not None:
             lines.append(f"  {_dot_quote(concept.genus)} -> {_dot_quote(concept.id)};")
@@ -62,13 +60,9 @@ def to_dot(model: m.Model, opts: ExportOptions | None = None) -> str:
         for concept in model.concepts.values():
             genus = 1 << covering.index[concept.genus] if concept.genus is not None else 0
             for superordinate in sorted(covering.members(covering.bits[concept.id] & ~genus)):
-                lines.append(
-                    f"  {_dot_quote(superordinate)} -> {_dot_quote(concept.id)} [style=dashed];"
-                )
+                lines.append(f"  {_dot_quote(superordinate)} -> {_dot_quote(concept.id)} [style=dashed];")
     if opts.include_objects:
         for obj in model.objects.values():
-            lines.append(
-                f"  {_dot_quote(obj.concept)} -> {_dot_quote(obj.id)} [style=dotted];"
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            lines.append(f"  {_dot_quote(obj.concept)} -> {_dot_quote(obj.id)} [style=dotted];")
+    lines.append("}\n")  # the final newline, in the one join
+    return "\n".join(lines)

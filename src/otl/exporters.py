@@ -40,7 +40,7 @@ from operator import attrgetter, itemgetter
 from typing import Any, Callable, Container, Iterable, Iterator, NamedTuple, NoReturn, Optional
 
 from . import model as m
-from .classes import And, AttrEquals, ClassExpression, HasAttr, InConcept, Not, Or, fold
+from .classes import And, AttrEquals, ClassExpression, HasAttr, InConcept, Not, Or, _children, fold
 from .reasoner import validate_or_raise
 
 JSON_VERSION = "otl-json/1"
@@ -49,9 +49,13 @@ JSON_VERSION = "otl-json/1"
 class JsonSchemaError(m.OtlError):
     code = "E_JSON_SCHEMA"
 
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
+    def __init__(self, path: str | tuple, message: str):
+        tokens = []
+        while isinstance(path, tuple):  # (path, token), a path one token longer, spelt out only here
+            path, token = path
+            tokens.append(token)
+        self.path = path + "".join(reversed(tokens))
+        super().__init__(f"{self.path}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +86,7 @@ def _array(items: list[str], depth: int, brackets: str = "[]") -> str:
     return brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + brackets[1]
 
 
-def _shape_error(path: str, expected: str, node: Any) -> JsonSchemaError:
+def _shape_error(path: str | tuple, expected: str, node: Any) -> JsonSchemaError:
     return JsonSchemaError(path, f"expected {expected}, got {type(node).__name__}")
 
 
@@ -112,7 +116,7 @@ class _Field(NamedTuple):
     derive: Optional[Callable[[m.Model, Iterable[Any], int], Iterable[str]]] = None
 
 
-def _check(node: Any, path: str, fields: Iterable[_Field], keys: Container[str]) -> None:
+def _check(node: Any, path: str | tuple, fields: Iterable[_Field], keys: Container[str]) -> None:
     """Check the keys of a JSON object and the shape of each field's value:
     first any key not in ``keys``, then each field's presence and shape in
     field order."""
@@ -120,13 +124,13 @@ def _check(node: Any, path: str, fields: Iterable[_Field], keys: Container[str])
         raise _shape_error(path, "object", node)
     for key in node:
         if key not in keys:
-            raise JsonSchemaError(f"{path}/{_token(key)}", "unexpected key")
+            raise JsonSchemaError((path, "/" + _token(key)), "unexpected key")
     for key, codec, derive in fields:
         if key not in node:
             if derive is None:
                 raise JsonSchemaError(path, f"missing key '{key}'")
         elif not isinstance(node[key], codec.shape):
-            raise _shape_error(f"{path}/{key}", codec.shape.__name__, node[key])
+            raise _shape_error((path, "/" + key), codec.shape.__name__, node[key])
 
 
 def _token(key: str) -> str:  # a key as a JSON-pointer path token (RFC 6901)
@@ -217,17 +221,17 @@ def _tagged(value: m.Value, template: str) -> str:
     return template % ('"boolean"', "true" if value else "false")
 
 
-def _read_value(node: Any, path: str) -> m.Value:
+def _read_value(node: Any, path: str | tuple) -> m.Value:
     _check(node, path, _VALUE_FIELDS, _VALUE_KEYS)
     kind, raw = node["kind"], node["value"]
     if kind not in _KINDS:
-        raise JsonSchemaError(f"{path}/kind", f"unknown value kind {kind!r}")
+        raise JsonSchemaError((path, "/kind"), f"unknown value kind {kind!r}")
     if not isinstance(raw, _KINDS[kind][0]):
-        raise JsonSchemaError(f"{path}/value", _KINDS[kind][1])
+        raise JsonSchemaError((path, "/value"), _KINDS[kind][1])
     if kind != "number":
         return raw
     if not m.NUMBER_LITERAL.fullmatch(raw):
-        raise JsonSchemaError(f"{path}/value", f"invalid decimal literal {raw!r}")
+        raise JsonSchemaError((path, "/value"), f"invalid decimal literal {raw!r}")
     return Decimal(raw)
 
 
@@ -255,9 +259,9 @@ _VALUES = _Codec(dict, _write_values,
                  lambda node, path: {k: _read_value(v, f"{path}/{_token(k)}") for k, v in node.items()}, _load_values)
 
 
-# An expression is written and read with one call of _expr or _read_expr per
-# nesting level (their codecs call them through map or a loop, never a
-# comprehension), so as deep as json.loads itself reads.
+# An expression is written with one call of _expr per level (its codecs call
+# it through map, never a comprehension), as deep as the recursion limit lets
+# it; it is read in one fold, each node's path a (path, token) pair: O(depth).
 
 
 def _expr(expr: ClassExpression, depth: int) -> str:
@@ -269,33 +273,40 @@ def _expr(expr: ClassExpression, depth: int) -> str:
     return _template(depth, tuple(keys)) % tuple(map(texts.__getitem__, keys))
 
 
-def _read_expr(node: Any, path: str) -> ClassExpression:
+def _reach(item: tuple[Any, str | tuple]) -> list[tuple[Any, tuple]]:
+    """Check an expression node as the walk reaches it; its children, with paths."""
+    node, path = item
     if not isinstance(node, dict) or "op" not in node:
         raise JsonSchemaError(path, "expected expression object with 'op'")
     op = node["op"]
     if not isinstance(op, str) or op not in _OPS:
-        raise JsonSchemaError(f"{path}/op", f"unknown operator {op!r}")
-    cls, fields = _OPS[op]
+        raise JsonSchemaError((path, "/op"), f"unknown operator {op!r}")
+    fields = _OPS[op][1]
     _check(node, path, fields, {"op", *(field.key for field in fields)})
-    args = {}
-    for key, codec, _ in fields:
-        args[key] = node[key] if codec.read is None else codec.read(node[key], f"{path}/{key}")
+    if op == "not":
+        return [(node["child"], (path, "/child"))]
+    return [(child, (path, f"/children/{i}")) for i, child in enumerate(node.get("children", ()))]
+
+
+def _build(item: tuple[Any, str | tuple], exprs: list[ClassExpression]) -> ClassExpression:
+    """Build an expression node from its children, once they are built."""
+    node, path = item
+    cls, fields = _OPS[node["op"]]
+    if cls not in (And, Or, Not):  # a leaf: its fields are read here, the eq value among them
+        return cls(*[node[k] if codec.read is None else codec.read(node[k], (path, "/" + k)) for k, codec, _ in fields])
     try:
-        return cls(**args)
+        return Not(exprs[0]) if cls is Not else cls(tuple(exprs))
     except ValueError:  # And and Or take two children or more
-        raise JsonSchemaError(f"{path}/children", f"'{op}' needs at least two children") from None
+        raise JsonSchemaError((path, "/children"), f"'{node['op']}' needs at least two children") from None
 
 
 def _exprs(children: tuple[ClassExpression, ...], depth: int) -> str:
     return _array(list(map(_expr, children, repeat(depth + 1))), depth)
 
 
-def _read_exprs(node: list, path: str) -> tuple[ClassExpression, ...]:
-    return tuple(map(_read_expr, node, [f"{path}/{i}" for i in range(len(node))]))
-
-
-_EXPR = _Codec(object, lambda exprs, depth: map(_expr, exprs, repeat(depth)), _read_expr)
-_EXPRS = _Codec(list, lambda lists, depth: map(_exprs, lists, repeat(depth)), _read_exprs)
+_EXPR = _Codec(object, lambda exprs, depth: map(_expr, exprs, repeat(depth)),
+               lambda node, path: fold((node, path), _build, _reach))
+_EXPRS = _Codec(list, lambda lists, depth: map(_exprs, lists, repeat(depth)))
 
 # The otl-json/1 schema.  ``_OPS``: each expression operator's class and
 # fields; ``_ENTITIES``: one row per entity array, in load order, with the
@@ -364,8 +375,11 @@ def _json_pieces(model: m.Model) -> Iterator[str]:
     writer that can raise, are written before this returns, so a caller
     that writes the pieces as they come writes nothing when it fails."""
     model.require_validated("to_json")
-    arrays = {key: _entities(model, key, fields) for key, _, _, fields in _ENTITIES}
-    arrays.update(classes=list(arrays["classes"]), version=(_quote(JSON_VERSION),))
+    try:
+        arrays = {key: _entities(model, key, fields) for key, _, _, fields in _ENTITIES}
+        arrays.update(classes=list(arrays["classes"]), version=(_quote(JSON_VERSION),))
+    except RecursionError:  # _expr, until it writes at any depth
+        raise m.OtlError("a class expression is nested too deeply to write as JSON") from None
     *between, end = (_template(0, tuple(arrays)) + "\n").split("%s")
     return chain(*[chain((text,), arrays[key]) for text, key in zip(between, sorted(arrays))], (end,))
 
@@ -376,8 +390,8 @@ def to_json(model: m.Model) -> str:
     return "".join(_json_pieces(model))
 
 
-# json.loads (3.10, 3.11) or the expression walk (3.12 on) runs out of
-# recursion depth first on nesting near the interpreter's recursion limit.
+# What json.loads cannot read for its nesting (near 1000 levels on 3.10 and
+# 3.11, 1500 on 3.12, 10000 on 3.13); the expression reader takes any depth.
 _TOO_DEEP = "document nested too deeply"
 
 
@@ -394,7 +408,7 @@ def _columns(nodes: list, fields: tuple[_Field, ...], stated: dict[str, dict]) -
         _require(key != "id" or len(set(column)) == len(column))
     columns = []
     for (key, codec, derive), held, column in zip(fields, holders, raw):
-        if codec.read is not None:  # last, so an expression too deep to read is the first fault
+        if codec.read is not None:
             column = codec.load(column) if codec.load else list(map(codec.read, column, repeat("")))
         if derive is None:
             columns.append(column)
@@ -445,24 +459,21 @@ def from_json(text: str) -> m.Model:
 
     model = m.Model()
     stated: dict[str, dict[str, Any]] = {}  # derived fields, compared after validation
-    try:
-        for key, cls, noun, fields in _ENTITIES:
-            nodes, store = doc[key], getattr(model, key)
-            if not isinstance(nodes, list):
-                raise _shape_error(f"/{key}", "list", nodes)
-            try:
-                columns: Optional[list[list]] = _columns(nodes, fields, stated)
-            except (LookupError, TypeError, ValueError, m.OtlError):  # raised unworded by checks and readers
-                columns = None
-            if columns is None:
-                _walk(nodes, key, noun, fields)
-            entities = list(map(cls, *columns))
-            if noun is None:
-                store.extend(entities)
-            else:
-                store.update(zip(map(attrgetter("id"), entities), entities))
-    except RecursionError:
-        raise JsonSchemaError("/", _TOO_DEEP) from None
+    for key, cls, noun, fields in _ENTITIES:
+        nodes, store = doc[key], getattr(model, key)
+        if not isinstance(nodes, list):
+            raise _shape_error(f"/{key}", "list", nodes)
+        try:
+            columns: Optional[list[list]] = _columns(nodes, fields, stated)
+        except (LookupError, TypeError, ValueError, m.OtlError):  # raised unworded by checks and readers
+            columns = None
+        if columns is None:
+            _walk(nodes, key, noun, fields)
+        entities = list(map(cls, *columns))
+        if noun is None:
+            store.extend(entities)
+        else:
+            store.update(zip(map(attrgetter("id"), entities), entities))
 
     validate_or_raise(model)
 
@@ -496,8 +507,7 @@ def _dsl_node(node: ClassExpression, texts: list[str]) -> str:
         return f"{node.attribute} = {m.render_value(node.value)}"
     if isinstance(node, HasAttr):
         return f"has {node.attribute}"
-    children = (node.child,) if isinstance(node, Not) else node.children
-    texts = [f"({t})" if isinstance(c, (And, Or)) else t for c, t in zip(children, texts)]
+    texts = [f"({t})" if isinstance(c, (And, Or)) else t for c, t in zip(_children(node), texts)]
     if isinstance(node, Not):
         return "not " + texts[0]
     return (" and " if isinstance(node, And) else " or ").join(texts)
@@ -562,4 +572,5 @@ def print_dsl(model: m.Model) -> str:
     for cdef in model.classes.values():
         lines.append(f"class {cdef.id} := {{ x | {fold(cdef.expr, _dsl_node)} }}")
 
-    return "\n".join(lines) + "\n" if lines else ""
+    lines.append("")  # the final newline, in the one join
+    return "\n".join(lines)

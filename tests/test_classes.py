@@ -2,6 +2,7 @@
 
 import random
 import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from otl import (
     subsumes,
     validate_or_raise,
 )
+from otl.classes import fold
 
 from gen import random_expr, valid_random_model
 from oracles import oracle_evaluate
@@ -206,3 +208,39 @@ def test_contradiction_soundness(seed):
             assert evaluate_class(
                 model, And((InConcept(c1), InConcept(c2)))
             ) == frozenset()
+
+
+def test_fold_reaches_nodes_in_preorder_and_combines_them_in_postorder():
+    a, b, c, d = InConcept("a"), HasAttr("b"), InConcept("c"), AttrEquals("d", "x")
+    expr = And((Not(a), Or((b, Not(c))), d))
+    reached, combined = [], []
+
+    def children(node):
+        reached.append(node)
+        return (node.child,) if isinstance(node, Not) else getattr(node, "children", ())
+
+    def combine(node, results):
+        combined.append(node)
+        return len(results)
+
+    assert fold(expr, combine, children) == 3
+    inner = expr.children[1]
+    assert reached == [expr, Not(a), a, inner, b, Not(c), c, d]
+    assert combined == [a, Not(a), b, c, Not(c), inner, d, expr]
+    assert fold(expr, lambda node, results: [node, results]) == fold(expr, lambda node, results: [node, results], children)
+
+
+def deep_source(leaf):
+    return "concept A := x\nattribute colour : text on A\nclass Deep := { x | " + "not " * 5000 + leaf + " }\n"
+
+
+def test_expressions_compare_at_any_depth():
+    # one walk over both trees: the record comparison recursed once a level
+    deep = parse(deep_source("has colour")).model
+    assert deep == parse(deep_source("has colour")).model
+    assert deep != parse(deep_source("in A")).model
+    assert deep.classes["Deep"].expr != Not(deep.classes["Deep"].expr)
+    assert And((HasAttr("a"), Not(InConcept("b")))) == And((HasAttr("a"), Not(InConcept("b"))))
+    assert And((HasAttr("a"), HasAttr("b"))) != And((HasAttr("a"), HasAttr("b"), HasAttr("b")))
+    assert Or((HasAttr("a"), HasAttr("b"))) != And((HasAttr("a"), HasAttr("b")))
+    assert Not(AttrEquals("a", Decimal("1.0"))) == Not(AttrEquals("a", Decimal("1")))

@@ -538,8 +538,71 @@ def test_export_json_writes_no_payload_when_it_fails(tmp_path):
         assert [c["id"] for c in json.loads(to_stdout.stdout)["classes"]] == ["Shallow", "Deep"]
         assert target.read_text(encoding="utf-8") == to_stdout.stdout
     else:
-        assert (to_stdout.stdout, to_file.stdout) == ("", "")
-        assert to_file.returncode != 0 and not target.exists()
+        for done in (to_stdout, to_file):
+            assert (done.returncode, done.stdout) == (1, "")
+            assert "Traceback" not in done.stderr and done.stderr.startswith("error: ")
+            assert len(done.stderr.splitlines()) == 1
+        assert not target.exists()
+
+
+# One fresh interpreter per fixture, under -X dev -W error, runs the
+# commands below on it in-process: each command into /dev/null, then export
+# and tree into a pipe whose reader closed before the first byte (as `true`
+# does) or after it (as `head -c 1` does).  Closing the stream stands for
+# the interpreter's last flush.  It prints as JSON what each run returned
+# and what reached stderr meanwhile, a warning or traceback included.
+RUN_ON_FIXTURE = """
+import contextlib, io, json, os, sys, threading, traceback
+from otl.cli import run
+
+def attempt(command, out):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            with out:
+                code = run([*command.split(), sys.argv[1]], stdout=out, stderr=err)
+        except Exception:
+            traceback.print_exc()
+            code = None
+    return code, err.getvalue()
+
+report = {"commands": [], "pipes": []}
+for command in ("check", "export --format json", "export --format dsl", "tree --derived --objects", "lexicon --lang en"):
+    report["commands"].append([command, *attempt(command, open(os.devnull, "w", encoding="utf-8"))])
+for command in ("export --format json", "tree --derived --objects"):
+    for reader in ("head -c 1", "true"):
+        read, write = os.pipe()
+        if reader == "true":
+            os.close(read)
+        else:
+            head = threading.Thread(target=lambda fd: (os.read(fd, 1), os.close(fd)), args=(read,))
+            head.start()
+        report["pipes"].append([command, reader, *attempt(command, open(write, "w", encoding="utf-8"))])
+        if reader != "true":
+            head.join()
+print(json.dumps(report))
+"""
+
+
+@pytest.fixture(scope="module", params=sorted(FIXTURES.glob("*.otl")), ids=lambda path: path.name)
+def fixture_runs(request):
+    done = otl_process("-X", "dev", "-W", "error", "-c", RUN_ON_FIXTURE, str(request.param))
+    assert (done.returncode, done.stderr) == (0, "")
+    return json.loads(done.stdout)
+
+
+def test_every_command_runs_on_every_fixture_with_no_warning(fixture_runs):
+    for command, code, stderr in fixture_runs["commands"]:
+        assert code in (0, 1), command
+        assert "Traceback" not in stderr and "Warning:" not in stderr, command
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_one_error_line_at_most(fixture_runs):
+    # what the command says into /dev/null, and the one line of a failed write
+    diagnostics = {command: stderr for command, _, stderr in fixture_runs["commands"]}
+    for command, reader, code, stderr in fixture_runs["pipes"]:
+        assert code == 1 if reader == "true" else code in (0, 1), (command, reader, stderr)  # `true` reads no byte
+        assert stderr == diagnostics[command] + "error: cannot write stdout: Broken pipe\n" * code, (command, reader)
 
 
 def _diagnostics(source):

@@ -109,7 +109,30 @@ def _equal(self: ClassExpression, other: object) -> bool:
     return fold((self, other), _same, lambda pair: tuple(zip(*map(_children, pair))))
 
 
-And.__eq__ = Or.__eq__ = Not.__eq__ = _equal  # type: ignore  # set after the class is made: it keeps Frozen's hash
+class _Hashed(int):  # a hash already taken: a tuple of these hashes as the tuple of the nodes
+    __slots__ = ()
+    __hash__ = int.__int__  # the int itself, not its hash mod 2**61 - 1
+
+
+def _hash(node: Any, hashes: list[int]) -> int:  # Frozen's hash of the field tuple, one level at a time
+    if isinstance(node, (And, Or)):
+        return hash((tuple(map(_Hashed, hashes)),))
+    return hash((_Hashed(hashes[0]),)) if isinstance(node, Not) else hash(node)
+
+
+def _repr(node: Any, shown: list[str]) -> str:  # Record's repr, one level at a time
+    if isinstance(node, (And, Or)):
+        return f"{node.__class__.__qualname__}(children=({', '.join(shown)}))"
+    return f"Not(child={shown[0]})" if isinstance(node, Not) else repr(node)
+
+
+# Set after the classes are made (an __eq__ in the body would unset the
+# hash): the walks over a nested expression are folds, so at any depth.
+for _node in (And, Or, Not):
+    _node.__eq__, _node.__hash__ = _equal, lambda self: fold(self, _hash)  # type: ignore
+    _node.__repr__ = lambda self: fold(self, _repr)  # type: ignore
+for _node in (InConcept, AttrEquals, HasAttr, And, Or, Not):
+    _node.__deepcopy__ = lambda self, memo: self  # type: ignore  # immutable: a copy is the node itself
 
 
 def expression_references(expr: ClassExpression) -> tuple[set[str], set[str], list[AttrEquals], int]:

@@ -571,8 +571,8 @@ class Model(Record):
 
     Entity collections are keyed by identifier and preserve declaration
     order (except parts/relations/terms, which are plain ordered lists); one
-    not given starts empty.  The derived fields (``intensions``,
-    ``superiors``, ``hierarchy``) are filled by ``otl.reasoner.validate``.
+    not given starts empty.  The derived fields (``intensions``, ``superiors``,
+    ``hierarchy``, ``parts_by_whole``) are filled by ``otl.reasoner.validate``.
     Only the nine collections are compared; the repr shows them and
     ``validated``.
 
@@ -584,15 +584,20 @@ class Model(Record):
     intension size, so every genus is numbered before its children
     (print_dsl relies on it); it is the same object as
     ``hierarchy.superiors``, whose covering relation is bits over the same
-    numbering.  ``validate`` sets ``validated`` only if the model passes.
+    numbering.  ``parts_by_whole`` maps each whole to its parts, in ``parts``
+    order, as the part-cycle check groups them: the one home of that
+    grouping, so ``describe_object`` reads an object's parts in time
+    proportional to their number.  ``validate`` sets ``validated`` only if
+    the model passes.
     """
 
     __slots__ = ("differences", "axes", "concepts", "attributes", "objects", "parts", "relations", "terms",
-                 "classes", "spans", "source", "validated", "intensions", "superiors", "hierarchy")
+                 "classes", "spans", "source", "validated", "intensions", "superiors", "hierarchy", "parts_by_whole")
     _fields = __slots__[:9]
     _defaults = {"differences": dict, "axes": dict, "concepts": dict, "attributes": dict, "objects": dict,
-                 "parts": list, "relations": list, "terms": list, "classes": dict, "spans": dict,
-                 "source": None, "validated": False, "intensions": BitSets, "superiors": BitSets, "hierarchy": None}
+                 "parts": list, "relations": list, "terms": list, "classes": dict, "spans": dict, "source": None,
+                 "validated": False, "intensions": BitSets, "superiors": BitSets, "hierarchy": None,
+                 "parts_by_whole": dict}
 
     def __repr__(self) -> str:
         return f"{super().__repr__()[:-1]}, validated={self.validated!r})"

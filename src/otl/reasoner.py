@@ -221,6 +221,7 @@ class _Validator:
         self.intensions = m.BitSets()
         self.concept_of: dict[tuple[int, int], str] = {}  # (bit length, intension) -> its first concept
         self.hierarchy: Hierarchy | None = None
+        self.parts_by_whole: dict[str, list[str]] = {}  # whole -> its parts, in model.parts order
 
     def error(self, code: str, message: str, kind: str, entity_id: str,
               severity: m.Severity = m.Severity.ERROR) -> None:
@@ -443,7 +444,7 @@ class _Validator:
 
     def check_parts(self) -> None:
         model = self.model
-        edges: dict[str, list[str]] = {}
+        edges = self.parts_by_whole
         for part in model.parts:
             edges.setdefault(part.whole, []).append(part.part)
         component_of: dict[str, int] = {}
@@ -511,6 +512,7 @@ class _Validator:
         assert self.hierarchy is not None
         model.superiors = self.hierarchy.superiors
         model.hierarchy = self.hierarchy
+        model.parts_by_whole = self.parts_by_whole
         model.validated = True
         return m.sorted_diagnostics(self.diagnostics)
 

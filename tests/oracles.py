@@ -8,8 +8,8 @@ two paths.
 
 from __future__ import annotations
 
-from otl import And, AttrEquals, HasAttr, InConcept, Not, Or
-from otl.model import values_equal
+from otl import And, AttrEquals, HasAttr, InConcept, Not, Or, TermStatus
+from otl.model import render_value, values_equal
 
 
 def oracle_intension(model, concept_id, _visiting=None):
@@ -90,3 +90,47 @@ def oracle_evaluate(model, expr):
     return frozenset(
         oid for oid in model.objects if oracle_satisfies(model, expr, oid)
     )
+
+
+def oracle_describe_object(model, object_id):
+    """Object description by a scan of every part link."""
+    obj = model.objects[object_id]
+    pieces = [f"{obj.id} : {model.concepts[obj.concept].label}"]
+    pieces += [f"{a} = {render_value(obj.values[a])}" for a in sorted(obj.values)]
+    parts = [p.part for p in model.parts if p.whole == obj.concept]
+    return " / ".join(pieces) + ("\nparts: " + ", ".join(parts) if parts else "")
+
+
+_STATUS_RANK = {TermStatus.PREFERRED: 0, TermStatus.STANDARDIZED: 1, TermStatus.ADMITTED: 2, TermStatus.DEPRECATED: 3}
+
+
+def oracle_lexicon(model, language):
+    """The lexicon by scans: every term and every part link for each
+    concept, subordinates from pairwise intension comparison."""
+    intensions = {c: oracle_intension(model, c) for c in model.concepts}
+    covering = oracle_direct_super(model)
+    rows, notes = [], []
+    for cid in sorted(model.concepts, key=lambda c: (len(intensions[c]), c)):
+        concept = model.concepts[cid]
+        terms = sorted(
+            (t for t in model.terms if t.concept == cid and t.language == language),
+            key=lambda t: (_STATUS_RANK[t.status], t.designation),
+        )
+        term_cell = ", ".join(f'"{t.designation}" ({t.status.value})' for t in terms) or "-"
+        nl_cell = "; ".join(t.nl_definition for t in terms if t.nl_definition) or "-"
+        if concept.genus is None:
+            gloss = "(root)"
+        else:
+            labels = " and ".join(model.differences[d].label for d in concept.differentiae)
+            gloss = f"{concept.label}: {model.concepts[concept.genus].label} that is {labels}"
+        rows.append((cid, term_cell, nl_cell, gloss))
+        if not any(t.status is TermStatus.PREFERRED for t in terms):
+            notes.append(f"# W_NO_PREFERRED_TERM {cid}: no preferred term for language '{language}'")
+        has_subordinates = any(cid in above for above in covering.values())
+        if concept.genus is None and not has_subordinates and any(cid in (p.whole, p.part) for p in model.parts):
+            notes.append(f"# W_DESCRIPTION_ONLY {cid}: documented only by part links, no definition can be generated")
+    if not rows:
+        return ""
+    widths = [max(len(row[i]) for row in rows) for i in range(3)]
+    lines = ["  ".join([*(row[i].ljust(widths[i]) for i in range(3)), row[3]]).rstrip() for row in rows]
+    return "\n".join(lines + notes) + "\n"

@@ -1,5 +1,6 @@
 """Class algebra: evaluation semantics, conjunction/disjunction, laws."""
 
+import copy
 import random
 import sys
 from decimal import Decimal
@@ -244,3 +245,23 @@ def test_expressions_compare_at_any_depth():
     assert And((HasAttr("a"), HasAttr("b"))) != And((HasAttr("a"), HasAttr("b"), HasAttr("b")))
     assert Or((HasAttr("a"), HasAttr("b"))) != And((HasAttr("a"), HasAttr("b")))
     assert Not(AttrEquals("a", Decimal("1.0"))) == Not(AttrEquals("a", Decimal("1")))
+
+
+def test_repr_hash_and_deepcopy_take_any_depth():
+    # each walked a level per call: repr and deepcopy stopped near 330-400
+    # nested nots, the hash near 500-600
+    source = deep_source("has colour").replace("not " * 5000, "not " * 1200)
+    model = validate_or_raise(parse(source).model)
+    expr = model.classes["Deep"].expr
+    assert repr(expr) == "Not(child=" * 1200 + "HasAttr(attribute='colour')" + ")" * 1200
+    assert repr(model.classes["Deep"]) == f"ClassDef(id='Deep', expr={expr!r})"
+    assert repr(expr) in repr(model)
+    assert hash(expr) == hash(parse(source).model.classes["Deep"].expr)
+    assert hash(expr) != hash(expr.child)
+    assert copy.deepcopy(expr) is expr
+    clone = copy.deepcopy(model)
+    assert clone == model and clone.classes["Deep"].expr is expr and clone.classes is not model.classes
+    # one level down, the hash is Frozen's hash of the field tuple
+    pair = (InConcept("A"), Not(HasAttr("b")))
+    for shallow in (And(pair), Or(pair), Not(And(pair))):
+        assert hash(shallow) == hash(shallow._values())

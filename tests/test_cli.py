@@ -605,6 +605,49 @@ def test_a_reader_that_closes_the_pipe_early_gets_one_error_line_at_most(fixture
         assert stderr == diagnostics[command] + "error: cannot write stdout: Broken pipe\n" * code, (command, reader)
 
 
+# Inputs beside the fixtures: a genus chain whose JSON nests intensions 400
+# names long, numbers that a float or an exponent would misprint, and a
+# class deeper than the recursion limit.
+GENERATED = {
+    "chain.otl": "concept C0\n" + "".join(f"concept C{i} := C{i - 1} + d{i}\n" for i in range(1, 400)),
+    "small.otl": "concept A := x\nattribute n : number on A\nattribute z : number on A\n"
+    "object o : A { n = 0.0000001, z = -0.0000000 }\nclass K := { x | n = 0.00000010 }\n",
+    "deep.otl": "concept A := x\nattribute colour : text on A\nclass Deep := { x | " + "not " * 5000 + "has colour }\n",
+}
+INPUTS = [path.name for path in sorted(FIXTURES.glob("*.otl"))] + list(GENERATED)
+
+
+def _input_path(name, tmp_path):
+    if name not in GENERATED:
+        return str(FIXTURES / name)
+    path = tmp_path / name
+    path.write_text(GENERATED[name], encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("name", [name for name in INPUTS if name != "deep.otl"])  # too deep for the JSON writer
+def test_json_export_is_in_the_stdlib_layout_and_reads_back_to_itself(name, tmp_path):
+    code, text, _ = invoke(["export", _input_path(name, tmp_path), "--format", "json"])  # warnings aside
+    assert code == 0
+    # compared as lines: the assertion's diff of two long texts takes minutes
+    layout = json.dumps(json.loads(text), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert text.splitlines() == layout.splitlines() and text == layout
+    assert to_json(from_json(text)).splitlines() == text.splitlines()
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_dsl_export_is_a_fixed_point(name, tmp_path):
+    code, once, _ = invoke(["export", _input_path(name, tmp_path), "--format", "dsl"])  # warnings aside
+    assert code == 0
+    printed = tmp_path / "once.otl"
+    printed.write_text(once, encoding="utf-8")
+    assert invoke(["check", str(printed)])[:2] == (0, "")
+    code, twice, _ = invoke(["export", str(printed), "--format", "dsl"])
+    assert code == 0 and twice.splitlines() == once.splitlines() and twice == once
+    if name in ("small.otl", "deep.otl"):  # written in print_dsl's own layout
+        assert once.splitlines() == GENERATED[name].splitlines() and once == GENERATED[name]
+
+
 def _diagnostics(source):
     """Renders and span lengths of validating `source` as t.otl."""
     return [(d.render(), d.location.length) for d in validate(parse(source, "t.otl").model)]

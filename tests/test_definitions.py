@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from otl import (
     DefinitionError,
+    TermStatus,
     UnknownIdentifierError,
     describe_object,
     extensional_definition,
@@ -17,8 +18,8 @@ from otl import (
     validate_or_raise,
 )
 
-from gen import valid_random_model
-from oracles import oracle_intension
+from gen import LANG_POOL, valid_random_model
+from oracles import oracle_describe_object, oracle_intension, oracle_lexicon
 
 
 def build(source):
@@ -182,6 +183,27 @@ def test_lexicon_orders_generic_before_specific(porphyry):
     report = lexicon(porphyry, "en")
     rows = [l.split()[0] for l in report.splitlines() if not l.startswith("#")]
     assert rows == ["Substance", "Body", "LivingThing", "Animal", "Human"]
+
+
+# -- against the oracles -------------------------------------------------------------
+
+
+def test_lexicon_and_describe_object_equal_their_oracles_on_random_models():
+    seen = set()  # what the models covered, so the comparison is not vacuous
+    for seed in range(150):
+        model = valid_random_model(seed, with_extras=True)
+        for language in (*LANG_POOL, "sv"):
+            report = lexicon(model, language)
+            assert report == oracle_lexicon(model, language), (seed, language)
+            seen.update(note.split()[1] for note in report.splitlines() if note.startswith("# W_"))
+        for oid in model.objects:
+            text = describe_object(model, oid)
+            assert text == oracle_describe_object(model, oid), (seed, oid)
+            seen.update(["parts"] if "\nparts: " in text else [])
+        seen.update(t.status for t in model.terms)
+        seen.update(["nl_definition"] if any(t.nl_definition for t in model.terms) else [])
+        seen.update(["languages"] if len({t.language for t in model.terms}) > 1 else [])
+    assert seen >= {"W_NO_PREFERRED_TERM", "W_DESCRIPTION_ONLY", "parts", "nl_definition", "languages", *TermStatus}
 
 
 # -- determinism --------------------------------------------------------------------

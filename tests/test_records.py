@@ -113,7 +113,7 @@ MUTABLE = [row for row in RECORDS if not row[4]]
 
 MODEL_FIELDS = (
     "differences", "axes", "concepts", "attributes", "objects", "parts", "relations", "terms", "classes",
-    "spans", "source", "validated", "intensions", "superiors", "hierarchy",
+    "spans", "source", "validated", "intensions", "superiors", "hierarchy", "parts_by_whole",
 )
 
 

@@ -36,7 +36,18 @@ from functools import partial
 
 import pytest
 
-from otl import ExportOptions, from_json, has_errors, parse, print_dsl, to_dot, to_json, validate
+from otl import (
+    ExportOptions,
+    describe_object,
+    from_json,
+    has_errors,
+    lexicon,
+    parse,
+    print_dsl,
+    to_dot,
+    to_json,
+    validate,
+)
 from otl.cli import run
 
 PAIRS = 9
@@ -219,6 +230,30 @@ def from_json_call(source):
 def test_wide_tree_from_json_is_linear():
     time_ratio, memory_ratio, model = doubling_ratios(from_json_call, wide_tree_source, 1000)
     assert model == validated(wide_tree_source(2000))
+    assert time_ratio <= 2.5
+    assert memory_ratio <= 2.5
+
+
+def wide_tree_with_parts_source(n):
+    """The wide tree, each concept also a part of its genus."""
+    return wide_tree_source(n) + "".join(f"part T{(i - 1) // 8} has T{i}\n" for i in range(1, n))
+
+
+def lexicon_call(source):
+    return partial(lexicon, validated(source), "en")
+
+
+def describe_every_object_call(source):
+    model = validated(source)
+    return lambda: [describe_object(model, oid) for oid in model.objects]
+
+
+@pytest.mark.parametrize("make_call", [lexicon_call, describe_every_object_call], ids=["lexicon", "describe_object"])
+def test_wide_tree_reads_grow_with_their_output(make_call):
+    # a scan of every term or part link per concept or object grows about
+    # three times a doubling here
+    time_ratio, memory_ratio, result = doubling_ratios(make_call, wide_tree_with_parts_source, 1000)
+    assert len(result) > 0
     assert time_ratio <= 2.5
     assert memory_ratio <= 2.5
 

@@ -276,6 +276,56 @@ def test_help_exits_zero(capsys):
     assert "COMMAND" in captured.out
 
 
+# The command-line surface at 80 columns: the command list, each command's
+# usage line and two usage errors.  The option blocks are not pinned: 3.13
+# prints `-o, --output PATH` where 3.10-3.12 print `-o PATH, --output PATH`.
+HELP_COMMANDS = """\
+usage: otl [-h] [--version] COMMAND ...
+
+Work with .otl conceptual system files.
+
+positional arguments:
+  COMMAND
+    check     validate a file and report diagnostics
+    tree      emit the concept hierarchy as DOT
+    query     evaluate a class expression over the objects
+    define    generate a concept definition
+    describe  describe an object
+    lexicon   print the term/definition table for a language
+    export    serialize the model
+
+"""
+USAGES = {
+    "check": "usage: otl check [-h] [-o PATH] FILE",
+    "tree": "usage: otl tree [-h] [-o PATH] [--derived] [--objects] FILE",
+    "query": "usage: otl query [-h] [-o PATH] --class EXPR FILE",
+    "define": "usage: otl define [-h] [-o PATH] [--extensional] FILE CONCEPT",
+    "describe": "usage: otl describe [-h] [-o PATH] FILE OBJECT",
+    "lexicon": "usage: otl lexicon [-h] [-o PATH] --lang TAG FILE",
+    "export": "usage: otl export [-h] [-o PATH] --format {json,dsl} FILE",
+}
+USAGE_ERRORS = [
+    (["query", MOUSE], USAGES["query"] + "\notl query: error: the following arguments are required: --class\n"),
+    (
+        ["frobnicate", MOUSE],
+        "usage: otl [-h] [--version] COMMAND ...\notl: error: argument COMMAND: invalid choice: 'frobnicate' "
+        "(choose from 'check', 'tree', 'query', 'define', 'describe', 'lexicon', 'export')\n",
+    ),
+]
+
+
+def test_cli_surface_is_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith(HELP_COMMANDS)
+    for name, usage in USAGES.items():
+        assert run([name, "--help"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == usage
+    for argv, message in USAGE_ERRORS:
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", message)
+
+
 def test_determinism():
     first = invoke(["lexicon", RED, "--lang", "en"])
     second = invoke(["lexicon", RED, "--lang", "en"])

@@ -26,28 +26,29 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="otl", description="Work with .otl conceptual system files."
     )
     parser.add_argument("--version", action="version", version=f"otl {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    sub = parser.add_subparsers(required=True, metavar="COMMAND")
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, handler: Callable) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", metavar="FILE", help="input .otl file")
         p.add_argument("-o", "--output", metavar="PATH", help="write payload to PATH instead of stdout")
+        p.set_defaults(run=handler)
         return p
 
-    add("check", "validate a file and report diagnostics")
-    tree = add("tree", "emit the concept hierarchy as DOT")
+    add("check", "validate a file and report diagnostics", lambda model, args: None)
+    tree = add("tree", "emit the concept hierarchy as DOT", _tree)
     tree.add_argument("--derived", action="store_true", help="include derived subsumption edges")
     tree.add_argument("--objects", action="store_true", help="include object nodes")
-    query = add("query", "evaluate a class expression over the objects")
+    query = add("query", "evaluate a class expression over the objects", _query)
     query.add_argument("--class", dest="class_expr", metavar="EXPR", required=True)
-    define = add("define", "generate a concept definition")
+    define = add("define", "generate a concept definition", _define)
     define.add_argument("concept", metavar="CONCEPT")
     define.add_argument("--extensional", action="store_true", help="enumerate direct subordinates instead")
-    describe = add("describe", "describe an object")
+    describe = add("describe", "describe an object", _describe)
     describe.add_argument("object", metavar="OBJECT")
-    lex = add("lexicon", "print the term/definition table for a language")
+    lex = add("lexicon", "print the term/definition table for a language", _lexicon)
     lex.add_argument("--lang", metavar="TAG", required=True)
-    export = add("export", "serialize the model")
+    export = add("export", "serialize the model", _export)
     export.add_argument("--format", dest="format", choices=("json", "dsl"), required=True)
     return parser
 
@@ -164,17 +165,6 @@ def _export(model: m.Model, args: argparse.Namespace) -> Optional[Iterable[str]]
     return _json_pieces(model) if args.format == "json" else print_dsl(model)
 
 
-COMMANDS: dict[str, Callable[[m.Model, argparse.Namespace], Optional[Iterable[str]]]] = {
-    "check": lambda model, args: None,
-    "tree": _tree,
-    "query": _query,
-    "define": _define,
-    "describe": _describe,
-    "lexicon": _lexicon,
-    "export": _export,
-}
-
-
 def run(argv: list[str], stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
@@ -189,7 +179,7 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
     if model is None:
         return 1
     try:
-        payload = COMMANDS[args.command](model, args)
+        payload = args.run(model, args)
     except m.OtlError as exc:  # ParseError and DefinitionError included
         print(f"error: {exc}", file=stderr)
         return 1

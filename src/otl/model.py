@@ -150,6 +150,10 @@ KEYWORDS = frozenset(STATEMENT_KEYWORDS).union(
     ("in", "and", "or", "not", "true", "false"),
 )
 
+# Nesting bound for class expressions; keeps parsing and evaluation clear of
+# the interpreter recursion limit while staying far beyond sane inputs.
+MAX_EXPR_DEPTH = 200
+
 
 class ValueKind(str, Enum):
     TEXT = "text"

@@ -71,7 +71,9 @@ from .classes import And, AttrEquals, ClassExpression, HasAttr, InConcept, Not, 
 from .model import (
     IDENTIFIER,
     KEYWORDS,
+    MAX_EXPR_DEPTH,
     NUMBER_LITERAL,
+    RELATION_KIND_ALIASES,
     STATEMENT_KEYWORDS,
     AssociativeLink,
     Axis,
@@ -84,6 +86,7 @@ from .model import (
     OtlError,
     PartLink,
     Record,
+    RelationKind,
     Severity,
     SourceText,
     Term,
@@ -95,21 +98,13 @@ from .model import (
     sorted_diagnostics,
 )
 
-_RELTYPE_WORDS = (
-    "associative",
-    "sequential",
-    "temporal",
-    "causal",
-    "cause_effect",
-    "producer_product",
-)
-
+# Each vocabulary slot's words, from the model's enums: a relation kind's
+# value is followed by the aliases that name that kind.
+_RELTYPE_WORDS = tuple(word for kind in RelationKind
+                       for word, named in ((kind.value, kind), *RELATION_KIND_ALIASES.items()) if named is kind)
+_VALUE_KINDS = tuple(kind.value for kind in ValueKind)
 _STATUSES = {status.value: status for status in TermStatus}
 _STATUS_WORDS = tuple(_STATUSES)
-
-# Nesting bound for class expressions; keeps parsing and evaluation clear of
-# the interpreter recursion limit while staying far beyond sane inputs.
-MAX_EXPR_DEPTH = 200
 
 
 class ParseResult(Record):
@@ -486,7 +481,7 @@ class _Parser:
         at = self.m.start(1)
         name = self.ident("attribute identifier")
         self.expect("COLON", "':'")
-        value_kind = self.one_of(("text", "number", "boolean"))
+        value_kind = self.one_of(_VALUE_KINDS)
         self.expect_word("on")
         domain = self.ident("concept identifier")
         if self.declare("attribute", name, at):

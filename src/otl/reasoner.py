@@ -49,7 +49,6 @@ from operator import or_
 
 from . import model as m
 from .classes import axis_clashes, expression_references
-from .parser import MAX_EXPR_DEPTH
 
 # one or more identifiers, one blank between two
 _NAMES = re.compile(rf"(?:{m.IDENTIFIER.pattern} )*{m.IDENTIFIER.pattern}")
@@ -309,9 +308,9 @@ class _Validator:
                 if fault := m.literal_fault(node.value):
                     self.error("E_ATTR_VALUE", f"class '{cdef.id}' compares attribute '{node.attribute}' with {fault}",
                                "class", cdef.id)
-            if depth > MAX_EXPR_DEPTH:
+            if depth > m.MAX_EXPR_DEPTH:
                 self.error("E_EXPR_DEPTH", f"class '{cdef.id}' nests {depth} parenthesized groups in DSL, "
-                           f"deeper than the parser reads ({MAX_EXPR_DEPTH})", "class", cdef.id)
+                           f"deeper than the parser reads ({m.MAX_EXPR_DEPTH})", "class", cdef.id)
 
     def check_names(self) -> None:
         """Every declared id and term language is a name the DSL can spell.

@@ -21,13 +21,14 @@ from otl import (
     RelationKind,
     SourceSpan,
     TermStatus,
+    ValueKind,
     parse,
     parse_class_expr,
     print_dsl,
     validate,
 )
 from otl import parser as parser_module
-from otl.model import SourceText, dsl_quote
+from otl.model import RELATION_KIND_ALIASES, SourceText, dsl_quote
 from otl.parser import STATEMENT_KEYWORDS
 
 from conftest import FIXTURES, GOLDEN, load_fixture
@@ -151,11 +152,25 @@ def test_dangling_concept_assign():
     assert "genus or difference identifier" in diag.message
 
 
-def test_relation_aliases_normalize():
-    source = "concept A\nconcept B := A + x\nrelation r1 (cause_effect) A -> B\n"
-    result = parse(source)
+def vocabulary_words():
+    """Each word of each vocabulary slot, from otl.model's enums and aliases,
+    in a statement: (statement, read back, the member it names)."""
+    for word, kind in [(kind.value, kind) for kind in RelationKind] + list(RELATION_KIND_ALIASES.items()):
+        yield pytest.param(f"relation r1 ({word}) A -> B", lambda model: model.relations[0].relation_type, kind,
+                           id=f"relation-{word}")
+    for kind in ValueKind:
+        yield pytest.param(f"attribute n : {kind.value} on A", lambda model: model.attributes["n"].value_kind, kind,
+                           id=f"attribute-{kind.value}")
+    for status in TermStatus:
+        yield pytest.param(f'term "t" (en, {status.value}) for A', lambda model: model.terms[0].status, status,
+                           id=f"term-{status.value}")
+
+
+@pytest.mark.parametrize("statement, read, member", vocabulary_words())
+def test_relation_aliases_normalize(statement, read, member):
+    result = parse("concept A\nconcept B := A + x\n" + statement + "\n")
     assert result.diagnostics == []
-    assert result.model.relations[0].relation_type is RelationKind.CAUSAL
+    assert read(result.model) is member
 
 
 LEXER_EDGE_CASES = {

@@ -126,13 +126,33 @@ def _repr(node: Any, shown: list[str]) -> str:  # Record's repr, one level at a 
     return f"Not(child={shown[0]})" if isinstance(node, Not) else repr(node)
 
 
+def _reduce(self: ClassExpression) -> tuple:
+    """Pickle a nested expression as its rows in postorder, so at any depth:
+    a leaf as itself, a node as its class and arity."""
+    rows: list = []
+    fold(self, lambda node, kids: rows.append((node.__class__, len(kids)) if kids else node))
+    return _rebuild, (rows,)
+
+
+def _rebuild(rows: list) -> ClassExpression:
+    stack: list = []
+    for row in rows:
+        if isinstance(row, tuple):  # a node over the last `arity` built
+            cls, arity = row
+            cut = len(stack) - arity
+            stack[cut:] = [Not(stack[cut]) if cls is Not else cls(tuple(stack[cut:]))]
+        else:
+            stack.append(row)
+    return stack[0]
+
+
 # Set after the classes are made (an __eq__ in the body would unset the
 # hash): the walks over a nested expression are folds, so at any depth.
 for _node in (And, Or, Not):
     _node.__eq__, _node.__hash__ = _equal, lambda self: fold(self, _hash)  # type: ignore
-    _node.__repr__ = lambda self: fold(self, _repr)  # type: ignore
-for _node in (InConcept, AttrEquals, HasAttr, And, Or, Not):
-    _node.__deepcopy__ = lambda self, memo: self  # type: ignore  # immutable: a copy is the node itself
+    _node.__repr__, _node.__reduce__ = lambda self: fold(self, _repr), _reduce  # type: ignore
+for _node in (InConcept, AttrEquals, HasAttr, And, Or, Not):  # immutable: a copy is the node itself
+    _node.__copy__, _node.__deepcopy__ = lambda self: self, lambda self, memo: self  # type: ignore
 
 
 def expression_references(expr: ClassExpression) -> tuple[set[str], set[str], list[AttrEquals], int]:

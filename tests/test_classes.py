@@ -1,6 +1,7 @@
 """Class algebra: evaluation semantics, conjunction/disjunction, laws."""
 
 import copy
+import pickle
 import random
 import sys
 from decimal import Decimal
@@ -265,3 +266,21 @@ def test_repr_hash_and_deepcopy_take_any_depth():
     pair = (InConcept("A"), Not(HasAttr("b")))
     for shallow in (And(pair), Or(pair), Not(And(pair))):
         assert hash(shallow) == hash(shallow._values())
+
+
+def test_pickle_takes_any_depth():
+    # pickle reduced each node to its children, recursing once a level: it
+    # stopped near 500 nested nots
+    model = validate_or_raise(parse(deep_source("has colour")).model)
+    nots = model.classes["Deep"].expr
+    mixed = HasAttr("colour")
+    for level in range(1500):
+        mixed = (And if level % 2 else Or)((mixed, InConcept("A")))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for expr in (nots, mixed):
+            clone = pickle.loads(pickle.dumps(expr, protocol))
+            assert clone is not expr and type(clone) is type(expr) and clone == expr
+        clone = pickle.loads(pickle.dumps(model, protocol))
+        assert clone == model and clone.validated is True
+        assert evaluate_class(clone, clone.classes["Deep"].expr) == evaluate_class(model, nots)
+    assert copy.copy(nots) is nots and copy.copy(mixed) is mixed  # as deepcopy: not through the reduce

@@ -150,8 +150,8 @@ KEYWORDS = frozenset(STATEMENT_KEYWORDS).union(
     ("in", "and", "or", "not", "true", "false"),
 )
 
-# Nesting bound for class expressions; keeps parsing and evaluation clear of
-# the interpreter recursion limit while staying far beyond sane inputs.
+# Nesting bound for class expressions, shared by the parser's recursive
+# descent and `validate`, so every valid class prints as DSL that parses.
 MAX_EXPR_DEPTH = 200
 
 

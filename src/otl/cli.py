@@ -191,7 +191,9 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
 def main() -> None:
     # One command, making no reference cycles: the collector stays off; the library only pauses it per call.
     gc.disable()
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    gc.freeze()  # so the interpreter's exit skips its full collection over every module object
+    sys.exit(code)
 
 
 if __name__ == "__main__":

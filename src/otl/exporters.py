@@ -14,9 +14,11 @@ Three exchange formats:
   order, filled a column at a time with strings escaped by the C escaper
   ``json.dumps`` uses.  Each derived intension (a genus chain of n concepts
   holds n²/2 names) is one ``join`` over a list made from its genus's:
-  copied, with its own differentiae, quoted once, insorted.  The text
-  comes in pieces, one per entity, which ``to_json`` joins and ``otl
-  export`` writes as they come.  ``from_json`` checks and reads each
+  copied, with its own differentiae, quoted once, insorted.  An object
+  value is written once per call for each (attribute, value object), and
+  the parser makes one value object per distinct literal.  The text comes
+  in pieces, one per entity, which ``to_json`` joins and ``otl export``
+  writes as they come.  ``from_json`` checks and reads each
   array by column, from the same rows, and builds its entities
   positionally; only an array that fails a check is walked entity by
   entity, to word its first fault with a JSON-pointer path (RFC 6901).
@@ -77,13 +79,12 @@ def _template(depth: int, keys: tuple[str, ...]) -> str:
     return "{" + ",".join(pad + '  "' + key + '": %s' for key in sorted(keys)) + pad + "}"
 
 
-def _array(items: list[str], depth: int, brackets: str = "[]") -> str:
-    """Array opened at nesting ``depth`` of items that are JSON text already;
-    with ``brackets="{}"``, an object of ``"key": value`` items."""
+def _array(items: list[str], depth: int) -> str:
+    """Array opened at nesting ``depth`` of items that are JSON text already."""
     if not items:
-        return brackets
+        return "[]"
     pad = _pad(depth)
-    return brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + brackets[1]
+    return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
 
 
 def _shape_error(path: str | tuple, expected: str, node: Any) -> JsonSchemaError:
@@ -213,12 +214,11 @@ _KINDS = {
 
 
 def _tagged(value: m.Value, template: str) -> str:
-    kind = m.value_kind_of(value)
-    if kind is m.ValueKind.TEXT:
-        return template % ('"text"', _quote(value))  # type: ignore[arg-type]
-    if kind is m.ValueKind.NUMBER:
-        return template % ('"number"', _quote(m.number_text(value)))  # type: ignore[arg-type]
-    return template % ('"boolean"', "true" if value else "false")
+    if isinstance(value, str):
+        return template % ('"text"', _quote(value))
+    if isinstance(value, bool):
+        return template % ('"boolean"', "true" if value else "false")
+    return template % ('"number"', _quote(m.number_text(value)))  # a validated value has one of the kinds
 
 
 def _read_value(node: Any, path: str | tuple) -> m.Value:
@@ -236,8 +236,20 @@ def _read_value(node: Any, path: str | tuple) -> m.Value:
 
 
 def _write_values(dicts: Iterable[dict[str, m.Value]], depth: int) -> Iterator[str]:
-    template = _template(depth + 1, _VALUE_KEYS)
-    return (_array([_quote(k) + ": " + _tagged(d[k], template) for k in sorted(d)], depth, "{}") for d in dicts)
+    """Each object's values as a JSON object opened at ``depth``.  Each
+    ``"attribute": value`` text is made once per value object, keyed by its id,
+    which the model holds for the whole write: ``1`` and ``Decimal("1.0")`` differ."""
+    template, pad = _template(depth + 1, _VALUE_KEYS), _pad(depth)
+    first, between, last = "{" + pad + "  ", "," + pad + "  ", pad + "}"
+    texts: dict[tuple[str, int], str] = {}
+    for d in dicts:
+        items = []
+        for k, value in sorted(d.items()):  # keys differ, so no value is compared
+            text = texts.get((k, id(value)))
+            if text is None:
+                text = texts[k, id(value)] = _quote(k) + ": " + _tagged(value, template)
+            items.append(text)
+        yield first + between.join(items) + last if items else "{}"
 
 
 def _load_values(dicts: list[dict]) -> list[dict[str, m.Value]]:

@@ -45,7 +45,10 @@ takes a well-formed concept, object, term or part statement on one line,
 the kinds that make up nearly all of a large model, with one match of
 _declaration(), separators included.  Its name slots take no keyword, so
 every match is a statement, and `read` builds its entity from the match
-groups: a few C-level regex operations per statement.  The token reader,
+groups: a few C-level regex operations per statement.  An object's values
+are one findall of (attribute, literal) pairs, each literal made once per
+distinct spelling in a parse (`_Parser.literal`); an object whose
+attribute repeats is read again by the token reader.  The token reader,
 seated at the statement, reads every other one: axis, attribute, relation
 and class statements and whatever the regex rejects, so it is the
 only reader of malformed input and the only place a syntax error is
@@ -214,6 +217,7 @@ class _Parser:
         self.m: re.Match
         self.kind = ""
         self.value = ""
+        self.literals: dict[str, Value] = {"true": True, "false": False}  # see `literal`
 
     # -- the token step ------------------------------------------------------
 
@@ -352,17 +356,9 @@ class _Parser:
         if self.declare("concept", name, at):
             self.model.concepts[name] = Concept(name, name, genus, tuple(differentiae))
 
-    def add_object(self, at: int, name: str, concept: str, values: list[tuple[str, int, Value]]) -> None:
-        """`values` holds each (attribute, its offset, value) as written."""
-        kept: dict[str, Value] = {}
-        for attr, attr_at, value in values:
-            if attr in kept:
-                self.error(f"duplicate value for attribute '{attr}'", attr_at, len(attr), "E_DUP_DECL")
-            else:
-                kept[attr] = value
-        if not self.declare("object", name, at):
-            return
-        self.model.objects[name] = ObjectInstance(name, name, concept, kept)
+    def add_object(self, at: int, name: str, concept: str, values: dict[str, Value]) -> None:
+        if self.declare("object", name, at):
+            self.model.objects[name] = ObjectInstance(name, name, concept, values)
 
     def add_part(self, at: int, whole: str, part: str) -> None:
         self.model.spans[("part", str(len(self.model.parts)))] = (at, len("part"))
@@ -384,11 +380,14 @@ class _Parser:
             differentiae = IDENTIFIER.findall(listed) if listed else []
             self.add_concept(m.start("name"), m["name"], m["genus"], differentiae)
         elif kind == "object":
-            values: list[tuple[str, int, Value]] = []
-            for a in _assignment().finditer(self.source.text, *m.span("values")) if m["values"] else ():
-                raw = a[2]
-                value = raw[1:-1] if raw[0] == '"' else raw == "true" if raw[0] in "tf" else Decimal(raw)
-                values.append((a[1], a.start(), value))
+            pairs = _assignment().findall(self.source.text, *m.span("values")) if m["values"] else ()
+            literals, values = self.literals, {}
+            for attr, raw in pairs:
+                value = literals.get(raw)  # `literal` inlined for a spelling read before
+                values[attr] = self.literal(raw) if value is None else value
+            if len(values) < len(pairs):  # an attribute repeats: the token reader reads it again
+                self.seat(m.start("object"))
+                return self.statement()
             self.add_object(m.start("object_id"), m["object_id"], m["object_concept"], values)
         elif kind == "term":
             designation = m["designation"]
@@ -487,14 +486,20 @@ class _Parser:
         if self.declare("attribute", name, at):
             self.model.attributes[name] = AttributeDecl(name, name, domain, ValueKind(value_kind))
 
+    def literal(self, raw: str) -> Value:
+        """The value a literal spells, made once a parse per spelling: values
+        spelt alike are one object, spelt apart never (``1``, ``1.0``, ``"1"``)."""
+        value = self.literals.get(raw)
+        if value is None:
+            value = self.literals[raw] = raw[1:-1] if raw[0] == '"' else Decimal(raw)
+        return value
+
     def _value(self) -> Value:
         kind = self.kind
         if kind == "STRING":
             value: Value = self.value
-        elif kind == "NUMBER":
-            value = Decimal(self.m[kind])
-        elif kind == "WORD" and self.m[1] in ("true", "false"):
-            value = self.m[1] == "true"
+        elif kind == "NUMBER" or kind == "WORD" and self.m[1] in ("true", "false"):
+            value = self.literal(self.m[kind])
         else:
             self.fail("string, number, true or false")
         self.advance()
@@ -502,10 +507,16 @@ class _Parser:
 
     def _stmt_object(self) -> None:
         self.advance()  # 'object'
-        self.add_object(*self.object_body())
+        at, name, concept, assigned = self.object_body()
+        values: dict[str, Value] = {}
+        for attr, attr_at, value in assigned:  # each attribute's first value; a repeat is reported where it is
+            if attr in values:
+                self.error(f"duplicate value for attribute '{attr}'", attr_at, len(attr), "E_DUP_DECL")
+            values.setdefault(attr, value)
+        self.add_object(at, name, concept, values)
 
     def object_body(self) -> tuple[int, str, str, list[tuple[str, int, Value]]]:
-        """An object statement from its name on, as add_object takes it."""
+        """An object statement from its name on: name offset, name, concept, (attribute, offset, value)s."""
         at = self.m.start(1)
         name = self.ident("object identifier")
         self.expect("COLON", "':'")

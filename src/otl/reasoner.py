@@ -423,21 +423,21 @@ class _Validator:
     # -- stage 5: attributes, parts, terms --------------------------------------
 
     def check_attributes(self) -> None:
-        model = self.model
+        """Each attribute's domain intension is looked up once, and only a value
+        that is not a str text or a bool boolean gets a closer look."""
+        attributes = self.model.attributes
         intensions = self.intensions.bits
-        for obj in model.objects.values():
+        domains = {attr_id: intensions[attr.domain] for attr_id, attr in attributes.items()}
+        kinds = {attr_id: attr.value_kind for attr_id, attr in attributes.items()}
+        exact = {a: {m.ValueKind.TEXT: str, m.ValueKind.BOOLEAN: bool}.get(kind) for a, kind in kinds.items()}
+        for obj in self.model.objects.values():
             intension = intensions[obj.concept]
             for attr_id, value in obj.values.items():
-                attr = model.attributes[attr_id]
-                if intensions[attr.domain] | intension != intension:
-                    self.error(
-                        "E_ATTR_DOMAIN",
-                        f"attribute '{attr_id}' is declared on '{attr.domain}', "
-                        f"which does not subsume '{obj.concept}' of object '{obj.id}'",
-                        "value",
-                        f"{obj.id}.{attr_id}",
-                    )
-                if fault := m.literal_fault(value, attr.value_kind):
+                if domains[attr_id] | intension != intension:
+                    self.error("E_ATTR_DOMAIN", f"attribute '{attr_id}' is declared on '{attributes[attr_id].domain}', "
+                               f"which does not subsume '{obj.concept}' of object '{obj.id}'",
+                               "value", f"{obj.id}.{attr_id}")
+                if type(value) is not exact[attr_id] and (fault := m.literal_fault(value, kinds[attr_id])):
                     self.error("E_ATTR_VALUE", f"object '{obj.id}' gives attribute '{attr_id}' {fault}",
                                "value", f"{obj.id}.{attr_id}")
 

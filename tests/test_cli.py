@@ -407,7 +407,9 @@ def test_main_runs_without_the_cyclic_collector(monkeypatch, capsys):
             main()
         assert exc.value.code == 0
         assert not gc.isenabled()
+        assert gc.get_freeze_count() > 0
     finally:
+        gc.unfreeze()
         (gc.enable if was else gc.disable)()
 
 

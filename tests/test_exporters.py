@@ -952,6 +952,79 @@ def test_json_layout_is_the_stdlib_layout_on_awkward_strings(texts, whole):
     assert from_json(text) == model
 
 
+# -- literals spelt apart stay apart -------------------------------------------------
+#
+# Values equal under == but spelt differently (1, 1.0, -0 and 0, true and 1,
+# the text "1") must each keep their spelling through the parser, to_json,
+# from_json and print_dsl, even where a writer or reader shares the work of
+# equal spellings.  (object, attribute, DSL literal, API value, JSON kind,
+# JSON value); the literal 1 and the text "1" are each given to two
+# attributes, and o4's block spans lines, so the token reader reads it.
+
+_SPELLINGS = (
+    ("o1", "n", "1", 1, "number", "1"),
+    ("o1", "m", "1", Decimal("1"), "number", "1"),
+    ("o1", "t", '"1"', "1", "text", "1"),
+    ("o1", "u", '"true"', "true", "text", "true"),
+    ("o1", "b", "true", True, "boolean", True),
+    ("o2", "n", "1.0", Decimal("1.0"), "number", "1.0"),
+    ("o2", "m", "0", Decimal("0"), "number", "0"),
+    ("o2", "t", '"true"', "true", "text", "true"),
+    ("o2", "u", '"1"', "1", "text", "1"),
+    ("o2", "b", "false", False, "boolean", False),
+    ("o3", "n", "-0", Decimal("-0"), "number", "-0"),
+    ("o3", "m", "1.0", Decimal("1.0"), "number", "1.0"),
+    ("o3", "b", "true", True, "boolean", True),
+    ("o4", "n", "0", Decimal("0"), "number", "0"),
+    ("o4", "m", "-0", Decimal("-0"), "number", "-0"),
+    ("o4", "t", '"1"', "1", "text", "1"),
+)
+_SPELLING_KINDS = {"n": "number", "m": "number", "t": "text", "u": "text", "b": "boolean"}
+
+
+def _spelt_models():
+    source = "concept Thing\n" + "".join(f"attribute {a} : {k} on Thing\n" for a, k in _SPELLING_KINDS.items())
+    for oid in ("o1", "o2", "o3"):
+        assigns = ", ".join(f"{a} = {literal}" for o, a, literal, *_ in _SPELLINGS if o == oid)
+        source += f"object {oid} : Thing {{ {assigns} }}\n"
+    source += "object o4 : Thing {\n  n = 0,\n  m = -0, t =\n    \"1\" }\n"
+    api = Model()
+    api.concepts["Thing"] = Concept("Thing", "Thing")
+    for aid, kind in _SPELLING_KINDS.items():
+        api.attributes[aid] = AttributeDecl(aid, aid, "Thing", ValueKind(kind))
+    for oid, aid, _, value, *_ in _SPELLINGS:
+        api.objects.setdefault(oid, ObjectInstance(oid, oid, "Thing")).values[aid] = value
+    return build(source), validate_or_raise(api)
+
+
+def test_literals_spelt_apart_keep_their_spelling_through_every_format():
+    parsed, api = _spelt_models()
+    doc = {
+        "version": "otl-json/1", "differences": [], "axes": [], "parts": [], "relations": [], "terms": [],
+        "classes": [],
+        "concepts": [{"id": "Thing", "label": "Thing", "genus": None, "differentiae": [], "intension": []}],
+        "attributes": [{"id": a, "label": a, "domain": "Thing", "value_kind": k} for a, k in _SPELLING_KINDS.items()],
+        "objects": [{"id": oid, "label": oid, "concept": "Thing", "values": {
+            a: {"kind": kind, "value": value} for o, a, _, _, kind, value in _SPELLINGS if o == oid
+        }} for oid in ("o1", "o2", "o3", "o4")],
+    }
+    expected = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    spelt = {(o, a): repr(Decimal(value) if kind == "number" else value) for o, a, _, _, kind, value in _SPELLINGS}
+
+    def spellings(model):
+        return {(o.id, a): repr(v) for o in model.objects.values() for a, v in o.values.items()}
+
+    assert spellings(parsed) == spelt
+    for model in (parsed, api):
+        text = to_json(model)
+        assert text.encode("utf-8") == expected.encode("utf-8")
+        loaded = from_json(text)
+        assert loaded == model and spellings(loaded) == spelt and to_json(loaded) == text
+        printed = print_dsl(model)
+        reparsed = build(printed)
+        assert spellings(reparsed) == spelt and print_dsl(reparsed) == printed
+
+
 # -- from_json on edited documents: a schema or model error, or a clean round trip ---
 
 

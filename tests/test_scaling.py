@@ -237,6 +237,33 @@ def test_wide_tree_from_json_is_linear():
     assert memory_ratio <= 2.5, evidence
 
 
+def wide_tree_with_distinct_values_source(n):
+    """The wide tree without terms, each concept with two objects whose
+    text and number literals are each spelt once in the source: the worst
+    case for tables of the values read or written once per spelling."""
+    lines = ["concept T0", "attribute name : text on T0", "attribute size : number on T0"]
+    for i in range(1, n):
+        lines.append(f"concept T{i} := T{(i - 1) // 8} + t{i}")
+        lines += [f'object o{i}{s} : T{i} {{ name = "n{i}{s}", size = {i}.{k} }}' for k, s in enumerate("ab", 1)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "make_call, done",
+    [
+        (parse_call, lambda result, n: len(result.model.objects) == 2 * (n - 1)),
+        (validate_call, lambda diagnostics, n: diagnostics == []),
+        (to_json_call, lambda text, n: text.count('"kind": "text"') == 2 * (n - 1)),
+    ],
+    ids=["parse", "validate", "to_json"],
+)
+def test_wide_tree_with_distinct_values_loads_and_writes_in_linear_time(make_call, done):
+    time_ratio, memory_ratio, result, evidence = doubling_ratios(make_call, wide_tree_with_distinct_values_source, 200)
+    assert done(result, 400)
+    assert time_ratio <= 2.5, evidence
+    assert memory_ratio <= 2.5, evidence
+
+
 def wide_tree_with_parts_source(n):
     """The wide tree, each concept also a part of its genus."""
     return wide_tree_source(n) + "".join(f"part T{(i - 1) // 8} has T{i}\n" for i in range(1, n))

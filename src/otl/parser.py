@@ -40,27 +40,28 @@ every name as read, repeated axis members, differentiae and term triples
 included.  otl.reasoner resolves the cross-references, left symbolic here,
 and checks every other rule, the same for DSL, JSON and API input.
 
-Cost.  Each statement is read by one of two readers.  The regex reader
-takes a well-formed concept, object, term or part statement on one line,
-the kinds that make up nearly all of a large model, with one match of
-_declaration(), separators included.  Its name slots take no keyword, so
-every match is a statement, and `read` builds its entity from the match
-groups: a few C-level regex operations per statement.  An object's values
-are one findall of (attribute, literal) pairs, each literal made once per
-distinct spelling in a parse (`_Parser.literal`); an object whose
-attribute repeats is read again by the token reader.  The token reader,
-seated at the statement, reads every other one: axis, attribute, relation
-and class statements and whatever the regex rejects, so it is the
-only reader of malformed input and the only place a syntax error is
-worded.  Its lexing is one scan of a master regex with a named group per
+Cost.  Each statement is read by one of two readers.  The regex reader takes
+a well-formed concept, object, term or part statement on one line, the
+kinds that make up nearly all of a large model, with one match of
+_declaration(), separators included, and `read` builds its entity from the
+match groups: a few C-level regex operations per statement.  The match
+captures an object's last three (attribute, literal) pairs, one findall
+the rest, and each literal is made once per distinct spelling in a parse
+(`_Parser.literal`).  Name slots take no keyword; attribute slots take any
+identifier, and an object with a keyword or a repeated attribute there,
+each found with one set operation, is read again by the token reader.  The
+token reader, seated at the statement, reads every other one: axis,
+attribute, relation and class statements and whatever the regex rejects, so
+it is the only reader of malformed input and the only place a syntax error
+is worded.  Its lexing is one scan of a master regex with a named group per
 token class (the "Writing a Tokenizer" recipe of the ``re`` docs), whose
 match is all a token costs: `_Parser.advance` keeps it as the one token of
 lookahead of a recursive descent, O(tokens).  Both readers build entities
 with the same `add_*` methods, so declarations, spans and the duplicate
 checks have one home.  Positions are resolved only when a diagnostic needs
 one: SourceText collects the newline offsets on first use and maps an
-offset to its line and column with one bisect.  Class-expression nesting
-is bounded by MAX_EXPR_DEPTH and chains of ``not`` are counted iteratively.
+offset to its line and column with one bisect.  Class-expression nesting is
+bounded by MAX_EXPR_DEPTH and chains of ``not`` are counted iteratively.
 """
 
 from __future__ import annotations
@@ -164,11 +165,17 @@ _PLAIN = frozenset({"WORD", "ASSIGN", "ARROW", "COLON", "COMMA", "EQUALS", "PLUS
 # blanks and a final comment.  Each token takes the blanks after it, so no
 # two blank runs are adjacent and a line that fails at its end backtracks
 # over it once.  A name slot takes an identifier that is not a keyword, so a
-# statement with a keyword there is left to the token reader.  The
+# statement with a keyword there is left to the token reader (an attribute
+# slot takes any, and `read` hands it on).  An object's pairs before its last
+# three repeat lazily before any value group is set, so the engine's stack
+# keeps few marks a pair.  A match costs more the higher the numbers of the
+# groups it sets, so the concept and object branches, the most frequent,
+# come first, and the part's three groups before the term's six.  The
 # statement's group closes last, so `lastgroup` names its kind.
 _B = r"[ \t\r]*"
 _W = rf"(?!(?:{'|'.join(sorted(KEYWORDS))})(?![A-Za-z0-9_])){IDENTIFIER.pattern}"
 _VALUE = rf'(?:"[^"\\\n]*"|{NUMBER_LITERAL.pattern}|true|false)'
+_A = IDENTIFIER.pattern
 
 
 @cache
@@ -180,18 +187,19 @@ def _declaration() -> re.Pattern:
         rf"(?:(?P<concept>concept[ \t\r]+(?P<name>{_W}){_B}"
         rf"(?::={_B}(?:(?P<genus>{_W}){_B}\+{_B})?(?P<differentiae>(?:{_W}{_B},{_B})*{_W}){_B})?)"
         rf"|(?P<object>object[ \t\r]+(?P<object_id>{_W}){_B}:{_B}(?P<object_concept>{_W}){_B}"
-        rf"(?:\{{{_B}(?P<values>(?:{_W}{_B}={_B}{_VALUE}{_B},{_B})*{_W}{_B}={_B}{_VALUE}){_B}\}}{_B})?)"
+        rf"(?:\{{{_B}(?P<rest>(?:{_A}{_B}={_B}{_VALUE}{_B},{_B})*?)(?P<a1>{_A}){_B}={_B}(?P<v1>{_VALUE}){_B}(?:,{_B}"
+        rf"(?P<a2>{_A}){_B}={_B}(?P<v2>{_VALUE}){_B}(?:,{_B}(?P<a3>{_A}){_B}={_B}(?P<v3>{_VALUE}){_B})?)?\}}{_B})?)"
+        rf"|(?P<part>part[ \t\r]+(?P<whole>{_W})[ \t\r]+has[ \t\r]+(?P<piece>{_W}){_B})"
         rf'|(?P<term>term{_B}"(?P<designation>[^"\\\n]*)"{_B}\({_B}(?P<language>{_W}){_B},{_B}'
         rf"(?P<status>{'|'.join(_STATUS_WORDS)}){_B}\){_B}for[ \t\r]+(?P<term_concept>{_W})"
-        rf'(?:[ \t\r]+definition{_B}"(?P<definition>[^"\\\n]*)")?{_B})'
-        rf"|(?P<part>part[ \t\r]+(?P<whole>{_W})[ \t\r]+has[ \t\r]+(?P<piece>{_W}){_B}))"
+        rf'(?:[ \t\r]+definition{_B}"(?P<definition>[^"\\\n]*)")?{_B}))'
         r"(?:#[^\n]*)?(?:\n|;|\Z)"
     )
 
 
 @cache
 def _assignment() -> re.Pattern:
-    """One attribute value of a block _declaration() took, and its raw value."""
+    """One attribute, before the last three, of a block _declaration() took, and its raw value."""
     return re.compile(rf'({IDENTIFIER.pattern}){_B}={_B}("[^"\\\n]*"|[-.0-9]+|true|false)')
 
 
@@ -380,12 +388,14 @@ class _Parser:
             differentiae = IDENTIFIER.findall(listed) if listed else []
             self.add_concept(m.start("name"), m["name"], m["genus"], differentiae)
         elif kind == "object":
-            pairs = _assignment().findall(self.source.text, *m.span("values")) if m["values"] else ()
+            a1, v1, a2, v2, a3, v3, rest = m.group("a1", "v1", "a2", "v2", "a3", "v3", "rest")
+            pairs = ((*_assignment().findall(rest), (a1, v1), (a2, v2), (a3, v3)) if a3 else ((a1, v1), (a2, v2))
+                     if a2 else ((a1, v1),) if a1 else ())
             literals, values = self.literals, {}
             for attr, raw in pairs:
                 value = literals.get(raw)  # `literal` inlined for a spelling read before
                 values[attr] = self.literal(raw) if value is None else value
-            if len(values) < len(pairs):  # an attribute repeats: the token reader reads it again
+            if len(values) < len(pairs) or not KEYWORDS.isdisjoint(values):  # the token reader reads it again
                 self.seat(m.start("object"))
                 return self.statement()
             self.add_object(m.start("object_id"), m["object_id"], m["object_concept"], values)

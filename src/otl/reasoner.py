@@ -27,7 +27,9 @@ its declarations), in operations on ints of O(D) or O(C) bits:
   differentia, O(M);
 * uniqueness and axis checks: one pass over the concepts, each intension
   hashed once and its bits beyond its genus's counted, O(C + M); clashes
-  only with two exclusive-axis bits on, scopes only in a model with axes;
+  only if a concept's own member of an exclusive axis meets another in its
+  intension (one AND a member: a clash meets the lowest concept on the
+  genus chain that states one of its pair), scopes only in a model with axes;
 * hierarchy, derived only from intensions that passed those checks, in
   increasing intension size.  Each concept inherits its genus's superiors
   and the genus itself.  If a smaller concept holds one of its differentiae
@@ -382,6 +384,12 @@ class _Validator:
         model = self.model
         intensions, index = self.intensions.bits, self.intensions.index
         exclusive, clashes = axis_clashes(model, self.intensions)
+        masks: dict[str, int] = {}  # member of an exclusive axis -> the bits of the axis's members
+        for axis in model.axes.values():
+            if axis.exclusive:
+                masks.update(dict.fromkeys(axis.members, self.intensions.mask(axis.members)))
+        clashing = masks and any((intensions[c.id] & masks[d]).bit_count() > 1 for c in model.concepts.values()
+                                 for d in c.differentiae if d in masks)
         # with the top bit: ints hash mod 2**61 - 1, so one-bit keys share 61 hashes
         first = self.concept_of
         repeats: dict[str, list[str]] = {}
@@ -396,7 +404,7 @@ class _Validator:
                            f"concept '{cid}' restates {listing} already in the intension of '{genus}'", "concept", cid)
             elif (owner := first.setdefault((intension.bit_length(), intension), cid)) != cid:
                 repeats.setdefault(owner, []).append(cid)
-            for axis_id, clash in clashes(intension) if (intension & exclusive).bit_count() > 1 else ():
+            for axis_id, clash in clashes(intension) if clashing and (intension & exclusive).bit_count() > 1 else ():
                 listing = ", ".join(clash)
                 self.error("E_AXIS_CONTRADICTION", f"concept '{cid}' combines {listing}, exclusive on axis '{axis_id}'",
                            "concept", cid)

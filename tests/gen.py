@@ -49,7 +49,10 @@ def random_model(
     max_axes: int = 5,
     max_objects: int = 25,
     with_extras: bool = False,
+    allow_clashes: bool = False,
 ) -> Model:
+    """A model valid by construction; with `allow_clashes`, its concepts may
+    combine members of an exclusive axis, which is its only fault."""
     model = Model()
     n_diffs = rng.randint(1, max_diffs)
     diff_ids = [f"d{i:02d}" for i in range(n_diffs)]
@@ -88,7 +91,7 @@ def random_model(
             if not fresh:
                 continue
             candidate = base | set(fresh)
-            if candidate in seen or clashes(candidate):
+            if candidate in seen or not allow_clashes and clashes(candidate):
                 continue
             cid = f"C{next_index:03d}"
             model.concepts[cid] = Concept(cid, cid, genus, fresh)

@@ -23,6 +23,20 @@ def oracle_intension(model, concept_id, _visiting=None):
     return frozenset(acc)
 
 
+def oracle_axis_clashes(model):
+    """(concept, axis, its members held, sorted) for each exclusive axis of
+    which a concept's intension holds two or more members: every axis
+    scanned for every concept."""
+    found = set()
+    for cid in model.concepts:
+        intension = oracle_intension(model, cid)
+        for axis in model.axes.values():
+            held = tuple(sorted(intension.intersection(axis.members)))
+            if axis.exclusive and len(held) > 1:
+                found.add((cid, axis.id, held))
+    return found
+
+
 def oracle_subsumes(model, c1, c2):
     return oracle_intension(model, c1) < oracle_intension(model, c2)
 

@@ -1136,12 +1136,12 @@ _SLOTS = {
 }
 
 
-def _statement_lines(rng):
+def _statement_lines(rng, templates=_TEMPLATES):
     def fill(slot):
         good, bad = _SLOTS[slot[1]]
         return rng.choice(bad if rng.random() < 0.1 else good)
 
-    lines = [rng.choice(_TEMPLATES) for _ in range(rng.randint(1, 8))]
+    lines = [rng.choice(templates) for _ in range(rng.randint(1, 8))]
     return "".join(re.sub("<(.)>", fill, line) for line in lines)
 
 
@@ -1154,6 +1154,23 @@ def test_readers_agree_on_statement_lines():
 @settings(max_examples=300)
 def test_readers_agree_on_random_statement_lines(seed):
     _assert_readers_agree([_statement_lines(random.Random(seed))])
+
+
+# Object statements with 1, 3 and 4 to 6 values: the statement regex
+# captures the last three pairs and a findall reads the ones before them, and an
+# attribute slot takes any identifier, so a keyword there (a bad `N`) or a
+# repeated attribute (five good names) is handed to the token reader.
+_OBJECT_TEMPLATES = (
+    "object <N> : <N><G>{<G><N><G>=<G><V><G>}<E>",
+    "object <N> : <N> {<N> = <V>,<G><N><G>=<G><V><G>,<G><N> = <V>}<E>",
+    "object <N> : <N> { <N> = <V>, <N> = <V>, <N> = <V>,<G><N><G>=<G><V><G>}<E>",
+    "object <N> : <N> { <N> = <V>, <N> = <V>, <N>=<V>, <N> = <V>,<G><N> = <V>, <N><G>=<V> }<E>",
+)
+
+
+def test_readers_agree_on_object_values():
+    rng = random.Random(31)
+    _assert_readers_agree([_statement_lines(rng, _OBJECT_TEMPLATES) for _ in range(2000)])
 
 
 def test_regex_reader_takes_the_statements_printed_as_dsl():

@@ -3,11 +3,13 @@
 import importlib.util
 import itertools
 import json
+import random
+import re
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otl import (
@@ -56,8 +58,9 @@ from otl.model import DIAGNOSTIC_CODES
 from otl.parser import MAX_EXPR_DEPTH
 
 from conftest import load_fixture
-from gen import valid_random_model
+from gen import random_model, valid_random_model
 from oracles import (
+    oracle_axis_clashes,
     oracle_classify,
     oracle_direct_super,
     oracle_intension,
@@ -163,16 +166,17 @@ def test_genus_cycle_located_at_its_first_declared_member():
     ]
 
 
-def both_ways(concepts, axes=(), emptied=()):
+def both_ways(concepts, axes=(), emptied=(), nonexclusive=()):
     """One model as DSL source (diagnostics at spans) and through the API
     (at identifiers, so found order breaks ties).  `concepts` are (id,
-    genus, differentiae), `axes` (id, scope, members).  The DSL cannot state
-    a genus without differentiae, so a concept in `emptied` is emptied after
-    parsing."""
+    genus, differentiae), `axes` (id, scope, members), exclusive unless
+    named in `nonexclusive`.  The DSL cannot state a genus without
+    differentiae, so a concept in `emptied` is emptied after parsing."""
     lines = [f"concept {cid} := {genus} + {', '.join(diffs)}" if genus else
              f"concept {cid} := {', '.join(diffs)}" if diffs else f"concept {cid}"
              for cid, genus, diffs in concepts]
-    lines += [f"axis {aid} of {scope} {{ {', '.join(members)} }}" for aid, scope, members in axes]
+    lines += [f"axis {aid} of {scope} {'nonexclusive ' * (aid in nonexclusive)}{{ {', '.join(members)} }}"
+              for aid, scope, members in axes]
     result = parse("\n".join(lines) + "\n", "order.otl")
     assert not result.diagnostics
     api = Model()
@@ -180,7 +184,7 @@ def both_ways(concepts, axes=(), emptied=()):
         for model in (result.model, api):
             model.concepts[cid] = Concept(cid, cid, genus, () if cid in emptied else tuple(diffs))
     for aid, scope, members in axes:
-        api.axes[aid] = Axis(aid, aid, scope, tuple(members))
+        api.axes[aid] = Axis(aid, aid, scope, tuple(members), aid not in nonexclusive)
     return result.model, api
 
 
@@ -246,6 +250,59 @@ def test_intension_checks_are_reported_in_a_fixed_order():
         "ERROR E_REDUNDANT_DIFFERENTIA R1 concept 'R1' restates thing already in the intension of 'Thing'",
         "ERROR E_REDUNDANT_DIFFERENTIA R2 concept 'R2' restates thing already in the intension of 'Thing'",
     ]
+
+
+_CLASHES = [
+    ("Thing", None, []),
+    ("Child", "Mid", ["big"]),  # inherits the clash of a genus declared after it
+    ("Mid", "Red", ["blue"]),  # states a member that clashes with one it inherits
+    ("Red", "Thing", ["red"]),
+    ("Two", "Red", ["green", "big", "small"]),  # clashes on two axes, one of them its own pair
+    ("Grand", "Two", ["calm", "wild"]),  # a pair on the nonexclusive axis, two clashes inherited
+    ("Calm", "Thing", ["calm", "wild"]),
+    ("Small", "Calm", ["small"]),
+]
+_CLASH_AXES = [("Colour", "Thing", ["red", "blue", "green"]), ("Size", "Thing", ["big", "small"]),
+               ("Mood", "Thing", ["calm", "wild"])]
+
+
+# each clash: its location in the DSL, its location through the API, its message
+_CLASH_DIAGNOSTICS = [
+    ("order.otl:2:9", "Child", "concept 'Child' combines blue, red, exclusive on axis 'Colour'"),
+    ("order.otl:3:9", "Mid", "concept 'Mid' combines blue, red, exclusive on axis 'Colour'"),
+    ("order.otl:5:9", "Two", "concept 'Two' combines green, red, exclusive on axis 'Colour'"),
+    ("order.otl:5:9", "Two", "concept 'Two' combines big, small, exclusive on axis 'Size'"),
+    ("order.otl:6:9", "Grand", "concept 'Grand' combines green, red, exclusive on axis 'Colour'"),
+    ("order.otl:6:9", "Grand", "concept 'Grand' combines big, small, exclusive on axis 'Size'"),
+]
+
+
+# the first four concepts clash only where a stated member meets an inherited one
+@pytest.mark.parametrize("count, reported", [(4, 2), (len(_CLASHES), len(_CLASH_DIAGNOSTICS))])
+def test_axis_clashes_are_reported_for_every_concept_whose_intension_holds_them(count, reported):
+    dsl, api = both_ways(_CLASHES[:count], _CLASH_AXES, nonexclusive={"Mood"})
+    expected = _CLASH_DIAGNOSTICS[:reported]
+    assert [d.render() for d in validate(dsl)] == [f"ERROR E_AXIS_CONTRADICTION {at} {text}" for at, _, text in expected]
+    assert [d.render() for d in validate(api)] == [f"ERROR E_AXIS_CONTRADICTION {at} {text}" for _, at, text in expected]
+
+
+_CONTRADICTION = re.compile(r"concept '(\w+)' combines (.+), exclusive on axis '(\w+)'")
+
+
+@given(st.integers(min_value=0))
+@settings(max_examples=300)
+def test_axis_contradictions_are_the_clashes_of_every_intension(seed):
+    # concepts in a shuffled order, so a child is often declared before its genus
+    rng = random.Random(seed)
+    model = random_model(rng, allow_clashes=True)
+    concepts = list(model.concepts.items())
+    rng.shuffle(concepts)
+    model.concepts = dict(concepts)
+    diagnostics = [d for d in validate(model) if d.is_error]
+    assert {d.code for d in diagnostics} <= {"E_AXIS_CONTRADICTION"}
+    triples = [_CONTRADICTION.fullmatch(d.message).groups() for d in diagnostics]
+    found = [(cid, axis, tuple(members.split(", "))) for cid, members, axis in triples]
+    assert sorted(found) == sorted(oracle_axis_clashes(model))
 
 
 def test_reference_checks_are_reported_in_a_fixed_order():

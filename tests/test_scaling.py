@@ -226,6 +226,25 @@ def test_wide_tree_parse_is_linear():
     assert memory_ratio <= 2.5, evidence
 
 
+def wide_tree_with_axes_source(n):
+    """n concepts under one root, eight children to a concept, the
+    children's differences the members of one exclusive axis scoped at
+    their genus: an exclusive axis at every level, and no clash."""
+    lines = ["concept T0"]
+    lines += [f"concept T{i} := T{(i - 1) // 8} + t{i}" for i in range(1, n)]
+    for genus in range((n - 2) // 8 + 1):
+        members = ", ".join(f"t{i}" for i in range(8 * genus + 1, min(8 * genus + 9, n)))
+        lines.append(f"axis K{genus} of T{genus} {{ {members} }}")
+    return "\n".join(lines) + "\n"
+
+
+def test_wide_tree_with_exclusive_axes_validate_is_linear():
+    time_ratio, memory_ratio, diagnostics, evidence = doubling_ratios(validate_call, wide_tree_with_axes_source, 1000)
+    assert diagnostics == []
+    assert time_ratio <= 2.5, evidence
+    assert memory_ratio <= 2.5, evidence
+
+
 def from_json_call(source):
     return partial(from_json, to_json(validated(source)))
 

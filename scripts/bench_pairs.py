@@ -17,11 +17,15 @@ for each metric of the runs' results both sides' medians and inclusive
 quartiles (statistics.quantiles(n=4, method='inclusive')), the change's
 median against the parent's in percent, `change_wins` (the pairs in
 which the change did better, by the metric's direction in BENCHMARK.json)
-and the values in run order.  "runs" holds every run's result as printed.
+and the values in run order.  "runs" holds every run's result as printed,
+and "src_otl_lines" each side's lines of src/otl/*.py, per file and in total.
 An existing --out file is updated: its other keys and other runs stay.
 
 Not part of the test suite.  It writes only to the --out path
 (perfbench/run.py writes its inputs under each checkout's own .bench_work/).
+Each run keeps its bytecode under a fresh PYTHONPYCACHEPREFIX, so a side
+whose checkout holds a __pycache__ from earlier runs does not import faster
+than a fresh checkout would.
 
 Usage: python scripts/bench_pairs.py --run author:1 [--run query:1 ...]
            --parent-tree DIR [--pairs 10] [--seconds 30] [--trace 0|1]
@@ -38,6 +42,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,7 +70,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     known_failed added under that key."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(command, cwd=tree, capture_output=True, text=True, timeout=20 * seconds + 600)
+    with tempfile.TemporaryDirectory() as prefix:  # so no bytecode an earlier run left in the checkout is read
+        done = subprocess.run(command, cwd=tree, env={**os.environ, "PYTHONPYCACHEPREFIX": prefix},
+                              capture_output=True, text=True, timeout=20 * seconds + 600)
     lines = done.stdout.splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(command)} in {tree} failed:\n{done.stderr[-2000:]}")
@@ -105,6 +112,13 @@ def summarise(seed: int, first: list[str], runs: dict[str, list[dict]], better: 
     return summary
 
 
+def line_counts(tree: Path) -> dict[str, int]:
+    """The lines of each of the tree's src/otl/*.py files, and their total."""
+    paths = sorted((tree / "src" / "otl").glob("*.py"))
+    counts = {path.name: len(path.read_text("utf-8").splitlines()) for path in paths}
+    return {**counts, "total": sum(counts.values())}
+
+
 def directions() -> dict[str, str]:
     """Each metric's better direction, from this checkout's BENCHMARK.json."""
     declared = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
@@ -123,6 +137,7 @@ def main(argv: list[str]) -> int:
                   "keys ending in ' traced' ran with --trace 1",
         "python": platform.python_version(),
         "host": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs",
+        "src_otl_lines": {side: line_counts(tree) for side, tree in trees.items()},
     })
     summaries, all_runs = doc.setdefault("summary", {}), doc.setdefault("runs", {})
     better = directions()

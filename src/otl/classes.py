@@ -205,12 +205,16 @@ def evaluate_class(model: m.Model, expr: ClassExpression) -> frozenset[str]:
     return fold(expr, evaluate)
 
 
-def axis_clashes(model: m.Model, numbering: m.BitSets) -> tuple[int, Callable[[int], list[_Clash]]]:
+def axis_clashes(model: m.Model, numbering: m.BitSets) -> tuple[dict[str, int], Callable[[int], list[_Clash]]]:
     """The exclusive-axis rule over sets of differences (bits of `numbering`):
-    the mask of the differences on exclusive axes, and a function from a set
-    to its clashes, (axis, members) for each exclusive axis holding two or
-    more, axes in declaration order, members sorted."""
-    exclusive = numbering.mask(d for ax in model.axes.values() if ax.exclusive for d in ax.members)
+    each member of an exclusive axis with the bits of its axis's members, and
+    a function from a set to its clashes, (axis, members) for each exclusive
+    axis holding two or more, axes in declaration order, members sorted."""
+    masks: dict[str, int] = {}
+    for axis in model.axes.values():
+        if axis.exclusive:
+            masks.update(dict.fromkeys(axis.members, numbering.mask(axis.members)))
+    exclusive = numbering.mask(masks)
 
     def clashes(bits: int) -> list[_Clash]:
         by_axis: dict[str, list[str]] = {}
@@ -219,7 +223,7 @@ def axis_clashes(model: m.Model, numbering: m.BitSets) -> tuple[int, Callable[[i
         found = [(axis, diffs) for axis, diffs in by_axis.items() if len(diffs) > 1]
         return sorted(found, key=lambda c: list(model.axes).index(c[0])) if len(found) > 1 else found
 
-    return exclusive, clashes
+    return masks, clashes
 
 
 def concept_conjunction(

@@ -56,12 +56,12 @@ it is the only reader of malformed input and the only place a syntax error
 is worded.  Its lexing is one scan of a master regex with a named group per
 token class (the "Writing a Tokenizer" recipe of the ``re`` docs), whose
 match is all a token costs: `_Parser.advance` keeps it as the one token of
-lookahead of a recursive descent, O(tokens).  Both readers build entities
-with the same `add_*` methods, so declarations, spans and the duplicate
-checks have one home.  Positions are resolved only when a diagnostic needs
-one: SourceText collects the newline offsets on first use and maps an
-offset to its line and column with one bisect.  Class-expression nesting is
-bounded by MAX_EXPR_DEPTH and chains of ``not`` are counted iteratively.
+lookahead of a recursive descent, O(tokens).  Both readers store entities with
+`declare` or, for parts, relations and terms, `link`, so spans and duplicate
+checks have one home.  Positions are resolved only when a diagnostic needs one:
+SourceText collects the newline offsets on first use and maps an offset to its
+line and column with one bisect.  Class-expression nesting is bounded by
+MAX_EXPR_DEPTH and chains of ``not`` are counted iteratively.
 """
 
 from __future__ import annotations
@@ -349,34 +349,21 @@ class _Parser:
 
     # -- building entities: both readers end here ----------------------------
 
-    def declare(self, kind: str, name: str, at: int) -> bool:
-        """Record a declaration whose name is at offset `at`; returns False
-        (and diagnoses) on duplicates."""
-        if (kind, name) in self.model.spans:
+    def declare(self, store: dict, kind: str, entity: Record, at: int) -> None:
+        """Store `entity` under its id, written at offset `at`, or report it
+        as a duplicate of the first declaration of that id."""
+        name, spans = entity.id, self.model.spans
+        if (kind, name) in spans:
             prior = self.model.span_for(kind, name)
-            message = f"{kind} '{name}' already declared at {prior.line}:{prior.column}"
-            self.error(message, at, len(name), "E_DUP_DECL")
-            return False
-        self.model.spans[(kind, name)] = (at, len(name))
-        return True
+            self.error(f"{kind} '{name}' already declared at {prior.line}:{prior.column}", at, len(name), "E_DUP_DECL")
+        else:
+            spans[(kind, name)] = (at, len(name))
+            store[name] = entity
 
-    def add_concept(self, at: int, name: str, genus: Optional[str], differentiae: list[str]) -> None:
-        if self.declare("concept", name, at):
-            self.model.concepts[name] = Concept(name, name, genus, tuple(differentiae))
-
-    def add_object(self, at: int, name: str, concept: str, values: dict[str, Value]) -> None:
-        if self.declare("object", name, at):
-            self.model.objects[name] = ObjectInstance(name, name, concept, values)
-
-    def add_part(self, at: int, whole: str, part: str) -> None:
-        self.model.spans[("part", str(len(self.model.parts)))] = (at, len("part"))
-        self.model.parts.append(PartLink(whole, part))
-
-    def add_term(self, at: tuple[int, int], designation: str, lang: str, status: str, concept: str,
-                 nl_definition: Optional[str]) -> None:
-        """`at` is the offset and length of the designation as written."""
-        self.model.spans[("term", str(len(self.model.terms)))] = at
-        self.model.terms.append(Term(designation, lang, _STATUSES[status], concept, nl_definition))
+    def link(self, links: list, kind: str, entity: Record, at: tuple[int, int]) -> None:
+        """Append a part, relation or term, its span `at` keyed by its index."""
+        self.model.spans[(kind, str(len(links)))] = at
+        links.append(entity)
 
     # -- the regex reader ------------------------------------------------------
 
@@ -386,7 +373,9 @@ class _Parser:
         if kind == "concept":
             listed = m["differentiae"]
             differentiae = IDENTIFIER.findall(listed) if listed else []
-            self.add_concept(m.start("name"), m["name"], m["genus"], differentiae)
+            name = m["name"]
+            self.declare(self.model.concepts, "concept", Concept(name, name, m["genus"], tuple(differentiae)),
+                         m.start("name"))
         elif kind == "object":
             a1, v1, a2, v2, a3, v3, rest = m.group("a1", "v1", "a2", "v2", "a3", "v3", "rest")
             pairs = ((*_assignment().findall(rest), (a1, v1), (a2, v2), (a3, v3)) if a3 else ((a1, v1), (a2, v2))
@@ -398,13 +387,15 @@ class _Parser:
             if len(values) < len(pairs) or not KEYWORDS.isdisjoint(values):  # the token reader reads it again
                 self.seat(m.start("object"))
                 return self.statement()
-            self.add_object(m.start("object_id"), m["object_id"], m["object_concept"], values)
+            name = m["object_id"]
+            self.declare(self.model.objects, "object", ObjectInstance(name, name, m["object_concept"], values),
+                         m.start("object_id"))
         elif kind == "term":
             designation = m["designation"]
-            at = (m.start("designation") - 1, len(designation) + 2)
-            self.add_term(at, designation, m["language"], m["status"], m["term_concept"], m["definition"])
+            term = Term(designation, m["language"], _STATUSES[m["status"]], m["term_concept"], m["definition"])
+            self.link(self.model.terms, "term", term, (m.start("designation") - 1, len(designation) + 2))
         else:
-            self.add_part(m.start("part"), m["whole"], m["piece"])
+            self.link(self.model.parts, "part", PartLink(m["whole"], m["piece"]), (m.start("part"), len("part")))
 
     # -- statements --------------------------------------------------------
 
@@ -468,7 +459,7 @@ class _Parser:
                 self.advance()
                 genus = differentiae[0]
                 differentiae = self._ident_list("difference identifier")
-        self.add_concept(at, name, genus, differentiae)
+        self.declare(self.model.concepts, "concept", Concept(name, name, genus, tuple(differentiae)), at)
 
     def _stmt_axis(self) -> None:
         self.advance()  # 'axis'
@@ -482,8 +473,7 @@ class _Parser:
         self.expect("LBRACE", "'{'")
         members = self._ident_list("difference identifier")
         self.expect("RBRACE", "'}'")
-        if self.declare("axis", name, at):
-            self.model.axes[name] = Axis(name, name, scope, tuple(members), exclusive)
+        self.declare(self.model.axes, "axis", Axis(name, name, scope, tuple(members), exclusive), at)
 
     def _stmt_attribute(self) -> None:
         self.advance()  # 'attribute'
@@ -493,8 +483,7 @@ class _Parser:
         value_kind = self.one_of(_VALUE_KINDS)
         self.expect_word("on")
         domain = self.ident("concept identifier")
-        if self.declare("attribute", name, at):
-            self.model.attributes[name] = AttributeDecl(name, name, domain, ValueKind(value_kind))
+        self.declare(self.model.attributes, "attribute", AttributeDecl(name, name, domain, ValueKind(value_kind)), at)
 
     def literal(self, raw: str) -> Value:
         """The value a literal spells, made once a parse per spelling: values
@@ -523,7 +512,7 @@ class _Parser:
             if attr in values:
                 self.error(f"duplicate value for attribute '{attr}'", attr_at, len(attr), "E_DUP_DECL")
             values.setdefault(attr, value)
-        self.add_object(at, name, concept, values)
+        self.declare(self.model.objects, "object", ObjectInstance(name, name, concept, values), at)
 
     def object_body(self) -> tuple[int, str, str, list[tuple[str, int, Value]]]:
         """An object statement from its name on: name offset, name, concept, (attribute, offset, value)s."""
@@ -550,7 +539,7 @@ class _Parser:
         self.advance()  # 'part'
         whole = self.ident("concept identifier")
         self.expect_word("has")
-        self.add_part(at, whole, self.ident("concept identifier"))
+        self.link(self.model.parts, "part", PartLink(whole, self.ident("concept identifier")), (at, len("part")))
 
     def _stmt_relation(self) -> None:
         at = self.m
@@ -564,8 +553,8 @@ class _Parser:
         source = self.ident("concept identifier")
         self.expect("ARROW", "'->'")
         target = self.ident("concept identifier")
-        self.model.spans[("relation", str(len(self.model.relations)))] = _token(at)[1:]
-        self.model.relations.append(AssociativeLink(parse_relation_kind(rel), source, target))
+        self.link(self.model.relations, "relation", AssociativeLink(parse_relation_kind(rel), source, target),
+                  _token(at)[1:])
 
     def _stmt_term(self) -> None:
         self.advance()  # 'term'
@@ -583,7 +572,8 @@ class _Parser:
             self.advance()
             nl_definition = self.value
             self.expect("STRING", "definition string")
-        self.add_term(_token(at, designation)[1:], designation, lang, status, concept, nl_definition)
+        term = Term(designation, lang, _STATUSES[status], concept, nl_definition)
+        self.link(self.model.terms, "term", term, _token(at, designation)[1:])
 
     def _stmt_class(self) -> None:
         self.advance()  # 'class'
@@ -595,8 +585,7 @@ class _Parser:
         self.expect("PIPE", "'|'")
         expr = self._class_expr(0)
         self.expect("RBRACE", "'}'")
-        if self.declare("class", name, at):
-            self.model.classes[name] = ClassDef(name, expr)
+        self.declare(self.model.classes, "class", ClassDef(name, expr), at)
 
     # -- class expressions ---------------------------------------------------
 

@@ -38,8 +38,8 @@ its declarations), in operations on ints of O(D) or O(C) bits:
   only on a miss are the candidates not yet found tested (K', each ``not a
   & ~b``).  Only the genus and those extras can cover it, each of the E
   edges one OR into its superior's subordinates.  O(C log C + M + L + K' + E);
-* attributes O(values), part cycles O(parts) by Tarjan's strongly
-  connected components (SIAM J. Comput. 1972), terms O(terms + C).
+* attributes O(values), part cycles O(parts) by Kosaraju's two walks
+  (Sharir 1981), terms O(terms + C).
 """
 
 from __future__ import annotations
@@ -170,49 +170,45 @@ def _derive_hierarchy(concepts: dict[str, m.Concept], intensions: m.BitSets, con
     return Hierarchy(superiors, direct_super, direct_sub, frozenset(c for c, above in zip(ids, up) if not above))
 
 
-def _strongly_connected(edges: dict[str, list[str]]) -> list[list[str]]:
-    """Strongly connected components of a directed graph (Tarjan 1972).
-
-    Iterative, so deep graphs do not reach the recursion limit; O(V + E).
-    """
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    stack: list[str] = []
-    on_stack: set[str] = set()
-    components: list[list[str]] = []
+def _components(edges: dict[str, list[str]]) -> dict[str, str]:
+    """Each node of a directed graph mapped to the leader of its strongly
+    connected component, by Kosaraju's two walks (Sharir 1981): the first
+    lists the nodes in postorder, the second walks the reversed edges from
+    each node not yet placed, in reverse postorder, and places what it
+    reaches in that node's component.  Iterative, so deep graphs do not
+    reach the recursion limit; O(V + E)."""
+    postorder: list[str] = []
+    seen: set[str] = set()
     for root in edges:
-        if root in index:
+        if root in seen:
             continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
+        seen.add(root)
         work = [(root, iter(edges[root]))]
         while work:
             node, successors = work[-1]
             for succ in successors:
-                if succ not in index:
-                    index[succ] = low[succ] = len(index)
-                    stack.append(succ)
-                    on_stack.add(succ)
+                if succ not in seen:
+                    seen.add(succ)
                     work.append((succ, iter(edges.get(succ, ()))))
                     break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
             else:
                 work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    component: list[str] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    components.append(component)
-    return components
+                postorder.append(node)
+    reverse: dict[str, list[str]] = {}
+    for node, successors in edges.items():
+        for succ in successors:
+            reverse.setdefault(succ, []).append(node)
+    leader: dict[str, str] = {}
+    for root in reversed(postorder):
+        if root not in leader:
+            leader[root] = root
+            stack = [root]
+            while stack:
+                for pred in reverse.get(stack.pop(), ()):
+                    if pred not in leader:
+                        leader[pred] = root
+                        stack.append(pred)
+    return leader
 
 
 class _Validator:
@@ -383,11 +379,7 @@ class _Validator:
         intension: a duplicate found for it would restate that fault."""
         model = self.model
         intensions, index = self.intensions.bits, self.intensions.index
-        exclusive, clashes = axis_clashes(model, self.intensions)
-        masks: dict[str, int] = {}  # member of an exclusive axis -> the bits of the axis's members
-        for axis in model.axes.values():
-            if axis.exclusive:
-                masks.update(dict.fromkeys(axis.members, self.intensions.mask(axis.members)))
+        masks, clashes = axis_clashes(model, self.intensions)
         clashing = masks and any((intensions[c.id] & masks[d]).bit_count() > 1 for c in model.concepts.values()
                                  for d in c.differentiae if d in masks)
         # with the top bit: ints hash mod 2**61 - 1, so one-bit keys share 61 hashes
@@ -404,7 +396,7 @@ class _Validator:
                            f"concept '{cid}' restates {listing} already in the intension of '{genus}'", "concept", cid)
             elif (owner := first.setdefault((intension.bit_length(), intension), cid)) != cid:
                 repeats.setdefault(owner, []).append(cid)
-            for axis_id, clash in clashes(intension) if clashing and (intension & exclusive).bit_count() > 1 else ():
+            for axis_id, clash in clashes(intension) if clashing else ():
                 listing = ", ".join(clash)
                 self.error("E_AXIS_CONTRADICTION", f"concept '{cid}' combines {listing}, exclusive on axis '{axis_id}'",
                            "concept", cid)
@@ -450,31 +442,24 @@ class _Validator:
                                "value", f"{obj.id}.{attr_id}")
 
     def check_parts(self) -> None:
+        """A component is a cycle exactly when some part link has both ends
+        in it, a self-loop included; each is located at its first such link."""
         model = self.model
         edges = self.parts_by_whole
         for part in model.parts:
             edges.setdefault(part.whole, []).append(part.part)
-        component_of: dict[str, int] = {}
-        cyclic: list[list[str]] = []
-        for number, component in enumerate(_strongly_connected(edges)):
-            for node in component:
-                component_of[node] = number
-            node = component[0]
-            if len(component) > 1 or node in edges.get(node, ()):
-                cyclic.append(component)
-        # locate each cycle at the first declared edge inside it
-        first_edge: dict[int, int] = {}
+        leader = _components(edges)
+        first_link: dict[str, int] = {}
         for index, part in enumerate(model.parts):
-            number = component_of[part.whole]
-            if component_of[part.part] == number:
-                first_edge.setdefault(number, index)
-        for component in sorted((sorted(c) for c in cyclic), key=lambda c: c[0]):
-            self.error(
-                "E_PART_CYCLE",
-                "part links form a cycle through: " + ", ".join(component),
-                "part",
-                str(first_edge[component_of[component[0]]]),
-            )
+            if (head := leader[part.whole]) == leader[part.part]:
+                first_link.setdefault(head, index)
+        cycles: dict[str, list[str]] = {}
+        for node, head in leader.items():
+            if head in first_link:
+                cycles.setdefault(head, []).append(node)
+        for head, members in sorted(cycles.items(), key=lambda cycle: min(cycle[1])):
+            self.error("E_PART_CYCLE", "part links form a cycle through: " + ", ".join(sorted(members)),
+                       "part", str(first_link[head]))
 
     def check_terms(self) -> None:
         model = self.model

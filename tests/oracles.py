@@ -8,6 +8,8 @@ two paths.
 
 from __future__ import annotations
 
+from collections import deque
+
 from otl import And, AttrEquals, HasAttr, InConcept, Not, Or, TermStatus
 from otl.model import render_value, values_equal
 
@@ -35,6 +37,31 @@ def oracle_axis_clashes(model):
             if axis.exclusive and len(held) > 1:
                 found.add((cid, axis.id, held))
     return found
+
+
+def oracle_part_cycles(model):
+    """(members sorted, index of the first link between two of them) for
+    each class of concepts that reach one another by part links and hold a
+    link, sorted: one breadth-first search from every concept, every link
+    scanned at each step."""
+    nodes = {end for link in model.parts for end in (link.whole, link.part)}
+    reach = {}  # concept -> the concepts one or more links below it
+    for start in nodes:
+        seen, queue = set(), deque([start])
+        while queue:
+            node = queue.popleft()
+            for link in model.parts:
+                if link.whole == node and link.part not in seen:
+                    seen.add(link.part)
+                    queue.append(link.part)
+        reach[start] = seen
+    classes = {frozenset(n for n in nodes if n == start or n in reach[start] and start in reach[n]) for start in nodes}
+    found = []
+    for members in classes:
+        inside = [i for i, link in enumerate(model.parts) if link.whole in members and link.part in members]
+        if inside:
+            found.append((tuple(sorted(members)), inside[0]))
+    return sorted(found)
 
 
 def oracle_subsumes(model, c1, c2):

@@ -64,6 +64,7 @@ from oracles import (
     oracle_classify,
     oracle_direct_super,
     oracle_intension,
+    oracle_part_cycles,
     oracle_subsumes,
 )
 
@@ -669,6 +670,24 @@ def test_part_cycles_render_each_component_at_its_first_edge():
         "ERROR E_PART_CYCLE p:6:1 part links form a cycle through: e",
         "ERROR E_PART_CYCLE p:7:1 part links form a cycle through: b, c, d",
     ]
+
+
+@given(st.integers(min_value=0))
+@settings(max_examples=300)
+def test_part_cycles_are_the_oracles(seed):
+    # 1-12 concepts named out of order, 0-2n random links: self-loops and
+    # repeated links included
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    names = [f"c{k}" for k in rng.sample(range(40), n)]
+    model = Model()
+    for name in names:
+        model.concepts[name] = Concept(name, name, None, (f"d{name}",))
+    model.parts = [PartLink(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 2 * n))]
+    diagnostics = validate(model)
+    assert {d.code for d in diagnostics} <= {"E_PART_CYCLE"}
+    found = [(tuple(d.message.split(": ")[1].split(", ")), int(d.location)) for d in diagnostics]
+    assert sorted(found) == oracle_part_cycles(model)
 
 
 def test_part_chain_without_cycle_is_fine():

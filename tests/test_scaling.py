@@ -1,9 +1,10 @@
-"""Doubling-ratio gates on the load path and on print_dsl: the cost at 2n
-over the cost at n; and, at the end, gates on the memory a parsed model and
-a JSON export hold for the size of their input and output.
+"""Doubling-ratio gates on the load path, print_dsl and two reads: the
+cost at 2n over the cost at n; and, at the end, gates on the memory a parsed
+model and a JSON export hold for the size of their input and output.
 
 Ratios rather than absolute costs, so the gates mean the same on a slow or
-a shared machine.  Each gate checks two ratios of one stage:
+a shared machine.  The doubling gates are the rows of one table, GATES, and
+each row checks two ratios of one stage on one shape:
 
 * CPU time: the median ratio of PAIRS pairs of back-to-back n and 2n runs,
   after a garbage collection each, with the order of the two sizes
@@ -32,7 +33,7 @@ import math
 import statistics
 import time
 import tracemalloc
-from functools import partial
+from functools import cache, partial
 
 import pytest
 
@@ -51,39 +52,6 @@ from otl import (
 from otl.cli import run
 
 PAIRS = 9
-
-
-def chain_source(n):
-    lines = ["concept C0"]
-    lines += [f"concept C{i} := C{i - 1} + d{i}" for i in range(1, n)]
-    return "\n".join(lines) + "\n"
-
-
-def part_cycle_source(n):
-    """A part chain through n root concepts, closed by one cycle over its
-    second half."""
-    lines = [f"concept P{i} := p{i}" for i in range(n)]
-    lines += [f"part P{i} has P{i + 1}" for i in range(n - 1)]
-    lines.append(f"part P{n - 1} has P{n // 2}")
-    return "\n".join(lines) + "\n"
-
-
-def wide_tree_source(n):
-    """n concepts under one root, each with a term and an object."""
-    lines = ["concept T0", "attribute size : number on T0"]
-    for i in range(1, n):
-        lines.append(f"concept T{i} := T{(i - 1) // 8} + t{i}")
-        lines.append(f'term "tree node {i}" (en, preferred) for T{i}')
-        lines.append(f"object o{i} : T{i} {{ size = {i}.5 }}")
-    return "\n".join(lines) + "\n"
-
-
-def validate_call(source):
-    return partial(validate, parse(source).model)
-
-
-def parse_call(source):
-    return partial(parse, source)
 
 
 def timed(call):
@@ -126,43 +94,19 @@ def doubling_ratios(make_call, make_source, n, larger=None):
     return statistics.median(ratios), peaks["2n"] / peaks["n"], results["2n"], evidence
 
 
-def test_genus_chain_validate_grows_with_its_bitsets():
-    time_ratio, memory_ratio, diagnostics, evidence = doubling_ratios(validate_call, chain_source, 128)
-    assert diagnostics == []
-    assert time_ratio <= 4.5, evidence
-    assert memory_ratio <= 2.5, evidence
+# -- the shapes --------------------------------------------------------------
 
 
-def validated(source):
-    model = parse(source).model
-    assert validate(model) == []
-    return model
+def chain_source(n):
+    lines = ["concept C0"]
+    lines += [f"concept C{i} := C{i - 1} + d{i}" for i in range(1, n)]
+    return "\n".join(lines) + "\n"
 
 
-def json_round_trip_call(source):
-    model = validated(source)
-    return lambda: from_json(to_json(model))
-
-
-def test_genus_chain_json_round_trip_grows_with_its_output():
-    time_ratio, memory_ratio, rebuilt, evidence = doubling_ratios(json_round_trip_call, chain_source, 128)
-    assert rebuilt == validated(chain_source(256))
-    assert time_ratio <= 4.5, evidence
-    assert memory_ratio <= 4.5, evidence
-
-
-def test_long_genus_chain_validate_retains_little_memory():
-    # 4000 concepts hold 8 million (concept, difference) and (concept,
-    # superior) pairs: as sets of ids they took about 660 MB, as bitsets 4 MB
-    model = parse(chain_source(4000)).model
-    gc.collect()
-    tracemalloc.start()
-    try:
-        assert validate(model) == []
-        retained = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert retained <= 20 * 2**20
+def child_first_chain_source(n):
+    """The genus chain of chain_source declared child first."""
+    lines = [f"concept C{i} := C{i - 1} + d{i}" for i in range(n - 1, 0, -1)]
+    return "\n".join(lines + ["concept C0"]) + "\n"
 
 
 def poly_source(k):
@@ -181,49 +125,31 @@ def covering_edges(k):
     return 3 * math.comb(k, 3) + 2 * math.comb(k, 2)
 
 
-def test_poly_hierarchy_validate_grows_with_its_covering_edges():
-    # k = 14 -> 18: 469 -> 987 concepts, 1274 -> 2754 covering edges; the
-    # linear gate, 2.5 for an output twice as large, scaled to the edges
-    time_ratio, memory_ratio, diagnostics, evidence = doubling_ratios(validate_call, poly_source, 14, 18)
-    assert diagnostics == []
-    bound = 1.25 * covering_edges(18) / covering_edges(14)
-    assert time_ratio <= bound, evidence
-    assert memory_ratio <= bound, evidence
+def part_cycle_source(n):
+    """A part chain through n root concepts, closed by one cycle over its
+    second half."""
+    lines = [f"concept P{i} := p{i}" for i in range(n)]
+    lines += [f"part P{i} has P{i + 1}" for i in range(n - 1)]
+    lines.append(f"part P{n - 1} has P{n // 2}")
+    return "\n".join(lines) + "\n"
 
 
-def to_json_call(source):
-    return partial(to_json, validated(source))
+def part_cycles_source(n):
+    """n root concepts, each three in a row a part cycle: n // 3 cycles, so
+    validate groups, sorts and locates n // 3 diagnostics."""
+    lines = [f"concept P{i} := p{i}" for i in range(n)]
+    lines += [f"part P{i} has P{i + 1 if i % 3 < 2 else i - 2}" for i in range(n - n % 3)]
+    return "\n".join(lines) + "\n"
 
 
-def test_poly_hierarchy_to_json_grows_with_its_document():
-    # k = 14 -> 18: 93643 -> 199081 bytes
-    time_ratio, memory_ratio, text, evidence = doubling_ratios(to_json_call, poly_source, 14, 18)
-    bound = 1.25 * len(text) / len(to_json(validated(poly_source(14))))
-    assert time_ratio <= bound, evidence
-    assert memory_ratio <= bound, evidence
-
-
-def test_poly_hierarchy_from_json_grows_with_its_document_and_covering_edges():
-    time_ratio, memory_ratio, model, evidence = doubling_ratios(from_json_call, poly_source, 14, 18)
-    assert model == validated(poly_source(18))
-    small, large = (len(to_json(validated(poly_source(k)))) for k in (14, 18))
-    bound = 1.25 * max(large / small, covering_edges(18) / covering_edges(14))
-    assert time_ratio <= bound, evidence
-    assert memory_ratio <= bound, evidence
-
-
-def test_part_cycle_validate_is_linear():
-    time_ratio, memory_ratio, diagnostics, evidence = doubling_ratios(validate_call, part_cycle_source, 2000)
-    assert [d.code for d in diagnostics] == ["E_PART_CYCLE"]
-    assert time_ratio <= 2.5, evidence
-    assert memory_ratio <= 2.5, evidence
-
-
-def test_wide_tree_parse_is_linear():
-    time_ratio, memory_ratio, result, evidence = doubling_ratios(parse_call, wide_tree_source, 1000)
-    assert not has_errors(result.diagnostics)
-    assert time_ratio <= 2.5, evidence
-    assert memory_ratio <= 2.5, evidence
+def wide_tree_source(n):
+    """n concepts under one root, each with a term and an object."""
+    lines = ["concept T0", "attribute size : number on T0"]
+    for i in range(1, n):
+        lines.append(f"concept T{i} := T{(i - 1) // 8} + t{i}")
+        lines.append(f'term "tree node {i}" (en, preferred) for T{i}')
+        lines.append(f"object o{i} : T{i} {{ size = {i}.5 }}")
+    return "\n".join(lines) + "\n"
 
 
 def wide_tree_with_axes_source(n):
@@ -238,24 +164,6 @@ def wide_tree_with_axes_source(n):
     return "\n".join(lines) + "\n"
 
 
-def test_wide_tree_with_exclusive_axes_validate_is_linear():
-    time_ratio, memory_ratio, diagnostics, evidence = doubling_ratios(validate_call, wide_tree_with_axes_source, 1000)
-    assert diagnostics == []
-    assert time_ratio <= 2.5, evidence
-    assert memory_ratio <= 2.5, evidence
-
-
-def from_json_call(source):
-    return partial(from_json, to_json(validated(source)))
-
-
-def test_wide_tree_from_json_is_linear():
-    time_ratio, memory_ratio, model, evidence = doubling_ratios(from_json_call, wide_tree_source, 1000)
-    assert model == validated(wide_tree_source(2000))
-    assert time_ratio <= 2.5, evidence
-    assert memory_ratio <= 2.5, evidence
-
-
 def wide_tree_with_distinct_values_source(n):
     """The wide tree without terms, each concept with two objects whose
     text and number literals are each spelt once in the source: the worst
@@ -267,44 +175,9 @@ def wide_tree_with_distinct_values_source(n):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize(
-    "make_call, done",
-    [
-        (parse_call, lambda result, n: len(result.model.objects) == 2 * (n - 1)),
-        (validate_call, lambda diagnostics, n: diagnostics == []),
-        (to_json_call, lambda text, n: text.count('"kind": "text"') == 2 * (n - 1)),
-    ],
-    ids=["parse", "validate", "to_json"],
-)
-def test_wide_tree_with_distinct_values_loads_and_writes_in_linear_time(make_call, done):
-    time_ratio, memory_ratio, result, evidence = doubling_ratios(make_call, wide_tree_with_distinct_values_source, 200)
-    assert done(result, 400)
-    assert time_ratio <= 2.5, evidence
-    assert memory_ratio <= 2.5, evidence
-
-
 def wide_tree_with_parts_source(n):
     """The wide tree, each concept also a part of its genus."""
     return wide_tree_source(n) + "".join(f"part T{(i - 1) // 8} has T{i}\n" for i in range(1, n))
-
-
-def lexicon_call(source):
-    return partial(lexicon, validated(source), "en")
-
-
-def describe_every_object_call(source):
-    model = validated(source)
-    return lambda: [describe_object(model, oid) for oid in model.objects]
-
-
-@pytest.mark.parametrize("make_call", [lexicon_call, describe_every_object_call], ids=["lexicon", "describe_object"])
-def test_wide_tree_reads_grow_with_their_output(make_call):
-    # a scan of every term or part link per concept or object grows about
-    # three times a doubling here
-    time_ratio, memory_ratio, result, evidence = doubling_ratios(make_call, wide_tree_with_parts_source, 1000)
-    assert len(result) > 0
-    assert time_ratio <= 2.5, evidence
-    assert memory_ratio <= 2.5, evidence
 
 
 # Lines the regex reader takes up to their last character and then
@@ -326,36 +199,141 @@ def blanks_then_stray_source(n):
     return " " * n + "@\n"
 
 
-@pytest.mark.parametrize(
-    "make_source, n, diagnostic",
-    [
-        (differentiae_then_plus_source, 2000, ("E_SYN", "expected end of statement, found '+'")),
-        (unclosed_block_source, 1000, ("E_SYN", "expected '}', found end of input")),
-        (blanks_then_stray_source, 20_000, ("E_LEX", "unexpected character '@'")),
-    ],
-)
-def test_lines_rejected_at_their_end_parse_in_linear_time(make_source, n, diagnostic):
-    time_ratio, memory_ratio, result, evidence = doubling_ratios(parse_call, make_source, n)
-    assert [(d.code, d.message) for d in result.diagnostics] == [diagnostic]
-    assert time_ratio <= 2.5, evidence
-    assert memory_ratio <= 2.5, evidence
+# -- the stages --------------------------------------------------------------
 
 
-def child_first_chain_source(n):
-    """The genus chain of chain_source declared child first."""
-    lines = [f"concept C{i} := C{i - 1} + d{i}" for i in range(n - 1, 0, -1)]
-    return "\n".join(lines + ["concept C0"]) + "\n"
+def validated(source):
+    model = parse(source).model
+    assert validate(model) == []
+    return model
+
+
+def parse_call(source):
+    return partial(parse, source)
+
+
+def validate_call(source):
+    return partial(validate, parse(source).model)
+
+
+def to_json_call(source):
+    return partial(to_json, validated(source))
+
+
+def from_json_call(source):
+    return partial(from_json, to_json(validated(source)))
+
+
+def json_round_trip_call(source):
+    model = validated(source)
+    return lambda: from_json(to_json(model))
 
 
 def print_dsl_call(source):
     return partial(print_dsl, validated(source))
 
 
-def test_child_first_chain_print_dsl_is_linear():
-    time_ratio, memory_ratio, text, evidence = doubling_ratios(print_dsl_call, child_first_chain_source, 500)
-    assert text == chain_source(1000)
-    assert time_ratio <= 2.5, evidence
-    assert memory_ratio <= 2.5, evidence
+def lexicon_call(source):
+    return partial(lexicon, validated(source), "en")
+
+
+def describe_every_object_call(source):
+    model = validated(source)
+    return lambda: [describe_object(model, oid) for oid in model.objects]
+
+
+# k = 14 -> 18: 469 -> 987 concepts, 1274 -> 2754 covering edges; the
+# linear gate, 2.5 for an output twice as large, scaled to the edges
+POLY_EDGES_BOUND = 1.25 * covering_edges(18) / covering_edges(14)
+
+
+@cache
+def poly_document_bound():
+    # k = 14 -> 18: 93643 -> 199081 bytes
+    return 1.25 * len(to_json(validated(poly_source(18)))) / len(to_json(validated(poly_source(14))))
+
+
+def poly_document_and_edges_bound():
+    return max(poly_document_bound(), POLY_EDGES_BOUND)
+
+
+def gate(name, make_call, make_source, n, done, time_bound=2.5, memory_bound=2.5, larger=None):
+    """One row of GATES: the stage `make_call` readies, run on
+    `make_source` at n and at `larger` (2n if None); `done(result, size)`
+    checks its result at the larger size.  A bound is a number, or a
+    function of nothing for a bound written against an output's growth."""
+    return pytest.param(make_call, make_source, n, larger, done, time_bound, memory_bound, id=name)
+
+
+def no_errors(diagnostics, size):
+    return diagnostics == []
+
+
+def one_syntax_error(code, message):
+    return lambda result, size: [(d.code, d.message) for d in result.diagnostics] == [(code, message)]
+
+
+GATES = [
+    gate("genus_chain-validate", validate_call, chain_source, 128, no_errors, 4.5, 2.5),
+    gate("genus_chain-json_round_trip", json_round_trip_call, chain_source, 128,
+         lambda model, size: model == validated(chain_source(size)), 4.5, 4.5),
+    gate("poly-validate", validate_call, poly_source, 14, no_errors, POLY_EDGES_BOUND, POLY_EDGES_BOUND, 18),
+    gate("poly-to_json", to_json_call, poly_source, 14,
+         lambda text, size: text == to_json(validated(poly_source(size))),
+         poly_document_bound, poly_document_bound, 18),
+    gate("poly-from_json", from_json_call, poly_source, 14, lambda model, size: model == validated(poly_source(size)),
+         poly_document_and_edges_bound, poly_document_and_edges_bound, 18),
+    gate("part_cycle-validate", validate_call, part_cycle_source, 2000,
+         lambda diagnostics, size: [d.code for d in diagnostics] == ["E_PART_CYCLE"]),
+    gate("part_cycles-validate", validate_call, part_cycles_source, 2000,
+         lambda diagnostics, size: [d.code for d in diagnostics] == ["E_PART_CYCLE"] * (size // 3)),
+    gate("wide_tree-parse", parse_call, wide_tree_source, 1000,
+         lambda result, size: not has_errors(result.diagnostics)),
+    gate("wide_tree_with_axes-validate", validate_call, wide_tree_with_axes_source, 1000, no_errors),
+    gate("wide_tree-from_json", from_json_call, wide_tree_source, 1000,
+         lambda model, size: model == validated(wide_tree_source(size))),
+    gate("distinct_values-parse", parse_call, wide_tree_with_distinct_values_source, 200,
+         lambda result, size: len(result.model.objects) == 2 * (size - 1)),
+    gate("distinct_values-validate", validate_call, wide_tree_with_distinct_values_source, 200, no_errors),
+    gate("distinct_values-to_json", to_json_call, wide_tree_with_distinct_values_source, 200,
+         lambda text, size: text.count('"kind": "text"') == 2 * (size - 1)),
+    # a scan of every term or part link per concept or object grows about
+    # three times a doubling here
+    gate("wide_tree_with_parts-lexicon", lexicon_call, wide_tree_with_parts_source, 1000,
+         lambda result, size: len(result) > 0),
+    gate("wide_tree_with_parts-describe_object", describe_every_object_call, wide_tree_with_parts_source,
+         1000, lambda result, size: len(result) > 0),
+    gate("differentiae_then_plus-parse", parse_call, differentiae_then_plus_source, 2000,
+         one_syntax_error("E_SYN", "expected end of statement, found '+'")),
+    gate("unclosed_block-parse", parse_call, unclosed_block_source, 1000,
+         one_syntax_error("E_SYN", "expected '}', found end of input")),
+    gate("blanks_then_stray-parse", parse_call, blanks_then_stray_source, 20_000,
+         one_syntax_error("E_LEX", "unexpected character '@'")),
+    gate("child_first_chain-print_dsl", print_dsl_call, child_first_chain_source, 500,
+         lambda text, size: text == chain_source(size)),
+]
+
+
+@pytest.mark.parametrize("make_call, make_source, n, larger, done, time_bound, memory_bound", GATES)
+def test_doubling_gate(make_call, make_source, n, larger, done, time_bound, memory_bound):
+    time_ratio, memory_ratio, result, evidence = doubling_ratios(make_call, make_source, n, larger)
+    assert done(result, larger or 2 * n)
+    assert time_ratio <= (time_bound() if callable(time_bound) else time_bound), evidence
+    assert memory_ratio <= (memory_bound() if callable(memory_bound) else memory_bound), evidence
+
+
+def test_long_genus_chain_validate_retains_little_memory():
+    # 4000 concepts hold 8 million (concept, difference) and (concept,
+    # superior) pairs: as sets of ids they took about 660 MB, as bitsets 4 MB
+    model = parse(chain_source(4000)).model
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert validate(model) == []
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 20 * 2**20
 
 
 # Memory held, not its growth: what a model, a writer and a CLI command

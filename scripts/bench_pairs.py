@@ -16,13 +16,16 @@ pair count, the side that went first in each pair, each side's `correct`,
 for each metric of the runs' results both sides' medians and inclusive
 quartiles (statistics.quantiles(n=4, method='inclusive')), the change's
 median against the parent's in percent, `change_wins` (the pairs in
-which the change did better, by the metric's direction in BENCHMARK.json)
-and the values in run order.  "runs" holds every run's result as printed,
-and "src_otl_lines" each side's lines of src/otl/*.py, per file and in total.
-An existing --out file is updated: its other keys and other runs stay.
+which the change did better, by the metric's direction in BENCHMARK.json),
+the metric's `verdict` (see `verdict`; an end-to-end metric is read
+against its BENCHMARK.json bound) and the values in run order.  "runs"
+holds every run's result as printed, and "src_otl_lines" each side's lines
+of src/otl/*.py, per file and in total.  An existing --out file is
+updated: its other keys and other runs stay.
 
-Not part of the test suite.  It writes only to the --out path
-(perfbench/run.py writes its inputs under each checkout's own .bench_work/).
+The test suite runs `summarise` on made-up runs, never the pairs.  The
+script writes only to the --out path (perfbench/run.py writes its inputs
+under each checkout's own .bench_work/).
 Each run keeps its bytecode under a fresh PYTHONPYCACHEPREFIX, so a side
 whose checkout holds a __pycache__ from earlier runs does not import faster
 than a fresh checkout would.
@@ -44,6 +47,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
@@ -90,15 +94,47 @@ def quartiles(values: list[float]) -> list[float]:
     return [round(q, 6) for q in statistics.quantiles(values, n=4, method="inclusive")]
 
 
-def summarise(seed: int, first: list[str], runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
-    """The BENCH_<N>.json summary of one workload's pairs."""
+def verdict(parent: list[float], change: list[float], better: str, bound: Optional[float]) -> str:
+    """One metric's reading of the pairs, the first rule that holds.  With a
+    bound (an end-to-end metric, a fraction of the parent's median): `worse`
+    when the change's median is worse by more than the bound; `unresolved`
+    when the parent's quartile spread over its median exceeds the bound and
+    some change run is not better than every parent run; `better` when the
+    change wins at least 9 pairs in 10 and its median differs by more than
+    the parent's interquartile range; else `no change`.  Without a bound (a
+    per-layer metric): `better` by that rule, `worse` by its mirror (losing
+    at least 9 pairs in 10), else `within noise`."""
+    sign = -1 if better == "lower" else 1  # sign * (change - parent) > 0: the change did better
+    low, _, high = quartiles(parent)
+    median, spread = statistics.median(parent), high - low
+    gain = sign * (statistics.median(change) - median)
+    pairs = list(zip(parent, change))
+
+    def won(side: int) -> bool:  # side 1: the change won 9 pairs in 10 and moved past the spread
+        return sum(side * sign * (c - p) > 0 for p, c in pairs) >= 0.9 * len(pairs) and side * gain > spread
+
+    if bound is None:
+        return "better" if won(1) else "worse" if won(-1) else "within noise"
+    if -gain > bound * abs(median):
+        return "worse"
+    best = max(sign * p for p in parent)  # the best parent run, as sign * value
+    if spread > bound * abs(median) and any(sign * c <= best for c in change):
+        return "unresolved"
+    return "better" if won(1) else "no change"
+
+
+def summarise(seed: int, first: list[str], runs: dict[str, list[dict]], declared: dict[str, dict]) -> dict:
+    """The BENCH_<N>.json summary of one workload's pairs; `declared` maps a
+    metric to its BENCHMARK.json entry (`better`, and `bound` if end to end)."""
     summary: dict = {"seed": seed, "pairs": len(first), "first": first}
     for count in ("correct", "failed", "known_failed"):
         summary[count] = {side: [run[count] for run in runs[side]] for side in SIDES}
     for name in runs["parent"][0]["metrics"]:
         values = {side: [round(run["metrics"][name]["value"], 6) for run in runs[side]] for side in SIDES}
         medians = {side: round(statistics.median(values[side]), 6) for side in SIDES}
-        sign = -1 if better.get(name, "lower") == "lower" else 1
+        entry = declared.get(name, {})
+        better, bound = entry.get("better", "lower"), entry.get("bound")
+        sign = -1 if better == "lower" else 1
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         summary[name] = {
             "parent_median": medians["parent"],
@@ -107,6 +143,7 @@ def summarise(seed: int, first: list[str], runs: dict[str, list[dict]], better: 
             "change_quartiles": quartiles(values["change"]),
             "change_pct": round((medians["change"] / medians["parent"] - 1) * 100, 2) if medians["parent"] else None,
             "change_wins": wins,
+            "verdict": verdict(values["parent"], values["change"], better, bound),
             **values,
         }
     return summary
@@ -119,10 +156,11 @@ def line_counts(tree: Path) -> dict[str, int]:
     return {**counts, "total": sum(counts.values())}
 
 
-def directions() -> dict[str, str]:
-    """Each metric's better direction, from this checkout's BENCHMARK.json."""
+def declarations() -> dict[str, dict]:
+    """Each metric's entry in this checkout's BENCHMARK.json: its better
+    direction, and its bound if it is end to end."""
     declared = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
-    return {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in declared[key]}
+    return {m["name"]: m for key in ("end_to_end", "per_layer") for m in declared[key]}
 
 
 def main(argv: list[str]) -> int:
@@ -140,7 +178,7 @@ def main(argv: list[str]) -> int:
         "src_otl_lines": {side: line_counts(tree) for side, tree in trees.items()},
     })
     summaries, all_runs = doc.setdefault("summary", {}), doc.setdefault("runs", {})
-    better = directions()
+    declared = declarations()
     for item in args.run:
         workload, seed = item.split(":")[0], int(item.split(":")[1])
         key = f"{workload} s{seed}" + (" traced" if args.trace else "")
@@ -155,7 +193,7 @@ def main(argv: list[str]) -> int:
                       + json.dumps({k: round(m["value"], 4) for k, m in runs[side][-1]["metrics"].items()}
                                    if not args.trace else runs[side][-1]["correct"]),
                       file=sys.stderr, flush=True)
-        summaries[key] = summarise(seed, first, runs, better)
+        summaries[key] = summarise(seed, first, runs, declared)
         all_runs[key] = runs
         if args.out:  # after each workload, so a later failure loses only its own runs
             args.out.write_text(json.dumps(doc, indent=1) + "\n", "utf-8")

@@ -96,17 +96,19 @@ def fold(expr: Any, combine: Callable[[Any, list[_T]], _T], children: Callable[[
     return results[0]
 
 
-def _same(pair: tuple, results: list[bool]) -> bool:  # two nodes side by side, after their children paired up
-    a, b = pair
-    kids = _children(a)
-    return a.__class__ is b.__class__ and (len(kids) == len(_children(b)) and all(results) if kids else a == b)
+def _rows(expr: ClassExpression) -> list:
+    """The expression's rows in postorder, by one walk so at any depth: a leaf
+    as itself, a node as its class and arity.  Postorder with arities decodes
+    to one tree, so expressions with equal rows are equal."""
+    rows: list = []
+    fold(expr, lambda node, kids: rows.append((node.__class__, len(kids)) if kids else node))
+    return rows
 
 
 def _equal(self: ClassExpression, other: object) -> bool:
-    """Compare two expressions with one walk over both trees, so at any depth."""
     if other.__class__ is not self.__class__:
         return NotImplemented
-    return fold((self, other), _same, lambda pair: tuple(zip(*map(_children, pair))))
+    return _rows(self) == _rows(other)  # type: ignore[arg-type]
 
 
 class _Hashed(int):  # a hash already taken: a tuple of these hashes as the tuple of the nodes
@@ -127,11 +129,8 @@ def _repr(node: Any, shown: list[str]) -> str:  # Record's repr, one level at a 
 
 
 def _reduce(self: ClassExpression) -> tuple:
-    """Pickle a nested expression as its rows in postorder, so at any depth:
-    a leaf as itself, a node as its class and arity."""
-    rows: list = []
-    fold(self, lambda node, kids: rows.append((node.__class__, len(kids)) if kids else node))
-    return _rebuild, (rows,)
+    """Pickle a nested expression as its rows, so at any depth."""
+    return _rebuild, (_rows(self),)
 
 
 def _rebuild(rows: list) -> ClassExpression:

@@ -171,9 +171,8 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse handles --help/--version/usage errors
-        code = exc.code if isinstance(exc.code, int) else 2
-        return code
+    except SystemExit as exc:  # argparse exits 0 for --help/--version, 2 for a usage error
+        return exc.code  # type: ignore[return-value]
 
     model = _load(args.input, stderr)
     if model is None:

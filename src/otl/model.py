@@ -261,8 +261,9 @@ def render_value(value: Value) -> str:
 
 
 def number_text(value: Union[Decimal, int]) -> str:
-    """A number as NUMBER_LITERAL spells it: ``str`` would write 0.0000001 as 1E-7."""
-    return format(value, "f") if isinstance(value, Decimal) else str(value)
+    """A number as NUMBER_LITERAL spells it, through one format: ``str`` would
+    write 0.0000001 as 1E-7 and raises on an int of more than 4300 digits."""
+    return format(Decimal(value), "f")  # a Decimal is not copied: Decimal(d) is d
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,7 @@ def _declaration() -> re.Pattern:
 @cache
 def _assignment() -> re.Pattern:
     """One attribute, before the last three, of a block _declaration() took, and its raw value."""
-    return re.compile(rf'({IDENTIFIER.pattern}){_B}={_B}("[^"\\\n]*"|[-.0-9]+|true|false)')
+    return re.compile(rf"({_A}){_B}={_B}({_VALUE})")
 
 
 def _token(match: re.Match, value: str = "") -> tuple[str, int, int]:
@@ -277,20 +277,13 @@ class _Parser:
         body = m["body"]
         length = len(m["STRING"])
         if "\\" in body:
-            chars: list[str] = []
-            last = 0
-            for esc in _ESCAPE.finditer(body):
-                chars.append(body[last : esc.start()])
-                last = esc.end()
-                decoded = _ESCAPES.get(esc[1])
-                if decoded is not None:
-                    chars.append(decoded)
-                    continue
-                self.error(f"unknown escape '\\{esc[1]}'", start + 1 + esc.start(), 2, "E_LEX")
-                if not esc[1]:
-                    length += 1  # a final backslash still counts two
-            chars.append(body[last:])
-            body = "".join(chars)
+            def decode(esc: re.Match) -> str:  # an escape's character, or "" once it is reported
+                nonlocal length
+                if (decoded := _ESCAPES.get(esc[1])) is None:
+                    self.error(f"unknown escape '\\{esc[1]}'", start + 1 + esc.start(), 2, "E_LEX")
+                    length += not esc[1]  # a final backslash still counts two
+                return decoded or ""
+            body = _ESCAPE.sub(decode, body)
         if not m["close"]:
             self.error("unterminated string literal", start, length, "E_LEX")
         return body

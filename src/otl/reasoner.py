@@ -477,10 +477,9 @@ class _Validator:
 
         # A concept naming itself in some language should have a preferred
         # designation in that language.
-        for cid in model.concepts:
-            languages = preferred.get(cid)
-            for lang in sorted(languages) if languages else ():
-                if not languages[lang]:
+        for cid in filter(preferred.__contains__, model.concepts):  # in declaration order
+            for lang, named in sorted(preferred[cid].items()):
+                if not named:
                     self.error("W_NO_PREFERRED_TERM", f"concept '{cid}' has terms in '{lang}' "
                                "but none preferred", "concept", cid, severity=m.Severity.WARNING)
 
@@ -552,12 +551,9 @@ def coordinates(model: m.Model, concept_id: str) -> frozenset[str]:
     """Concepts sharing at least one direct superordinate with the given
     concept, excluding the concept itself."""
     model.require_validated("coordinates", concept_id)
-    hierarchy = model.hierarchy
-    sub, covering, below = hierarchy.direct_sub, hierarchy.direct_super.bits[concept_id], 0
-    while covering:  # one OR per covering genus
-        top = covering.bit_length() - 1
-        below |= sub.bits[sub.names[top]]
-        covering ^= 1 << top
+    sub, sup, below = model.hierarchy.direct_sub, model.hierarchy.direct_super, 0
+    for genus in sup.members(sup.bits[concept_id]):  # one OR per covering genus
+        below |= sub.bits[genus]
     return frozenset(sub.members(below & ~(1 << sub.index[concept_id])))
 
 

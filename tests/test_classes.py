@@ -248,6 +248,17 @@ def test_expressions_compare_at_any_depth():
     assert Not(AttrEquals("a", Decimal("1.0"))) == Not(AttrEquals("a", Decimal("1")))
 
 
+def test_equality_and_pickle_see_arity():
+    # both trees list a, b, c, d, and, and in postorder: only the arities
+    # of their rows tell them apart
+    a, b, c, d = map(InConcept, "abcd")
+    left, right = And((a, b, And((c, d)))), And((a, And((b, c, d))))
+    assert left != right and right != left
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        clones = [pickle.loads(pickle.dumps(expr, protocol)) for expr in (left, right)]
+        assert clones == [left, right] and clones[0] != right and clones[1] != left and clones[0] != clones[1]
+
+
 def test_repr_hash_and_deepcopy_take_any_depth():
     # each walked a level per call: repr and deepcopy stopped near 330-400
     # nested nots, the hash near 500-600

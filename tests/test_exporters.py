@@ -952,6 +952,27 @@ def test_json_layout_is_the_stdlib_layout_on_awkward_strings(texts, whole):
     assert from_json(text) == model
 
 
+def test_numbers_of_any_size_print():
+    # str() of an int raises past 4300 digits, so a model holding one
+    # validated and then failed to export or describe.  No assertion here
+    # shows a model: the int's repr has the same limit.
+    nines, tens = 10**4400 - 1, 10**4399  # 4400 digits each
+    model = Model()
+    model.concepts["A"] = Concept("A", "A")
+    model.attributes["n"] = AttributeDecl("n", "n", "A", ValueKind.NUMBER)
+    model.objects["o"] = ObjectInstance("o", "o", "A", {"n": nines})
+    model.classes["Q"] = ClassDef("Q", Or((AttrEquals("n", -tens), AttrEquals("n", nines))))
+    validate_or_raise(model)
+    document = to_json(model)
+    assert '"9' + "9" * 4399 + '"' in document and '"-1' + "0" * 4399 + '"' in document
+    same = from_json(document) == model
+    assert same
+    text = print_dsl(model)
+    assert print_dsl(build(text)) == text
+    assert describe_object(model, "o") == "o : A / n = " + "9" * 4400
+    assert evaluate_class(model, model.classes["Q"].expr) == {"o"}
+
+
 # -- literals spelt apart stay apart -------------------------------------------------
 #
 # Values equal under == but spelt differently (1, 1.0, -0 and 0, true and 1,
